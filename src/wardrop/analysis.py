@@ -21,12 +21,12 @@ from typing import Iterable
 
 import numpy as np
 
-from .costs import InfiniteCostError, eval_array, eval_partial
+from .compiled import compile_network
+from .costs import InfiniteCostError, eval_partial
 from .equilibrium import (
     Assignment,
     PreconditionError,
     SolveParams,
-    _engine,
     is_nash,
     simplex_grid,
     solve_fixed_point,
@@ -106,13 +106,11 @@ def segment_matrices(
                     f"cost of road {rid!r} for population {pop.name!r} is not "
                     "monotone; averaged sensitivities require increasing costs"
                 )
-    eng = _engine(net)
-    eng.check_dimensions(first)
-    eng.check_dimensions(second)
-    names = eng.names
+    core = compile_network(net)
+    names = core.names
     nodes, weights = gauss_legendre_unit(quadrature_nodes)
-    flows_first = eng.road_flows(first.shares)
-    flows_second = eng.road_flows(second.shares)
+    flows_first = core.road_flows(first).tolist()
+    flows_second = core.road_flows(second).tolist()
     n_roads = len(net.roads)
     own = (np.zeros(n_roads), np.zeros(n_roads))
     cross = (np.zeros(n_roads), np.zeros(n_roads))
@@ -378,11 +376,11 @@ def check_pair_orthogonality(net: Network, first: Assignment, second: Assignment
     for label, theta in (("first", first), ("second", second)):
         if not is_nash(net, theta).holds:
             raise PreconditionError(f"{label} assignment is not a Nash equilibrium")
-    eng = _engine(net)
-    times_first = eng.route_times(first.shares)
-    times_second = eng.route_times(second.shares)
+    core = compile_network(net)
+    times_first = core.route_times(first)
+    times_second = core.route_times(second)
     residuals = []
-    for p in range(eng.pop_count):
+    for p in range(core.pop_count):
         for times in (times_first[p], times_second[p]):
             if any(math.isinf(t) for t in times):
                 raise PreconditionError("infinite route time in uniqueness residual")
@@ -413,28 +411,28 @@ def _estimate_time_variation(net: Network, samples: int = 64, seed: int = 0) -> 
     blow-up set, and an exploding estimate would drown the oracle in
     false hits.
     """
-    eng = _engine(net)
+    core = compile_network(net)
     rng = np.random.default_rng(seed)
-    ratios = [1.0]
+    step = 1e-3
+    pairs = []
     for _ in range(samples):
-        base = [rng.dirichlet(np.ones(n)) for n in eng.route_counts]
-        step = 1e-3
-        for p in range(eng.pop_count):
-            if eng.route_counts[p] < 2:
+        base = [rng.dirichlet(np.ones(n)) for n in core.route_counts]
+        for p in range(core.pop_count):
+            if core.route_counts[p] < 2:
                 continue
             moved = [b.copy() for b in base]
-            i, j = rng.choice(eng.route_counts[p], size=2, replace=False)
+            i, j = rng.choice(core.route_counts[p], size=2, replace=False)
             if moved[p][i] < step:
                 continue
             moved[p][i] -= step
             moved[p][j] += step
-            t0 = eng.route_times([b.tolist() for b in base])
-            t1 = eng.route_times([m.tolist() for m in moved])
-            for tp0, tp1 in zip(t0, t1):
-                for a, b in zip(tp0, tp1):
-                    if math.isinf(a) or math.isinf(b):
-                        continue
-                    ratios.append(abs(b - a) / step)
+            pairs += [core.pack(base), core.pack(moved)]
+    ratios = [1.0]
+    if pairs:
+        times = core.times(np.stack(pairs, axis=-1))[core.valid]
+        before, after = times[:, 0::2], times[:, 1::2]
+        finite = (before < math.inf) & (after < math.inf)
+        ratios += (np.abs(after[finite] - before[finite]) / step).tolist()
     ratios.sort()
     return ratios[int(0.75 * (len(ratios) - 1))]
 
@@ -455,8 +453,7 @@ def brute_force_equilibria(
     smallest residual.  Raises `OracleBudgetError` when the grid would
     exceed `budget` points.
     """
-    eng = _engine(net)
-    counts = eng.route_counts
+    counts = compile_network(net).route_counts
     sizes = [math.comb(resolution + n - 1, n - 1) for n in counts]
     total = math.prod(sizes)
     if total > budget:
@@ -467,7 +464,7 @@ def brute_force_equilibria(
     tolerance = max(tol or 0.0, variation / resolution)
 
     grids = [np.array(list(simplex_grid(n, resolution)), dtype=float) for n in counts]
-    hits = _scan_product_grid(net, eng, grids, tolerance, share_tol)
+    hits = _scan_product_grid(net, grids, tolerance, share_tol)
     clusters = _cluster_hits(hits, radius=2.0 / resolution)
     return OracleResult(
         resolution=resolution,
@@ -477,105 +474,42 @@ def brute_force_equilibria(
     )
 
 
+SCAN_BATCH = 1024  # grid points evaluated per batch
+
+
 def _scan_product_grid(
     net: Network,
-    eng,
     grids: list[np.ndarray],
     tolerance: float,
     share_tol: float,
 ) -> list[tuple[tuple[tuple[float, ...], ...], float]]:
-    """Vectorized Nash scan: python loop over the outer populations' grid
-    product, numpy over the last population's grid."""
-    names = eng.names
-    P = eng.pop_count
-    last = P - 1
-    K = grids[last].shape[0]
-    road_ids = [r.id for r in net.roads]
-    # Per-population road flows for every grid row.
-    flow_tables = [grids[p] @ eng.inc_float[p].T for p in range(P)]  # (K_p, N)
+    """Nash scan of the product grid in batches of whole last-population
+    grids, in the grid product's order.  A point is a hit when every
+    population's relevant times spread by at most tolerance * scale and no
+    unused route undercuts the mean by more than tolerance * mean scale; its
+    residual is the largest absolute spread or shortfall."""
+    core = compile_network(net)
+    last = len(grids) - 1
+    outer = np.array(list(itertools.product(*(range(len(g)) for g in grids[:last]))), dtype=int)
+    inner = len(grids[last])
+    per_batch = max(1, SCAN_BATCH // inner)
     hits: list[tuple[tuple[tuple[float, ...], ...], float]] = []
-
-    outer_indices = itertools.product(*(range(g.shape[0]) for g in grids[:last]))
-    for outer in outer_indices:
-        outer_shares = [grids[p][outer[p]] for p in range(last)]
-        # Flows per road: scalars for outer populations, arrays for the last.
-        flows_by_pop = [flow_tables[p][outer[p]] for p in range(last)]
-        flows_last = flow_tables[last]  # (K, N)
-
-        # Route times per population, arrays of shape (K,).
-        times: list[list[np.ndarray]] = []
-        for p in range(P):
-            pop_times = []
-            tau: dict[int, np.ndarray | float] = {}
-            for h in eng.used_roads[p]:
-                flow_point = {
-                    names[q]: (flows_by_pop[q][h] if q < last else flows_last[:, h])
-                    for q in range(P)
-                }
-                expr = net.populations[p].costs[road_ids[h]]
-                tau[h] = eval_array(expr, flow_point)
-            for roads in eng.route_roads[p]:
-                t = np.zeros(K)
-                for h in roads:
-                    t = t + tau[h]
-                pop_times.append(np.broadcast_to(np.asarray(t, dtype=float), (K,)))
-            times.append(pop_times)
-
-        ok = np.ones(K, dtype=bool)
-        worst = np.zeros(K)
-        for p in range(P):
-            shares = (
-                [np.full(K, s) for s in outer_shares[p]]
-                if p < last
-                else [grids[last][:, i] for i in range(eng.route_counts[p])]
-            )
-            ok, worst = _nash_mask(shares, times[p], tolerance, share_tol, ok, worst)
-        for k in np.nonzero(ok)[0]:
-            point = tuple(
-                tuple(float(x) for x in (outer_shares[p] if p < last else grids[last][k]))
-                for p in range(P)
-            )
+    for start in range(0, len(outer), per_batch):
+        rows = np.repeat(outer[start : start + per_batch], inner, axis=0)
+        x = np.zeros((core.pop_count, core.width, len(rows)))
+        for p in range(last):
+            x[p, : core.route_counts[p]] = grids[p][rows[:, p]].T
+        x[last, : core.route_counts[last]] = np.tile(grids[last].T, len(rows) // inner)
+        s = core.spreads(x, core.times(x), share_tol)
+        shortfall = s.shortfall.reshape(-1, len(rows))
+        ok = np.logical_and.reduce(s.spread <= tolerance * s.scale)
+        undercut = (s.shortfall <= tolerance * s.mean_scale).reshape(-1, len(rows))
+        ok &= np.logical_and.reduce(undercut)
+        worst = np.maximum(s.spread.max(axis=0), shortfall.max(axis=0).clip(0.0))
+        for k in np.flatnonzero(ok).tolist():
+            point = tuple(tuple(x[p, :n, k].tolist()) for p, n in enumerate(core.route_counts))
             hits.append((point, float(worst[k])))
     return hits
-
-
-def _nash_mask(
-    shares: list[np.ndarray],
-    times: list[np.ndarray],
-    tolerance: float,
-    share_tol: float,
-    ok: np.ndarray,
-    worst: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized equilibrium + Nash test for one population."""
-    K = ok.shape[0]
-    relevant_max = np.full(K, -np.inf)
-    relevant_min = np.full(K, np.inf)
-    mean = np.zeros(K)
-    for share, t in zip(shares, times):
-        mask = share > share_tol
-        with np.errstate(invalid="ignore"):
-            relevant_max = np.where(mask, np.maximum(relevant_max, t), relevant_max)
-            relevant_min = np.where(mask, np.minimum(relevant_min, t), relevant_min)
-            mean = mean + np.where(mask, t, 0.0) * share
-    finite_pair = np.isfinite(relevant_max) & np.isfinite(relevant_min)
-    both_inf = np.isinf(relevant_max) & np.isinf(relevant_min) & (relevant_max > 0) & (relevant_min > 0)
-    with np.errstate(invalid="ignore"):
-        spread = np.where(finite_pair, relevant_max - relevant_min, np.inf)
-    spread = np.where(both_inf, 0.0, spread)
-    # scales must stay finite: an infinite bound would accept anything
-    scale = np.where(finite_pair, np.maximum(1.0, np.abs(relevant_max)), 1.0)
-    eq_ok = spread <= tolerance * scale
-    worst = np.maximum(worst, np.where(np.isfinite(spread), spread, np.inf))
-    nash_ok = np.ones(K, dtype=bool)
-    mean_scale = np.where(np.isfinite(mean), np.maximum(1.0, np.abs(mean)), 1.0)
-    for share, t in zip(shares, times):
-        unused = share <= share_tol
-        with np.errstate(invalid="ignore"):
-            shortfall = np.where(unused & np.isfinite(t), mean - t, -np.inf)
-        nash_ok &= shortfall <= tolerance * mean_scale
-        worst = np.maximum(worst, np.where(shortfall > 0, shortfall, 0.0))
-    return ok & eq_ok & nash_ok, worst
 
 
 def _cluster_hits(

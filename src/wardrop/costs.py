@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -104,6 +104,11 @@ class ExtReal:
 _INFINITY = ExtReal(None)
 
 
+def _finite(value: float, what: str) -> None:
+    if not math.isfinite(value):
+        raise ValueError(f"{what} must be finite, got {value}")
+
+
 def _check_flows(expr: "CostExpr", flows: Mapping[str, float]) -> dict[str, float]:
     """Validate and clamp the flow arguments an expression references."""
     clean: dict[str, float] = {}
@@ -112,7 +117,7 @@ def _check_flows(expr: "CostExpr", flows: Mapping[str, float]) -> dict[str, floa
             value = float(flows[name])
         except KeyError:
             raise CostDomainError(f"no flow supplied for population {name!r}") from None
-        if value < -FLOW_TOLERANCE or value > 1 + FLOW_TOLERANCE:
+        if not -FLOW_TOLERANCE <= value <= 1 + FLOW_TOLERANCE:  # NaN included
             raise CostDomainError(f"flow {value} for {name!r} outside [0, 1]")
         clean[name] = min(1.0, max(0.0, value))
     return clean
@@ -132,9 +137,19 @@ class CostExpr:
     def _partial(self, flows: Mapping[str, float], name: str) -> float:
         raise NotImplementedError
 
-    def _array_value(self, flows: Mapping[str, object]) -> np.ndarray | float:
-        """Vectorized evaluation with np.inf for blow-ups (oracle fast path)."""
-        raise NotImplementedError
+    def _terms(self) -> Iterator[tuple[float, "CostExpr | MonomialTerm"]]:
+        """(multiplier, leaf) pairs; `Sum`, `Polynomial` and `Scale` are the
+        left-to-right sum of multiplier * leaf value over their terms."""
+        yield 1.0, self
+
+    def _folded_value(self, flows: Mapping[str, float]) -> float:
+        total = 0.0
+        for factor, leaf in self._terms():
+            v = leaf._value(flows)
+            if factor == 0 and math.isinf(v):
+                raise ExtRealGuardError("0 * inf is not defined")
+            total += factor * v
+        return total
 
     def structurally_monotone(self) -> bool:
         return True
@@ -149,6 +164,7 @@ class Constant(CostExpr):
     value: float
 
     def __post_init__(self) -> None:
+        _finite(self.value, "constant cost")
         if self.value < 0:
             raise ValueError("constant cost must be nonnegative")
 
@@ -160,9 +176,6 @@ class Constant(CostExpr):
 
     def _partial(self, flows: Mapping[str, float], name: str) -> float:
         return 0.0
-
-    def _array_value(self, flows: Mapping[str, object]) -> float:
-        return self.value
 
     def structurally_convex(self) -> bool:
         return True
@@ -176,9 +189,11 @@ class Affine(CostExpr):
     coeffs: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        _finite(self.constant, "affine constant")
         if self.constant < 0:
             raise ValueError("affine constant must be nonnegative")
         for name, c in self.coeffs.items():
+            _finite(c, f"affine coefficient for {name!r}")
             if c < 0:
                 raise ValueError(
                     f"affine coefficient for {name!r} must be nonnegative; "
@@ -195,12 +210,6 @@ class Affine(CostExpr):
     def _partial(self, flows: Mapping[str, float], name: str) -> float:
         return self.coeffs.get(name, 0.0)
 
-    def _array_value(self, flows: Mapping[str, object]) -> np.ndarray | float:
-        total: np.ndarray | float = self.constant
-        for n, c in self.coeffs.items():
-            total = total + c * flows[n]
-        return total
-
     def structurally_convex(self) -> bool:
         return True
 
@@ -213,14 +222,21 @@ class MonomialTerm:
     exponents: Mapping[str, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        _finite(self.coeff, "monomial coefficient")
         if self.coeff < 0:
             raise ValueError("monomial coefficient must be nonnegative")
         for name, k in self.exponents.items():
-            if k < 0 or int(k) != k:
+            if not math.isfinite(k) or k < 0 or int(k) != k:
                 raise ValueError(f"exponent for {name!r} must be a nonnegative integer")
         object.__setattr__(
             self, "exponents", {n: int(k) for n, k in self.exponents.items() if k != 0}
         )
+
+    def _value(self, flows: Mapping[str, float]) -> float:
+        prod = self.coeff
+        for n, k in self.exponents.items():
+            prod *= flows[n] ** k
+        return prod
 
 
 @dataclass(frozen=True)
@@ -233,14 +249,10 @@ class Polynomial(CostExpr):
     def populations(self) -> frozenset[str]:
         return frozenset(n for t in self.terms for n in t.exponents)
 
-    def _value(self, flows: Mapping[str, float]) -> float:
-        total = 0.0
-        for t in self.terms:
-            prod = t.coeff
-            for n, k in t.exponents.items():
-                prod *= flows[n] ** k
-            total += prod
-        return total
+    def _terms(self) -> Iterator[tuple[float, MonomialTerm]]:
+        return ((1.0, t) for t in self.terms)
+
+    _value = CostExpr._folded_value
 
     def _partial(self, flows: Mapping[str, float], name: str) -> float:
         total = 0.0
@@ -253,15 +265,6 @@ class Polynomial(CostExpr):
                 if n != name:
                     prod *= flows[n] ** kk
             total += prod
-        return total
-
-    def _array_value(self, flows: Mapping[str, object]) -> np.ndarray | float:
-        total: np.ndarray | float = 0.0
-        for t in self.terms:
-            prod: np.ndarray | float = t.coeff
-            for n, k in t.exponents.items():
-                prod = prod * flows[n] ** k
-            total = total + prod
         return total
 
     def structurally_convex(self) -> bool | None:
@@ -280,9 +283,11 @@ class CongestionRational(CostExpr):
     capacity: float
 
     def __post_init__(self) -> None:
+        _finite(self.capacity, "capacity")
         if self.capacity <= 0:
             raise ValueError("capacity must be positive")
         for name, w in self.weights.items():
+            _finite(w, f"weight for {name!r}")
             if w < 0:
                 raise ValueError(f"weight for {name!r} must be nonnegative")
         object.__setattr__(self, "weights", dict(self.weights))
@@ -305,15 +310,6 @@ class CongestionRational(CostExpr):
             raise InfiniteCostError("derivative requested at a fully congested point")
         return self.weights.get(name, 0.0) * self.capacity / (self.capacity - s) ** 2
 
-    def _array_value(self, flows: Mapping[str, object]) -> np.ndarray | float:
-        s: np.ndarray | float = 0.0
-        for n, w in self.weights.items():
-            s = s + w * flows[n]
-        s = np.asarray(s, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(s >= self.capacity, np.inf, s / (self.capacity - s))
-        return out
-
     def structurally_convex(self) -> bool:
         # Convex increasing function of a nonnegative linear form.
         return True
@@ -329,17 +325,14 @@ class Sum(CostExpr):
     def populations(self) -> frozenset[str]:
         return frozenset(n for t in self.terms for n in t.populations())
 
-    def _value(self, flows: Mapping[str, float]) -> float:
-        return sum(t._value(flows) for t in self.terms)
+    def _terms(self) -> Iterator[tuple[float, CostExpr | MonomialTerm]]:
+        for t in self.terms:
+            yield from t._terms()
+
+    _value = CostExpr._folded_value
 
     def _partial(self, flows: Mapping[str, float], name: str) -> float:
         return sum(t._partial(flows, name) for t in self.terms)
-
-    def _array_value(self, flows: Mapping[str, object]) -> np.ndarray | float:
-        total: np.ndarray | float = 0.0
-        for t in self.terms:
-            total = total + t._array_value(flows)
-        return total
 
     def structurally_monotone(self) -> bool:
         return all(t.structurally_monotone() for t in self.terms)
@@ -359,23 +352,21 @@ class Scale(CostExpr):
     inner: CostExpr
 
     def __post_init__(self) -> None:
+        _finite(self.factor, "scale factor")
         if self.factor < 0:
             raise ValueError("scale factor must be nonnegative")
 
     def populations(self) -> frozenset[str]:
         return self.inner.populations()
 
-    def _value(self, flows: Mapping[str, float]) -> float:
-        v = self.inner._value(flows)
-        if math.isinf(v) and self.factor == 0:
-            raise ExtRealGuardError("0 * inf is not defined")
-        return self.factor * v
+    def _terms(self) -> Iterator[tuple[float, CostExpr | MonomialTerm]]:
+        for factor, leaf in self.inner._terms():
+            yield self.factor * factor, leaf
+
+    _value = CostExpr._folded_value
 
     def _partial(self, flows: Mapping[str, float], name: str) -> float:
         return self.factor * self.inner._partial(flows, name)
-
-    def _array_value(self, flows: Mapping[str, object]) -> np.ndarray | float:
-        return self.factor * self.inner._array_value(flows)
 
     def structurally_monotone(self) -> bool:
         return self.inner.structurally_monotone()
@@ -399,6 +390,9 @@ class NonMonotoneAffine(CostExpr):
     coeffs: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        _finite(self.constant, "non-monotone affine constant")
+        for name, c in self.coeffs.items():
+            _finite(c, f"non-monotone affine coefficient for {name!r}")
         object.__setattr__(self, "coeffs", dict(self.coeffs))
 
     def populations(self) -> frozenset[str]:
@@ -412,12 +406,6 @@ class NonMonotoneAffine(CostExpr):
 
     def _partial(self, flows: Mapping[str, float], name: str) -> float:
         return self.coeffs.get(name, 0.0)
-
-    def _array_value(self, flows: Mapping[str, object]) -> np.ndarray | float:
-        total: np.ndarray | float = self.constant
-        for n, c in self.coeffs.items():
-            total = total + c * flows[n]
-        return total
 
     def structurally_monotone(self) -> bool:
         return all(c >= 0 for c in self.coeffs.values())
@@ -540,64 +528,40 @@ def _combinations(names: Sequence[str], points: np.ndarray) -> Iterable[dict[str
             yield combo
 
 
+# ---------------------------------------------------------------------------
+# Array evaluation: views of the compiled cost program
+# ---------------------------------------------------------------------------
+
 def compile_scalar(
     expr: CostExpr, population_order: Sequence[str]
 ) -> Callable[[Sequence[float]], float]:
-    """Compile an expression into a fast float closure for the solver loop.
+    """A float function of per-population flows given in `population_order`
+    (math.inf at blow-ups): a view of `eval_array`, so it equals `eval_cost`."""
+    order = list(population_order)
+    return lambda flows: float(eval_array(expr, dict(zip(order, flows))))
 
-    The closure takes per-population flows in `population_order` and returns
-    an IEEE float with math.inf at blow-ups.  It is an optimization of
-    `eval_cost` (tested equal against it), not a second semantics.
+
+def eval_array(expr: CostExpr, flows: Mapping[str, object]) -> np.ndarray:
+    """Evaluation over numpy arrays of flows (np.inf at blow-ups).
+
+    A view of `CostProgram`: the flows broadcast against each other, are
+    validated and clamped like `eval_cost`'s, and give its values.
     """
-    index = {name: i for i, name in enumerate(population_order)}
+    read = sorted(expr.populations())
+    columns = []
+    for name in read:
+        if name not in flows:
+            raise CostDomainError(f"no flow supplied for population {name!r}")
+        column = np.asarray(flows[name], dtype=float)
+        outside = ~((column >= -FLOW_TOLERANCE) & (column <= 1 + FLOW_TOLERANCE))
+        if outside.any():
+            raise CostDomainError(f"flow {column[outside].flat[0]} for {name!r} outside [0, 1]")
+        columns.append(np.where(column > 0.0, np.minimum(column, 1.0), 0.0))
+    columns = np.broadcast_arrays(*columns, np.zeros(()))
+    from .compiled import CostProgram
 
-    if isinstance(expr, Constant):
-        c = expr.value
-        return lambda flows: c
-    if isinstance(expr, (Affine, NonMonotoneAffine)):
-        pairs = [(index[n], c) for n, c in expr.coeffs.items()]
-        c0 = expr.constant
-        return lambda flows: c0 + sum(c * flows[i] for i, c in pairs)
-    if isinstance(expr, Polynomial):
-        terms = [
-            (t.coeff, [(index[n], k) for n, k in t.exponents.items()])
-            for t in expr.terms
-        ]
-
-        def poly(flows: Sequence[float]) -> float:
-            total = 0.0
-            for coeff, exps in terms:
-                prod = coeff
-                for i, k in exps:
-                    prod *= flows[i] ** k
-                total += prod
-            return total
-
-        return poly
-    if isinstance(expr, CongestionRational):
-        pairs = [(index[n], w) for n, w in expr.weights.items()]
-        cap = expr.capacity
-
-        def congested(flows: Sequence[float]) -> float:
-            s = sum(w * flows[i] for i, w in pairs)
-            if s >= cap:
-                return math.inf
-            return s / (cap - s)
-
-        return congested
-    if isinstance(expr, Sum):
-        parts = [compile_scalar(t, population_order) for t in expr.terms]
-        return lambda flows: sum(p(flows) for p in parts)
-    if isinstance(expr, Scale):
-        inner = compile_scalar(expr.inner, population_order)
-        factor = expr.factor
-        return lambda flows: factor * inner(flows)
-    raise TypeError(f"unknown cost expression {type(expr).__name__}")
-
-
-def eval_array(expr: CostExpr, flows: Mapping[str, object]) -> np.ndarray | float:
-    """Vectorized evaluation over numpy arrays of flows (np.inf at blow-ups)."""
-    return expr._array_value(flows)
+    program = CostProgram([expr], lambda _, name: read.index(name), len(read))
+    return program.values(np.stack(columns))[program.roots[0]]
 
 
 # ---------------------------------------------------------------------------

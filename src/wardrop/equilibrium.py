@@ -25,28 +25,27 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .costs import ExtReal, compile_scalar
-from .netcore import IncidenceMatrix, Network, build_incidence
+from .compiled import (
+    CompiledNetwork,
+    DimensionMismatchError,
+    NormalizationError,
+    compile_network,
+    share_mean,
+)
+from .costs import ExtReal
+from .netcore import Network
 
 INPUT_TOLERANCE = 1e-12
 DEFAULT_TIME_TOLERANCE = 1e-9
 DEFAULT_SHARE_TOLERANCE = 1e-9
 
 
-class DimensionMismatchError(ValueError):
-    """Assignment shape does not match the network's populations/routes."""
-
-
 class NonMonotoneCostError(ValueError):
     """The solver was asked to run on non-monotone costs without an override."""
-
-
-class NormalizationError(ArithmeticError):
-    """Internal invariant violation: normalization denominator not positive."""
 
 
 class PreconditionError(ValueError):
@@ -67,6 +66,8 @@ class Assignment:
             arr = [float(x) for x in vec]
             if not arr:
                 raise DimensionMismatchError("empty share vector")
+            if not all(math.isfinite(x) for x in arr):
+                raise ValueError(f"share vector has a non-finite component in {arr}")
             total = sum(arr)
             if abs(total - 1.0) > tolerance:
                 raise ValueError(f"share vector sums to {total}, not 1")
@@ -157,135 +158,17 @@ class MultistartParams:
     solve: SolveParams = field(default_factory=SolveParams)
 
 
-# ---------------------------------------------------------------------------
-# Compiled evaluation engine (internal hot path)
-# ---------------------------------------------------------------------------
-
-class _Engine:
-    """Per-network compiled data: incidences, route road lists, cost closures.
-
-    Scalar cost closures return IEEE floats with math.inf at blow-ups; route
-    times are accumulated road-by-road so an infinite cost on a road outside
-    a route can never meet a zero coefficient.
-    """
-
-    def __init__(self, net: Network):
-        self.net = net
-        self.names = list(net.population_names())
-        self.pop_count = len(self.names)
-        if self.pop_count == 0:
-            raise DimensionMismatchError("network has no populations")
-        self.incidences: list[IncidenceMatrix] = [
-            build_incidence(net, p) for p in range(self.pop_count)
-        ]
-        road_index = net.road_index()
-        self.route_roads: list[list[list[int]]] = [
-            [[road_index[rid] for rid in route.road_ids] for route in pop.routes]
-            for pop in net.populations
-        ]
-        self.route_counts = [len(pop.routes) for pop in net.populations]
-        self.cost_fns: list[dict[int, Callable[[Sequence[float]], float]]] = []
-        for pop in net.populations:
-            fns: dict[int, Callable[[Sequence[float]], float]] = {}
-            for rid, expr in pop.costs.items():
-                if rid in road_index:
-                    fns[road_index[rid]] = compile_scalar(expr, self.names)
-            self.cost_fns.append(fns)
-        self.used_roads = [sorted(fns) for fns in self.cost_fns]
-        self.inc_float = [inc.entries.astype(float) for inc in self.incidences]
-        # Shared step size: half the reciprocal of the largest route count.
-        self.step = 0.5 * min(1.0 / n for n in self.route_counts)
-
-    def check_dimensions(self, theta: Assignment) -> None:
-        if len(theta.shares) != self.pop_count:
-            raise DimensionMismatchError(
-                f"assignment has {len(theta.shares)} populations, network has {self.pop_count}"
-            )
-        for vec, n in zip(theta.shares, self.route_counts):
-            if len(vec) != n:
-                raise DimensionMismatchError(
-                    f"share vector of length {len(vec)} does not match {n} routes"
-                )
-
-    def road_flows(self, shares: Sequence[Sequence[float]]) -> list[list[float]]:
-        """Per-population road-flow vectors (lists of length N)."""
-        return [
-            (self.inc_float[p] @ np.asarray(shares[p], dtype=float)).tolist()
-            for p in range(self.pop_count)
-        ]
-
-    def times_from_flows(self, flows: list[list[float]]) -> list[list[float]]:
-        """Route times as floats (math.inf allowed) from per-pop road flows."""
-        all_times: list[list[float]] = []
-        for p in range(self.pop_count):
-            tau: dict[int, float] = {}
-            fns = self.cost_fns[p]
-            for h in self.used_roads[p]:
-                point = tuple(flows[q][h] for q in range(self.pop_count))
-                tau[h] = fns[h](point)
-            all_times.append(
-                [sum(tau[h] for h in roads) for roads in self.route_roads[p]]
-            )
-        return all_times
-
-    def route_times(self, shares: Sequence[Sequence[float]]) -> list[list[float]]:
-        return self.times_from_flows(self.road_flows(shares))
-
-    def shifted_times(
-        self, shares: Sequence[Sequence[float]], pop: int, vector: Sequence[float]
-    ) -> list[float]:
-        """Times of population `pop` with only its own share vector replaced."""
-        modified = list(shares)
-        modified[pop] = vector
-        return self.route_times(modified)[pop]
-
-    def map_once(self, shares: Sequence[Sequence[float]]) -> list[list[float]]:
-        """One application of the equilibrium self-map (clip-and-rescale)."""
-        times = self.route_times(shares)
-        out: list[list[float]] = []
-        for p in range(self.pop_count):
-            theta = shares[p]
-            phis = [compress_time(t) for t in times[p]]
-            mean_phi = sum(th * ph for th, ph in zip(theta, phis))
-            raw = [
-                th - self.step * (ph - mean_phi) for th, ph in zip(theta, phis)
-            ]
-            clipped = [x if x > 0.0 else 0.0 for x in raw]
-            total = sum(clipped)
-            if total <= 0.0:
-                raise NormalizationError(
-                    "normalization denominator vanished; step size invariant broken"
-                )
-            out.append([x / total for x in clipped])
-        return out
+_engine = compile_network  # the compiled network's former internal name
 
 
-_ENGINE_CACHE: dict[int, tuple[Network, _Engine]] = {}
-
-
-def _engine(net: Network) -> _Engine:
-    cached = _ENGINE_CACHE.get(id(net))
-    if cached is not None and cached[0] is net:
-        return cached[1]
-    eng = _Engine(net)
-    if len(_ENGINE_CACHE) > 64:
-        _ENGINE_CACHE.clear()
-    _ENGINE_CACHE[id(net)] = (net, eng)
-    return eng
+def _evaluate(net: Network, theta: Assignment) -> tuple[CompiledNetwork, np.ndarray, np.ndarray]:
+    core = compile_network(net)
+    x, t = core.evaluate(theta)
+    return core, x, t
 
 
 def _to_extreal(x: float) -> ExtReal:
     return ExtReal.infinity() if math.isinf(x) else ExtReal.of(x)
-
-
-def _mean_float(theta: Sequence[float], times: Sequence[float], share_tol: float) -> float:
-    """Share-weighted mean time; zero-share routes contribute nothing even
-    when their time is infinite."""
-    total = 0.0
-    for th, t in zip(theta, times):
-        if th > share_tol:
-            total += th * t  # th > 0, so inf propagates and 0*inf never occurs
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -299,14 +182,9 @@ def route_times(net: Network, theta: Assignment) -> RouteTimes:
     +infinity propagates through the sums.  Means use the zero-share
     convention (a route with zero share and infinite time contributes 0).
     """
-    eng = _engine(net)
-    eng.check_dimensions(theta)
-    raw = eng.route_times(theta.shares)
-    times = tuple(tuple(_to_extreal(t) for t in pop_times) for pop_times in raw)
-    means = tuple(
-        _to_extreal(_mean_float(theta.shares[p], raw[p], 0.0))
-        for p in range(eng.pop_count)
-    )
+    core, x, t = _evaluate(net, theta)
+    times = tuple(tuple(_to_extreal(v) for v in row) for row in core.unpack(t))
+    means = tuple(_to_extreal(m) for m in share_mean(x, t, 0.0).tolist())
     return RouteTimes(times=times, means=means)
 
 
@@ -316,12 +194,35 @@ def mean_times(theta: Assignment, times: Sequence[Sequence[ExtReal]]) -> tuple[E
     for vec, pop_times in zip(theta.shares, times):
         if len(vec) != len(pop_times):
             raise DimensionMismatchError("share vector and time vector differ in length")
-        total = 0.0
-        for th, t in zip(vec, pop_times):
-            if th > 0.0:
-                total += th * t.as_float()
-        out.append(_to_extreal(total))
+        t = np.array([[x.as_float() for x in pop_times]])
+        out.append(_to_extreal(float(share_mean(np.array([vec], dtype=float), t, 0.0)[0])))
     return tuple(out)
+
+
+def _predicates(
+    net: Network, theta: Assignment, tol: float, share_tol: float
+) -> tuple[PredicateVerdict, PredicateVerdict]:
+    """The equilibrium verdict, and the verdict on the unused routes alone
+    (the part Nash adds to it)."""
+    core = compile_network(net)
+    s = core.spreads_of(theta, share_tol)
+    spreads = (s.spread / s.scale).tolist()
+    detail = []
+    for name, spread in zip(core.names, spreads):
+        if math.isinf(spread):  # mixed finite/infinite relevant times can never agree
+            detail.append(f"{name}: finite and infinite relevant times")
+        elif spread > tol:
+            detail.append(f"{name}: relevant times spread {spread:.3e}")
+    eq = PredicateVerdict(holds=not detail, residual=max([0.0] + spreads), detail=tuple(detail))
+    shortfalls = s.shortfall / s.mean_scale
+    detail = [
+        f"{core.names[p]}: unused route {i} beats the mean by {shortfalls[p, i]:.3e}"
+        for p, i in zip(*np.nonzero(shortfalls > tol))
+    ]
+    unused = PredicateVerdict(
+        holds=not detail, residual=max(0.0, float(shortfalls.max())), detail=tuple(detail)
+    )
+    return eq, unused
 
 
 def is_equilibrium(
@@ -335,31 +236,7 @@ def is_equilibrium(
     Finite pairs compare with relative tolerance `tol`; two infinite times
     count as equal.  Simplex vertices pass trivially.
     """
-    eng = _engine(net)
-    eng.check_dimensions(theta)
-    raw = eng.route_times(theta.shares)
-    worst = 0.0
-    detail: list[str] = []
-    holds = True
-    for p, (vec, times) in enumerate(zip(theta.shares, raw)):
-        relevant = [t for th, t in zip(vec, times) if th > share_tol]
-        if len(relevant) <= 1:
-            continue
-        finite = [t for t in relevant if not math.isinf(t)]
-        if len(finite) != len(relevant):
-            if finite:  # mixed finite/infinite relevant times can never agree
-                holds = False
-                worst = math.inf
-                detail.append(f"{net.populations[p].name}: finite and infinite relevant times")
-            continue
-        spread = (max(finite) - min(finite)) / max(1.0, abs(max(finite)))
-        worst = max(worst, spread)
-        if spread > tol:
-            holds = False
-            detail.append(
-                f"{net.populations[p].name}: relevant times spread {spread:.3e}"
-            )
-    return PredicateVerdict(holds=holds, residual=worst, detail=tuple(detail))
+    return _predicates(net, theta, tol, share_tol)[0]
 
 
 def is_nash(
@@ -369,28 +246,12 @@ def is_nash(
     share_tol: float = DEFAULT_SHARE_TOLERANCE,
 ) -> PredicateVerdict:
     """Equilibrium, and no unused route is faster than the population mean."""
-    eq = is_equilibrium(net, theta, tol=tol, share_tol=share_tol)
-    eng = _engine(net)
-    raw = eng.route_times(theta.shares)
-    worst = 0.0
-    detail: list[str] = list(eq.detail)
-    holds = eq.holds
-    for p, (vec, times) in enumerate(zip(theta.shares, raw)):
-        mean = _mean_float(vec, times, share_tol)
-        for i, (th, t) in enumerate(zip(vec, times)):
-            if th > share_tol:
-                continue
-            if math.isinf(t):
-                continue  # infinitely slow unused route can never be attractive
-            shortfall = (mean - t) / max(1.0, abs(mean)) if not math.isinf(mean) else math.inf
-            if shortfall > worst:
-                worst = shortfall
-            if shortfall > tol:
-                holds = False
-                detail.append(
-                    f"{net.populations[p].name}: unused route {i} beats the mean by {shortfall:.3e}"
-                )
-    return PredicateVerdict(holds=holds, residual=max(worst, 0.0), detail=tuple(detail))
+    eq, unused = _predicates(net, theta, tol, share_tol)
+    return PredicateVerdict(
+        holds=eq.holds and unused.holds,
+        residual=unused.residual,
+        detail=eq.detail + unused.detail,
+    )
 
 
 def default_eps(theta: Assignment, share_tol: float = DEFAULT_SHARE_TOLERANCE) -> float:
@@ -414,46 +275,28 @@ def is_eps_nash(
 
     For every feasible shift of `eps` mass from route i to route j, the
     time of route j *after* the shift must be at least the time of route i
-    before it.  `ladder=True` additionally tests eps/2 and eps/4.
+    before it.  `ladder=True` additionally tests eps/2 and eps/4.  Each
+    population's shifts are evaluated as one batch.
     """
     if eps is None:
         eps = default_eps(theta, share_tol)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    eq = is_equilibrium(net, theta, tol=tol, share_tol=share_tol)
-    eng = _engine(net)
-    raw = eng.route_times(theta.shares)
-    holds = eq.holds
-    worst = 0.0
-    detail: list[str] = list(eq.detail)
+    eq, _ = _predicates(net, theta, tol, share_tol)
+    core, x, t = _evaluate(net, theta)
     eps_values = [eps, eps / 2, eps / 4] if ladder else [eps]
-    for p in range(eng.pop_count):
-        vec = list(theta.shares[p])
-        n = len(vec)
-        for i, j in itertools.permutations(range(n), 2):
-            for e in eps_values:
-                if vec[i] < e - INPUT_TOLERANCE:
-                    continue
-                shifted = list(vec)
-                shifted[i] = max(0.0, shifted[i] - e)
-                shifted[j] = shifted[j] + e
-                after = eng.shifted_times(theta.shares, p, shifted)[j]
-                before = raw[p][i]
-                if math.isinf(after):
-                    continue  # switching into an infinite route never pays
-                if math.isinf(before):
-                    gain = math.inf
-                else:
-                    gain = (before - after) / max(1.0, abs(before))
-                if gain > worst:
-                    worst = gain
-                if gain > tol:
-                    holds = False
-                    detail.append(
-                        f"{net.populations[p].name}: moving {e:g} from route {i} to "
-                        f"route {j} gains {gain:.3e}"
-                    )
-    return PredicateVerdict(holds=holds, residual=max(worst, 0.0), detail=tuple(detail))
+    p, i, j, e, gain = core.eps_gains(x, t, eps_values, INPUT_TOLERANCE)
+    paying = gain > tol
+    shifts = zip(*(a[paying].tolist() for a in (p, i, j, e, gain)))
+    detail = [
+        f"{core.names[q]}: moving {mass:g} from route {a} to route {b} gains {g:.3e}"
+        for q, a, b, mass, g in shifts
+    ]
+    return PredicateVerdict(
+        holds=eq.holds and not detail,
+        residual=max(0.0, float(gain.max(initial=0.0))),
+        detail=eq.detail + tuple(detail),
+    )
 
 
 def verify(
@@ -464,17 +307,18 @@ def verify(
     eps: float | None = None,
 ) -> EquilibriumReport:
     """Evaluate all three predicates; the report's verdicts are nested so
-    eps-Nash implies Nash implies equilibrium by construction."""
+    eps-Nash implies Nash implies equilibrium by construction.  Route times
+    are evaluated once, and shared by the three predicates."""
     eq = is_equilibrium(net, theta, tol=tol, share_tol=share_tol)
     nash = is_nash(net, theta, tol=tol, share_tol=share_tol)
     eps_used = default_eps(theta, share_tol) if eps is None else eps
     eps_verdict = is_eps_nash(net, theta, eps=eps_used, tol=tol, share_tol=share_tol)
-    rt = route_times(net, theta)
+    _, x, t = _evaluate(net, theta)
     return EquilibriumReport(
         is_equilibrium=eq.holds,
         is_nash=eq.holds and nash.holds,
         is_eps_nash=eq.holds and nash.holds and eps_verdict.holds,
-        common_times=rt.means,
+        common_times=tuple(_to_extreal(m) for m in share_mean(x, t, 0.0).tolist()),
         equilibrium_residual=eq.residual,
         nash_residual=nash.residual,
         eps_residual=eps_verdict.residual,
@@ -505,20 +349,15 @@ def fixed_point_map(net: Network, theta: Assignment) -> Assignment:
     to zero, and rescale to the simplex.  Infinite times enter only through
     the compression (as 1).
     """
-    eng = _engine(net)
-    eng.check_dimensions(theta)
-    return Assignment.make(eng.map_once(theta.shares))
+    core = compile_network(net)
+    x = core.pack(theta)
+    return Assignment.make(core.unpack(core.map_step(x, core.times(x))))
 
 
 def fixed_point_residual(net: Network, theta: Assignment) -> float:
-    eng = _engine(net)
-    eng.check_dimensions(theta)
-    image = eng.map_once(theta.shares)
-    return max(
-        abs(a - b)
-        for vec, img in zip(theta.shares, image)
-        for a, b in zip(vec, img)
-    )
+    core = compile_network(net)
+    x = core.pack(theta)
+    return float(np.abs(x - core.map_step(x, core.times(x))).max())
 
 
 def _require_monotone(net: Network, allow_nonmonotone: bool) -> None:
@@ -546,38 +385,32 @@ def solve_fixed_point(
     best iterate, never raised.
     """
     _require_monotone(net, params.allow_nonmonotone)
-    eng = _engine(net)
-    theta = theta0 if theta0 is not None else uniform_assignment(net)
-    eng.check_dimensions(theta)
-    shares = [list(v) for v in theta.shares]
+    core = compile_network(net)
+    x = core.pack(theta0 if theta0 is not None else uniform_assignment(net))
     omega = params.omega
+    keep = 1 - omega
     residual = math.inf
     best_residual = math.inf
-    best_shares = shares
+    best = x
     trajectory: list[float] = []
     iterations = 0
     for iterations in range(1, params.max_iters + 1):
-        image = eng.map_once(shares)
-        residual = max(
-            abs(a - b) for vec, img in zip(shares, image) for a, b in zip(vec, img)
-        )
+        image = core.map_step(x, core.times(x))
+        residual = float(np.abs(x - image).max())
         if residual < best_residual:
             best_residual = residual
-            best_shares = shares
+            best = x
         if iterations % 100 == 1:
             trajectory.append(residual)
         if residual < params.residual_tol:
-            shares = image
+            x = image
             break
-        shares = [
-            [(1 - omega) * a + omega * b for a, b in zip(vec, img)]
-            for vec, img in zip(shares, image)
-        ]
+        x = keep * x + omega * image
     converged = residual < params.residual_tol
     if converged:
-        best_shares, best_residual = shares, residual
+        best, best_residual = x, residual
     trajectory.append(best_residual)
-    final = Assignment.make(best_shares, tolerance=1e-9)
+    final = Assignment.make(core.unpack(best), tolerance=1e-9)
     report = verify(net, final, tol=params.verify_tol)
     return SolveResult(
         assignment=final,
@@ -678,23 +511,24 @@ def check_conditional_optimality(
     eq = is_equilibrium(net, theta)
     if not eq.holds:
         raise PreconditionError("assignment is not an equilibrium")
-    eng = _engine(net)
+    core, x, t = _evaluate(net, theta)
+    at_theta = share_mean(x, t, 0.0).tolist()
     rows = []
     holds = True
     for p, pop in enumerate(net.populations):
         n = len(pop.routes)
+        points = simplex_grid(n, resolution)
         values = []
-        for point in simplex_grid(n, resolution):
-            times = eng.shifted_times(theta.shares, p, point)
-            values.append(_mean_float(point, times, 0.0))
-        finite = [v for v in values if not math.isinf(v)]
-        grid_min = min(values)
-        at_theta = _mean_float(
-            theta.shares[p], eng.route_times(theta.shares)[p], 0.0
-        )
-        span = (max(finite) - min(finite)) if finite else 0.0
+        while chunk := list(itertools.islice(points, 4096)):
+            batch = np.repeat(x[..., None], len(chunk), axis=-1)
+            batch[p, :n] = np.transpose(chunk)
+            values.append(share_mean(batch, core.times(batch), 0.0)[p])
+        values = np.concatenate(values)
+        finite = values[values < math.inf]
+        grid_min = float(values.min())
+        span = float(finite.max() - finite.min()) if finite.size else 0.0
         tol = max(1e-9, 2.0 * span / resolution)
-        attained = at_theta <= grid_min + tol
+        attained = at_theta[p] <= grid_min + tol
         holds = holds and attained
-        rows.append((pop.name, at_theta, grid_min, attained))
+        rows.append((pop.name, at_theta[p], grid_min, attained))
     return ConditionalOptimalityResult(holds=holds, per_population=tuple(rows))

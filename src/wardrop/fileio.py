@@ -22,10 +22,16 @@ class ParseError(ValueError):
     """Input document is unreadable or malformed; message says where."""
 
 
+def _reject_constant(name: str) -> Any:
+    raise ParseError(f"non-finite number {name} is not allowed")
+
+
 def _load_json(path: str | Path) -> Any:
     text = Path(path).read_text(encoding="utf-8")
     try:
-        return json.loads(text)
+        return json.loads(text, parse_constant=_reject_constant)
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"

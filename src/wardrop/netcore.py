@@ -412,9 +412,10 @@ def flows_on_roads(
 ) -> np.ndarray:
     """Per-road, per-population flows induced by route shares.
 
-    flows[h, p] is the mass of population p on road h.  Each share vector
-    must lie on its simplex within `tolerance`; flows are linear in the
-    shares and land in [0, 1].
+    flows[h, p] is the mass of population p on road h, the left-to-right
+    sum of the shares of p's routes through h, as the compiled network
+    forms it.  Each share vector must lie on its simplex within
+    `tolerance`; flows are linear in the shares and land in [0, 1].
     """
     if hasattr(shares, "shares"):  # accept an Assignment as-is
         shares = shares.shares
@@ -422,8 +423,9 @@ def flows_on_roads(
         raise ValueError(
             f"{len(incidences)} incidence matrices but {len(shares)} share vectors"
         )
-    columns = []
-    for inc, theta in zip(incidences, shares):
+    width = 1 + max([0] + [inc.entries.shape[1] for inc in incidences])
+    padded = np.zeros((len(shares), width))
+    for p, (inc, theta) in enumerate(zip(incidences, shares)):
         vec = np.asarray(theta, dtype=float)
         if vec.shape != (inc.entries.shape[1],):
             raise ValueError(
@@ -433,5 +435,8 @@ def flows_on_roads(
             raise ValueError(f"share vector sums to {vec.sum()}, not 1")
         if (vec < -tolerance).any():
             raise ValueError("share vector has a negative component")
-        columns.append(inc.entries.astype(float) @ np.clip(vec, 0.0, None))
-    return np.column_stack(columns)
+        padded[p, : len(vec)] = np.clip(vec, 0.0, None)
+    from .compiled import _gather_sum, flow_gather
+
+    flows = _gather_sum(padded.reshape(-1), flow_gather(incidences, width)[:, :-1])
+    return flows.reshape(len(shares), -1).T
