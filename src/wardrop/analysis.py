@@ -14,6 +14,7 @@ independent check used against the solver.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -22,7 +23,7 @@ from typing import Iterable
 import numpy as np
 
 from .compiled import compile_network
-from .costs import InfiniteCostError, eval_partial
+from .costs import InfiniteCostError
 from .equilibrium import (
     Assignment,
     PreconditionError,
@@ -53,10 +54,14 @@ class GammaConditionError(ValueError):
         )
 
 
+@functools.cache
 def gauss_legendre_unit(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [0, 1]."""
+    """Gauss-Legendre nodes and weights on [0, 1], computed once per node
+    count and read-only, since every caller shares them."""
     x, w = np.polynomial.legendre.leggauss(nodes)
-    return 0.5 * (x + 1.0), 0.5 * w
+    x, w = 0.5 * (x + 1.0), 0.5 * w
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 @dataclass(frozen=True)
@@ -87,8 +92,11 @@ def segment_matrices(
 
     Requires a two-population network and smooth costs that stay finite on
     the whole segment; an infinite evaluation raises `InfiniteCostError`
-    naming the road.  With these matrices, route-time differences between
-    the endpoints factor exactly through the incidence matrices:
+    naming the first such (population, road), and a cost undefined on the
+    segment raises as `eval_cost` does.  Costs on roads a population does
+    not use are left out, as in route times.  With these matrices,
+    route-time differences between the endpoints factor exactly through
+    the incidence matrices:
 
         T_0(second) - T_0(first) = G0' @ diag(own[0]) @ G0 @ d0
                                  + G0' @ diag(cross[0]) @ G1 @ d1
@@ -107,95 +115,36 @@ def segment_matrices(
                     "monotone; averaged sensitivities require increasing costs"
                 )
     core = compile_network(net)
-    names = core.names
     nodes, weights = gauss_legendre_unit(quadrature_nodes)
-    flows_first = core.road_flows(first).tolist()
-    flows_second = core.road_flows(second).tolist()
-    n_roads = len(net.roads)
-    own = (np.zeros(n_roads), np.zeros(n_roads))
-    cross = (np.zeros(n_roads), np.zeros(n_roads))
-    road_ids = [r.id for r in net.roads]
-
-    for p in (0, 1):
-        other = 1 - p
-        pop = net.populations[p]
-        # Own-flow derivative along p's segment, other frozen at endpoint:
-        # second endpoint for the first population, first endpoint for the
-        # second, which is what makes the telescoping identity exact.
-        frozen_other = flows_second[other] if p == 0 else flows_first[other]
-        # Cross derivative along the *other* population's segment, own flows
-        # frozen at the complementary endpoint.
-        frozen_own = flows_second[p] if other == 0 else flows_first[p]
-        for h, rid in enumerate(road_ids):
-            expr = pop.costs.get(rid)
-            if expr is None:
-                continue
-            own_acc = 0.0
-            cross_acc = 0.0
-            for s, w in zip(nodes, weights):
-                own_point = {
-                    names[p]: (1 - s) * flows_first[p][h] + s * flows_second[p][h],
-                    names[other]: frozen_other[h],
-                }
-                cross_point = {
-                    names[other]: (1 - s) * flows_first[other][h] + s * flows_second[other][h],
-                    names[p]: frozen_own[h],
-                }
-                try:
-                    own_acc += w * eval_partial(expr, own_point, names[p])
-                    cross_acc += w * eval_partial(expr, cross_point, names[other])
-                except InfiniteCostError as exc:
-                    raise InfiniteCostError(
-                        f"cost of road {rid!r} for population {pop.name!r} is "
-                        f"infinite along the segment"
-                    ) from exc
-            own[p][h] = own_acc
-            cross[p][h] = cross_acc
+    start, end = (np.append(core.road_flows(x), 0.0) for x in (first, second))
+    population = np.arange(len(start)) // core.road_count  # of each flow row; 2 for the zero row
+    line = np.minimum((1 - nodes) * start[:, None] + nodes * end[:, None], 1.0)
+    averages, infinite = [], np.zeros(core.cost_slots.shape, dtype=bool)
+    # Population 0 moves with population 1 frozen at the second endpoint,
+    # then population 1 moves with population 0 frozen at the first: the
+    # order that makes the telescoping identity exact.
+    for p, frozen in ((0, end), (1, start)):
+        moving = (population == p)[:, None]
+        tangent = np.where(moving, 1.0, np.zeros_like(line))
+        slopes = core.program.slopes(np.where(moving, line, frozen[:, None]), tangent)
+        infinite |= np.isinf(slopes[core.cost_slots]).any(axis=-1)
+        # Node-weighted sums, left to right from 0 (accumulate is sequential).
+        averages.append(np.cumsum(slopes * weights, axis=-1)[:, -1] + 0.0)
+    if infinite.any():
+        p, h = np.argwhere(infinite)[0]
+        raise InfiniteCostError(
+            f"cost of road {net.roads[h].id!r} for population {net.populations[p].name!r} is "
+            f"infinite along the segment"
+        )
+    # Moving population 0 gives own[0] and cross[1]; moving 1 gives cross[0] and own[1].
+    own = (averages[0][core.cost_slots[0]], averages[1][core.cost_slots[1]])
+    cross = (averages[1][core.cost_slots[0]], averages[0][core.cost_slots[1]])
     return SegmentMatrices(
         own=own, cross=cross, endpoints=(first, second), quadrature_nodes=quadrature_nodes
     )
 
 
-@dataclass(frozen=True)
-class DefposResult:
-    ok: bool
-    cases: tuple[str, ...]  # per road: all-zero | first-only | second-only | coupled | violation
-
-
-def check_defpos(sm: SegmentMatrices) -> DefposResult:
-    """Classify each road's 2x2 sensitivity block for positive semidefiniteness.
-
-    With nonnegative diagonals, the block [[q0, p0], [p1, q1]] is PSD exactly
-    when 4*q0*q1 >= (p0+p1)^2, which splits into the admissible cases below;
-    anything else is a violation.
-    """
-    cases = []
-    ok = True
-    q0s, q1s = sm.own
-    p0s, p1s = sm.cross
-    for q0, q1, p0, p1 in zip(q0s, q1s, p0s, p1s):
-        zero = ZERO_TOLERANCE
-        if min(q0, q1, p0, p1) < -zero:  # negative sensitivity: outside the lemma
-            cases.append("violation")
-            ok = False
-            continue
-        q0z, q1z = q0 <= zero, q1 <= zero
-        p_sum = p0 + p1
-        if q0z and q1z and p_sum <= zero:
-            cases.append("all-zero")
-        elif not q0z and q1z and p_sum <= zero:
-            cases.append("first-only")
-        elif q0z and not q1z and p_sum <= zero:
-            cases.append("second-only")
-        elif not q0z and not q1z and 4 * q0 * q1 >= p_sum**2 * (1 - DISCRIMINANT_TOLERANCE):
-            cases.append("coupled")
-        else:
-            cases.append("violation")
-            ok = False
-    return DefposResult(ok=ok, cases=tuple(cases))
-
-
-# Case codes for the sampled uniqueness hypothesis, most benign first.
+# Case codes of a road's 2x2 sensitivity block, most benign first.
 H_STRICT = "H0"
 H_INERT = "H1"
 H_FIRST = "H2"
@@ -218,16 +167,19 @@ _SEVERITY = [H_NOT_SHARED, H_STRICT, H_INERT, H_FIRST, H_SECOND, H_BOUNDARY, H_V
 
 
 def _classify_h_case(q0: float, q1: float, p0: float, p1: float) -> str:
+    """The case of the block [[q0, p0], [p1, q1]].  With nonnegative entries
+    it is PSD exactly when 4*q0*q1 >= (p0+p1)^2, tested relative to the
+    larger side; a negative entry is outside the lemma."""
     zero = ZERO_TOLERANCE
     if min(q0, q1, p0, p1) < -zero:
         return H_VIOLATION
     p_sum = p0 + p1
     if q0 > zero and q1 > zero:
         disc = 4 * q0 * q1 - p_sum**2
-        scale = max(1.0, 4 * q0 * q1, p_sum**2)
-        if disc > DISCRIMINANT_TOLERANCE * scale:
+        slack = DISCRIMINANT_TOLERANCE * max(4 * q0 * q1, p_sum**2)
+        if disc > slack:
             return H_STRICT
-        if disc >= -DISCRIMINANT_TOLERANCE * scale:
+        if disc >= -slack:
             return H_BOUNDARY
         return H_VIOLATION
     if q0 <= zero and q1 <= zero and p_sum <= zero:
@@ -237,6 +189,30 @@ def _classify_h_case(q0: float, q1: float, p0: float, p1: float) -> str:
     if q0 <= zero and q1 > zero and p_sum <= zero:
         return H_SECOND
     return H_VIOLATION
+
+
+_DEFPOS_CASES = {
+    H_STRICT: "coupled",
+    H_BOUNDARY: "coupled",
+    H_INERT: "all-zero",
+    H_FIRST: "first-only",
+    H_SECOND: "second-only",
+    H_VIOLATION: "violation",
+}
+
+
+@dataclass(frozen=True)
+class DefposResult:
+    ok: bool
+    cases: tuple[str, ...]  # per road: all-zero | first-only | second-only | coupled | violation
+
+
+def check_defpos(sm: SegmentMatrices) -> DefposResult:
+    """Classify each road's 2x2 sensitivity block for positive semidefiniteness:
+    the block's case (`_classify_h_case`) under its admissible-case name."""
+    blocks = zip(sm.own[0], sm.own[1], sm.cross[0], sm.cross[1])
+    cases = tuple(_DEFPOS_CASES[_classify_h_case(*block)] for block in blocks)
+    return DefposResult(ok="violation" not in cases, cases=cases)
 
 
 @dataclass(frozen=True)

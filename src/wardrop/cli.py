@@ -4,9 +4,11 @@ Exit codes are a total function of the outcome class:
 
 * 0 - success / requested predicate holds
 * 1 - validation errors, predicate fails, or uniqueness hypothesis fails
-* 2 - unreadable or malformed input, dimension mismatch, bad flag value
+* 2 - unreadable or malformed input, dimension mismatch, bad flag value, or
+  a network the command is not defined for (uniqueness needs two populations)
 * 3 - solver did not converge or its result failed verification
-* 4 - non-monotone costs without --allow-nonmonotone
+* 4 - non-monotone costs without --allow-nonmonotone, or with it, a
+  non-monotone cost that evaluates negative
 * 5 - oracle grid exceeds the enumeration budget
 
 Structured output (--format structured) is deterministic JSON: identical
@@ -17,6 +19,7 @@ significant digits; the structured form keeps full precision.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from typing import Sequence
@@ -29,11 +32,12 @@ from .analysis import (
     HSampler,
     OracleBudgetError,
 )
-from .costs import InfiniteCostError
+from .costs import CostDomainError, InfiniteCostError
 from .equilibrium import (
     DimensionMismatchError,
     MultistartParams,
     NonMonotoneCostError,
+    PreconditionError,
     SolveParams,
 )
 from .fileio import ParseError
@@ -75,7 +79,9 @@ def _omega(text: str) -> float:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command's parser, built on first use and shared after."""
     parser = argparse.ArgumentParser(
         prog="wardrop",
         description="Multi-population Nash equilibria on road networks.",
@@ -175,35 +181,31 @@ def _finding_lines(report) -> list[str]:
     ]
 
 
+# Exit code of each refusal, reported as one `error:` line.
+_REFUSALS = (
+    (ParseError, EXIT_INPUT),
+    (FileNotFoundError, EXIT_INPUT),
+    (DimensionMismatchError, EXIT_INPUT),
+    (PreconditionError, EXIT_INPUT),
+    (NonMonotoneCostError, EXIT_NONMONOTONE),
+    (CostDomainError, EXIT_NONMONOTONE),
+    (OracleBudgetError, EXIT_BUDGET),
+    (GammaConditionError, EXIT_FAIL),
+    (CompareError, EXIT_SOLVER),
+)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except DimensionMismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except _ValidationFailed as exc:
         for line in _finding_lines(exc.report):
             print(line)
         return EXIT_FAIL
-    except NonMonotoneCostError as exc:
+    except tuple(kind for kind, _ in _REFUSALS) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NONMONOTONE
-    except OracleBudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except GammaConditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
-    except CompareError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+        return next(code for kind, code in _REFUSALS if isinstance(exc, kind))
 
 
 def _dispatch(args) -> int:
@@ -351,7 +353,7 @@ def _multistart_residuals(net, args) -> list[tuple[float, ...]]:
                         net, results[i].assignment, results[j].assignment
                     )
                 )
-            except (InfiniteCostError, equilibrium.PreconditionError):
+            except (InfiniteCostError, PreconditionError):
                 continue
     return residuals
 

@@ -106,6 +106,9 @@ class CostProgram:
     holds 0.  Values equal `eval_cost` bit for bit, and raise where it raises
     (`CostDomainError` for a negative non-monotone value, `ExtRealGuardError`
     for 0 * inf).  Flows are used as given: callers validate them.
+
+    `slopes(flows, tangent)` is the forward-mode view of the same slots:
+    each one's directional derivative along `tangent` over the flow rows.
     """
 
     def __init__(self, exprs: Sequence[CostExpr], column: Callable[[int, str], int], zero: int):
@@ -194,6 +197,42 @@ class CostProgram:
             slots[m:] = _column_total(slots[self._fold_idx] * _per_row(self._fold_mult, batch))
         return slots
 
+    def slopes(self, flows: np.ndarray, tangent: np.ndarray) -> np.ndarray:
+        """Every slot's derivative along `tangent` (shaped as `flows`, 0 in the
+        zero row) at each flow point: (slots, ...), +inf where the value is
+        +inf.  Raises where `values` raises."""
+        self.values(flows)  # for its errors: negative non-monotone values, 0 * inf
+        batch = flows.shape[1:]
+        a, b, m = self._bounds
+        coeffs = _per_row(self._lin_coeffs, batch)
+        slopes = np.empty((self.slot_count,) + batch)
+        slopes[:b] = _column_total(tangent[self._lin_cols] * coeffs)
+        if b > a:  # d(s / (c - s)) = ds * c / (c - s)^2
+            load = _column_total(flows[self._lin_cols[:, a:b]] * coeffs[:, a:b])
+            cap = _per_row(self._cap, batch)
+            room = cap - load
+            dload = slopes[a:b]
+            square = _POW(room, 2).astype(float)  # libm pow, as `float ** 2`
+            np.divide(dload * cap, square, out=dload, where=room > 0.0)
+            dload[room <= 0.0] = np.inf
+        if m > b:  # sum over factors j of coeff * k_j f_j^(k_j - 1) * the others * tangent_j
+            base = flows[self._mono_cols]
+            exps = _per_row(self._mono_exps, batch)
+            powers = _POW(base, exps).astype(float)
+            lowered = _POW(base, np.maximum(exps - 1, 0)).astype(float)  # padding: 0 * 0^0
+            coeff = _per_row(self._mono_coeff, batch)
+            total = np.zeros((m - b,) + batch)
+            for j in range(len(powers)):
+                term = coeff * exps[j] * lowered[j]
+                for i in range(len(powers)):
+                    if i != j:
+                        term *= powers[i]
+                total += term * tangent[self._mono_cols[j]]
+            slopes[b:m] = total
+        if self.slot_count > m:
+            slopes[m:] = _column_total(slopes[self._fold_idx] * _per_row(self._fold_mult, batch))
+        return slopes
+
 
 class Spreads(NamedTuple):
     """The predicates' raw material, per population; the predicates divide by
@@ -237,12 +276,16 @@ class CompiledNetwork:
             lambda i, name: first_row[name] + costed[i][1],
             zero=self.pop_count * self.road_count,
         )
-        slot = {(p, h): root for (p, h, _), root in zip(costed, self.program.roots.tolist())}
+        # The slot of population p's cost on road h; the zero slot if p does not use h.
+        self.cost_slots = np.full((self.pop_count, self.road_count), self.program.zero_slot)
+        for (p, h, _), root in zip(costed, self.program.roots.tolist()):
+            self.cost_slots[p, h] = root
+        slot = self.cost_slots.tolist()
         routes = [[] for _ in range(self.pop_count * self.width)]
         for p, pop in enumerate(net.populations):
             for j, route in enumerate(pop.routes):
                 roads = route.road_ids
-                routes[p * self.width + j] = [(slot[p, road_index[rid]], 0.0) for rid in roads]
+                routes[p * self.width + j] = [(slot[p][road_index[rid]], 0.0) for rid in roads]
         self._route_gather = _table(routes, self.program.zero_slot)[0]
         # Batches of more assignments than this are evaluated in pieces.
         per_assignment = self._flow_gather.size + 2 * self.program._lin_cols.size

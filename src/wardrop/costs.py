@@ -134,9 +134,6 @@ class CostExpr:
         """Evaluate as IEEE float (math.inf allowed); flows pre-validated."""
         raise NotImplementedError
 
-    def _partial(self, flows: Mapping[str, float], name: str) -> float:
-        raise NotImplementedError
-
     def _terms(self) -> Iterator[tuple[float, "CostExpr | MonomialTerm"]]:
         """(multiplier, leaf) pairs; `Sum`, `Polynomial` and `Scale` are the
         left-to-right sum of multiplier * leaf value over their terms."""
@@ -174,9 +171,6 @@ class Constant(CostExpr):
     def _value(self, flows: Mapping[str, float]) -> float:
         return self.value
 
-    def _partial(self, flows: Mapping[str, float], name: str) -> float:
-        return 0.0
-
     def structurally_convex(self) -> bool:
         return True
 
@@ -206,9 +200,6 @@ class Affine(CostExpr):
 
     def _value(self, flows: Mapping[str, float]) -> float:
         return self.constant + sum(c * flows[n] for n, c in self.coeffs.items())
-
-    def _partial(self, flows: Mapping[str, float], name: str) -> float:
-        return self.coeffs.get(name, 0.0)
 
     def structurally_convex(self) -> bool:
         return True
@@ -254,19 +245,6 @@ class Polynomial(CostExpr):
 
     _value = CostExpr._folded_value
 
-    def _partial(self, flows: Mapping[str, float], name: str) -> float:
-        total = 0.0
-        for t in self.terms:
-            k = t.exponents.get(name, 0)
-            if k == 0:
-                continue
-            prod = t.coeff * k * flows[name] ** (k - 1)
-            for n, kk in t.exponents.items():
-                if n != name:
-                    prod *= flows[n] ** kk
-            total += prod
-        return total
-
     def structurally_convex(self) -> bool | None:
         # A sum of single-population powers is convex; cross-population
         # monomials (e.g. x*y) are generally not, so sampling decides.
@@ -304,12 +282,6 @@ class CongestionRational(CostExpr):
             return math.inf
         return s / (self.capacity - s)
 
-    def _partial(self, flows: Mapping[str, float], name: str) -> float:
-        s = self._load(flows)
-        if s >= self.capacity:
-            raise InfiniteCostError("derivative requested at a fully congested point")
-        return self.weights.get(name, 0.0) * self.capacity / (self.capacity - s) ** 2
-
     def structurally_convex(self) -> bool:
         # Convex increasing function of a nonnegative linear form.
         return True
@@ -330,9 +302,6 @@ class Sum(CostExpr):
             yield from t._terms()
 
     _value = CostExpr._folded_value
-
-    def _partial(self, flows: Mapping[str, float], name: str) -> float:
-        return sum(t._partial(flows, name) for t in self.terms)
 
     def structurally_monotone(self) -> bool:
         return all(t.structurally_monotone() for t in self.terms)
@@ -364,9 +333,6 @@ class Scale(CostExpr):
             yield self.factor * factor, leaf
 
     _value = CostExpr._folded_value
-
-    def _partial(self, flows: Mapping[str, float], name: str) -> float:
-        return self.factor * self.inner._partial(flows, name)
 
     def structurally_monotone(self) -> bool:
         return self.inner.structurally_monotone()
@@ -404,9 +370,6 @@ class NonMonotoneAffine(CostExpr):
             raise CostDomainError(f"non-monotone affine cost evaluated negative ({v})")
         return v
 
-    def _partial(self, flows: Mapping[str, float], name: str) -> float:
-        return self.coeffs.get(name, 0.0)
-
     def structurally_monotone(self) -> bool:
         return all(c >= 0 for c in self.coeffs.values())
 
@@ -429,16 +392,21 @@ def eval_cost(expr: CostExpr, flows: Mapping[str, float]) -> ExtReal:
 
 
 def eval_partial(expr: CostExpr, flows: Mapping[str, float], population: str) -> float:
-    """Analytic partial derivative with respect to one population's flow.
+    """Partial derivative with respect to one population's flow.
 
-    Only defined where the expression is finite; raises `InfiniteCostError`
-    at a blow-up point (the theory only demands derivatives at points of
-    finite value).
+    A view of `CostProgram.slopes`, with flows validated and clamped as
+    `eval_cost`'s.  Only defined where the expression is finite; raises
+    `InfiniteCostError` at a blow-up point (the theory only demands
+    derivatives at points of finite value), and where `eval_cost` raises.
     """
-    clean = _check_flows(expr, flows)
-    if math.isinf(expr._value(clean)):
+    program, read, rows = _lowered(expr, flows)
+    tangent = np.zeros_like(rows)
+    if population in read:
+        tangent[read.index(population)] = 1.0
+    slope = float(program.slopes(rows, tangent)[program.roots[0]])
+    if math.isinf(slope):
         raise InfiniteCostError("derivative requested where the cost is +inf")
-    return expr._partial(clean, population)
+    return slope
 
 
 @dataclass(frozen=True)
@@ -547,6 +515,14 @@ def eval_array(expr: CostExpr, flows: Mapping[str, object]) -> np.ndarray:
     A view of `CostProgram`: the flows broadcast against each other, are
     validated and clamped like `eval_cost`'s, and give its values.
     """
+    program, _, rows = _lowered(expr, flows)
+    return program.values(rows)[program.roots[0]]
+
+
+def _lowered(expr: CostExpr, flows: Mapping[str, object]):
+    """(program, population names, flow rows) of one expression: the names it
+    reads, sorted, one row each, validated and clamped like `eval_cost`'s
+    flows and broadcast together, then the program's zero row."""
     read = sorted(expr.populations())
     columns = []
     for name in read:
@@ -561,7 +537,7 @@ def eval_array(expr: CostExpr, flows: Mapping[str, object]) -> np.ndarray:
     from .compiled import CostProgram
 
     program = CostProgram([expr], lambda _, name: read.index(name), len(read))
-    return program.values(np.stack(columns))[program.roots[0]]
+    return program, read, np.stack(columns)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from wardrop.analysis import (
     HSampler,
     OracleBudgetError,
     SegmentMatrices,
+    _classify_h_case,
     brute_force_equilibria,
     check_defpos,
     check_hypothesis_coupling,
@@ -47,6 +48,15 @@ def test_gauss_legendre_integrates_polynomials_exactly():
     value = sum(w * sum(c * x**k for k, c in enumerate(coeffs)) for x, w in zip(nodes, weights))
     exact = sum(c / (k + 1) for k, c in enumerate(coeffs))
     assert value == pytest.approx(exact, rel=1e-13)
+
+
+def test_gauss_legendre_rule_is_computed_once_and_read_only():
+    nodes, weights = gauss_legendre_unit(16)
+    assert gauss_legendre_unit(16)[0] is nodes
+    with pytest.raises(ValueError):
+        nodes[0] = 0.5
+    with pytest.raises(ValueError):
+        weights[0] = 0.5
 
 
 class TestSegmentMatrices:
@@ -109,6 +119,22 @@ class TestSegmentMatrices:
         with pytest.raises(InfiniteCostError, match="r5"):
             segment_matrices(corridor_net, a, b)
 
+    def test_costs_on_unused_roads_are_left_out(self, delay_net):
+        # upper does not use r5; a cost there that blows up changes nothing
+        from dataclasses import replace
+
+        from wardrop.costs import CongestionRational
+
+        upper = delay_net.populations[0]
+        costs = dict(upper.costs, r5=CongestionRational({"lower": 1.0}, 0.01))
+        tainted = replace(delay_net, populations=(replace(upper, costs=costs),
+                                                  delay_net.populations[1]))
+        a = Assignment.make([[0.2, 0.8], [0.9, 0.1]])
+        b = Assignment.make([[0.7, 0.3], [0.4, 0.6]])
+        sm, reference = segment_matrices(tainted, a, b), segment_matrices(delay_net, a, b)
+        for got, expected in zip((*sm.own, *sm.cross), (*reference.own, *reference.cross)):
+            assert got.tolist() == expected.tolist()
+
     def test_requires_two_populations(self, pathological_net):
         theta = Assignment.make([[0.5, 0.5]])
         with pytest.raises(PreconditionError):
@@ -164,6 +190,59 @@ class TestDefpos:
         result = check_defpos(_manual_matrices([-1.0], [0.0], [2.0], [0.0]))
         assert not result.ok
         assert result.cases == ("violation",)
+
+
+# check_defpos's name for each uniqueness case code.
+DEFPOS_NAMES = {
+    "H0": "coupled",
+    "H4": "coupled",
+    "H1": "all-zero",
+    "H2": "first-only",
+    "H3": "second-only",
+    "violation": "violation",
+}
+
+
+@pytest.mark.parametrize(
+    "block",
+    [
+        (1e-6, 1e-6, 1.05e-6, 1.05e-6),  # smaller eigenvalue -5e-8: not PSD
+        (1e-6, 1e-6, 1e-6, 1e-6),  # on the boundary, at any scale
+        (1.0, 1.0, 1.0, 1.0),
+        (1e6, 1e6, 1e6, 1e6 * (1 + 1e-12)),
+        (2.0, 3.0, 0.5, 0.25),
+        (1.0, 1.0, 1.0, 1.1),
+        (0.0, 0.0, 0.0, 0.0),
+        (2.0, 0.0, 0.0, 0.0),
+        (0.0, 3.0, 0.0, 0.0),
+        (0.0, 1.0, 0.0, 0.0),
+        (0.0, 0.0, 1.0, 0.0),
+        (-1.0, 0.0, 2.0, 0.0),
+        (1.0, 1.0, -1e-9, 0.0),
+    ],
+)
+def test_defpos_cases_are_the_uniqueness_cases(block):
+    q0, q1, p0, p1 = block
+    result = check_defpos(_manual_matrices([q0], [p0], [q1], [p1]))
+    assert result.cases == (DEFPOS_NAMES[_classify_h_case(q0, q1, p0, p1)],)
+
+
+def test_small_indefinite_block_is_a_violation():
+    q0, q1, p0, p1 = 1e-6, 1e-6, 1.05e-6, 1.05e-6
+    sym = np.array([[q0, (p0 + p1) / 2], [(p0 + p1) / 2, q1]])
+    assert np.linalg.eigvalsh(sym).min() < -4e-8
+    assert _classify_h_case(q0, q1, p0, p1) == "violation"
+    assert check_defpos(_manual_matrices([q0], [p0], [q1], [p1])).cases == ("violation",)
+
+
+def test_defpos_agrees_with_the_uniqueness_cases_at_every_scale():
+    rng = np.random.default_rng(7)
+    blocks = rng.uniform(0.0, 3.0, (2000, 4))
+    blocks[rng.random(blocks.shape) < 0.3] = 0.0
+    blocks *= 10.0 ** rng.integers(-8, 8, (2000, 1))
+    q0, q1, p0, p1 = blocks.T
+    result = check_defpos(_manual_matrices(q0, p0, q1, p1))
+    assert result.cases == tuple(DEFPOS_NAMES[_classify_h_case(*b)] for b in blocks.tolist())
 
 
 class TestHypothesisCoupling:

@@ -7,8 +7,8 @@ import json
 import pytest
 
 from wardrop import fixtures as nets
-from wardrop.cli import main
-from wardrop.fileio import dumps_structured, save_network
+from wardrop.cli import build_parser, main
+from wardrop.fileio import dumps_structured, network_to_obj, save_network
 
 
 @pytest.fixture()
@@ -82,6 +82,16 @@ class TestSolve:
     def test_nonmonotone_with_override(self, files, capsys):
         assert main(["solve", files["nonmonotone_pair"], "--allow-nonmonotone"]) == 0
 
+    def test_negative_nonmonotone_cost_exits_four(self, tmp_path, capsys):
+        obj = json.loads(dumps_structured(network_to_obj(nets.nonmonotone_pair())))
+        obj["populations"][0]["costs"]["r2"] = {
+            "kind": "nonmonotone_affine", "constant": 1.0, "coeffs": {"commuters": -3.0}}
+        path = _write(tmp_path, "negative.json", obj)
+        assert main(["solve", path, "--allow-nonmonotone"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "negative" in err
+        assert err.count("\n") == 1
+
     def test_non_convergence_exits_three(self, files, capsys):
         assert main(["solve", files["merge_linked"], "--max-iters", "3"]) == 3
         assert "not-converged" in capsys.readouterr().out
@@ -154,6 +164,12 @@ class TestUniqueness:
         assert main(["uniqueness", path]) == 1
         assert "route" in capsys.readouterr().err
 
+    def test_one_population_exits_two(self, files, capsys):
+        assert main(["uniqueness", files["nonmonotone_pair"]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "2 populations" in err
+        assert err.count("\n") == 1
+
     def test_corridor_reports_case_table(self, files, capsys):
         code = main(["uniqueness", files["congestion_corridor"], "--pairs", "30"])
         out = capsys.readouterr().out
@@ -225,6 +241,9 @@ class TestStructuredOutput:
                      "--output", str(out)]) == 0
         payload = json.loads(out.read_text())
         assert payload["converged"] is True
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
 
     def test_bad_flag_value_rejected(self, files, capsys):
         with pytest.raises(SystemExit) as err:

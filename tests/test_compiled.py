@@ -20,6 +20,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from wardrop import fixtures as nets
+from wardrop.analysis import gauss_legendre_unit, segment_matrices
 from wardrop.cli import main
 from wardrop.compiled import compile_network
 from wardrop.costs import (
@@ -28,6 +29,7 @@ from wardrop.costs import (
     Constant,
     CostDomainError,
     ExtRealGuardError,
+    InfiniteCostError,
     MonomialTerm,
     NonMonotoneAffine,
     Polynomial,
@@ -36,6 +38,7 @@ from wardrop.costs import (
     compile_scalar,
     eval_array,
     eval_cost,
+    eval_partial,
 )
 from wardrop.equilibrium import (
     Assignment,
@@ -78,13 +81,15 @@ def _some(names: tuple[str, ...], values: st.SearchStrategy) -> st.SearchStrateg
 
 
 @functools.lru_cache(maxsize=None)
-def cost_exprs(names: tuple[str, ...], depth: int = 2) -> st.SearchStrategy:
+def cost_exprs(names: tuple[str, ...], depth: int = 2, signed: bool = True) -> st.SearchStrategy:
     """Every cost kind: congestion capacities low enough to blow up, signed
-    non-monotone coefficients that can go negative, zero scale factors."""
+    non-monotone coefficients that can go negative (nonnegative ones unless
+    `signed`), zero scale factors."""
+    nonmonotone = st.floats(-3.0, 3.0) if signed else coefficient
     leaves = st.one_of(
         st.builds(Constant, coefficient),
         st.builds(Affine, coefficient, _some(names, coefficient)),
-        st.builds(NonMonotoneAffine, st.floats(0.0, 2.0), _some(names, st.floats(-3.0, 3.0))),
+        st.builds(NonMonotoneAffine, st.floats(0.0, 2.0), _some(names, nonmonotone)),
         st.builds(CongestionRational, _some(names, st.floats(0.0, 2.0)), st.floats(0.05, 1.5)),
         st.builds(
             Polynomial,
@@ -94,7 +99,7 @@ def cost_exprs(names: tuple[str, ...], depth: int = 2) -> st.SearchStrategy:
     )
     if depth == 0:
         return leaves
-    inner = cost_exprs(names, depth - 1)
+    inner = cost_exprs(names, depth - 1, signed)
     return st.one_of(
         leaves,
         st.lists(inner, max_size=3).map(lambda ts: Sum(tuple(ts))),
@@ -103,23 +108,24 @@ def cost_exprs(names: tuple[str, ...], depth: int = 2) -> st.SearchStrategy:
 
 
 @st.composite
-def networks(draw) -> Network:
+def networks(draw, populations: int | None = None, signed: bool = True) -> Network:
     """o -> m -> d and o -> d with parallel roads: up to 11 routes, so both
-    short and long left-to-right sums occur."""
+    short and long left-to-right sums occur.  1 to 3 populations unless
+    `populations` is given; `signed` as for `cost_exprs`."""
     counts = [draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(0, 2))]
     roads = [Road(f"a{k}", "o", "m") for k in range(counts[0])]
     roads += [Road(f"b{k}", "m", "d") for k in range(counts[1])]
     roads += [Road(f"c{k}", "o", "d") for k in range(counts[2])]
     junctions = (Junction("o"), Junction("m"), Junction("d"))
     routes = enumerate_routes(Network(junctions, tuple(roads), ()), "o", "d")
-    names = NAMES[: draw(st.integers(1, 3))]
+    names = NAMES[: populations or draw(st.integers(1, 3))]
     pops = []
     for name in names:
         keep = draw(st.one_of(st.just([True] * len(routes)),
                               st.lists(st.booleans(), min_size=len(routes), max_size=len(routes))))
         own = [r for r, k in zip(routes, keep) if k] or routes[:1]
         used = sorted({rid for route in own for rid in route.road_ids})
-        costs = {rid: draw(cost_exprs(names)) for rid in used}
+        costs = {rid: draw(cost_exprs(names, signed=signed)) for rid in used}
         pops.append(PopulationSpec(name, "o", "d", tuple(own), costs))
     return Network(junctions, tuple(roads), tuple(pops))
 
@@ -296,6 +302,85 @@ def test_batched_eps_nash_equals_a_loop_over_the_shifts(data):
     else:
         with pytest.raises(EVALUATION_ERRORS):
             is_eps_nash(net, theta, eps=eps, ladder=ladder)
+
+
+def loop_segment_matrices(net: Network, first: Assignment, second: Assignment, nodes: int):
+    """segment_matrices as one eval_partial call per quadrature node, road and
+    population, node weights summed left to right.  A 0 * inf anywhere on the
+    segments raises; otherwise the first (population, road) whose cost is
+    infinite somewhere on them."""
+    points, weights = gauss_legendre_unit(nodes)
+    names = net.population_names()
+    flows = [reference_flows(net, theta.shares) for theta in (first, second)]
+
+    def at(end: int, q: int, rid: str) -> float:
+        return min(1.0, flows[end][q, rid])  # clamped at 1, as eval_cost does
+
+    own = [np.zeros(len(net.roads)) for _ in range(2)]
+    cross = [np.zeros(len(net.roads)) for _ in range(2)]
+    infinite = []
+    for p, pop in enumerate(net.populations):
+        o = 1 - p
+        for h, road in enumerate(net.roads):
+            rid = road.id
+            if rid not in pop.road_ids():
+                continue
+            own_acc = cross_acc = 0.0
+            for s, w in zip(points, weights):
+                # p moves with o frozen at the second endpoint for p = 0 and
+                # at the first for p = 1; o moves likewise with p frozen.
+                own_point = {names[p]: (1 - s) * at(0, p, rid) + s * at(1, p, rid),
+                             names[o]: at(o, o, rid)}
+                cross_point = {names[o]: (1 - s) * at(0, o, rid) + s * at(1, o, rid),
+                               names[p]: at(p, p, rid)}
+                try:
+                    own_acc += w * eval_partial(pop.costs[rid], own_point, names[p])
+                    cross_acc += w * eval_partial(pop.costs[rid], cross_point, names[o])
+                except InfiniteCostError:
+                    infinite.append((rid, pop.name))
+            own[p][h] = own_acc
+            cross[p][h] = cross_acc
+    if infinite:
+        rid, name = infinite[0]
+        raise InfiniteCostError(
+            f"cost of road {rid!r} for population {name!r} is infinite along the segment"
+        )
+    return [*own, *cross]
+
+
+@SETTINGS
+@given(st.data())
+def test_segment_matrices_equal_a_loop_of_eval_partial(data):
+    net = data.draw(networks(populations=2, signed=False))
+    first, second = data.draw(assignments(net)), data.draw(assignments(net))
+    nodes = data.draw(st.sampled_from([1, 3, 16]))
+    try:
+        expected = loop_segment_matrices(net, first, second, nodes)
+    except (InfiniteCostError, ExtRealGuardError) as exc:
+        with pytest.raises(type(exc)) as got:
+            segment_matrices(net, first, second, nodes)
+        assert str(got.value) == str(exc)
+    else:
+        sm = segment_matrices(net, first, second, nodes)
+        assert [m.tolist() for m in (*sm.own, *sm.cross)] == [m.tolist() for m in expected]
+
+
+@SETTINGS
+@given(st.data())
+def test_eval_partial_raises_where_eval_cost_raises(data):
+    names = NAMES[: data.draw(st.integers(1, 3))]
+    expr = data.draw(cost_exprs(names))
+    point = dict(zip(names, data.draw(st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3))))
+    target = data.draw(st.sampled_from(names))
+    value, error = raised(eval_cost, expr, point)
+    if error is not None:
+        with pytest.raises(error):
+            eval_partial(expr, point, target)
+    elif value.is_infinite:
+        with pytest.raises(InfiniteCostError):
+            eval_partial(expr, point, target)
+    else:
+        assert math.isfinite(eval_partial(expr, point, target))
 
 
 def test_compiled_network_is_kept_on_the_instance(delay_net):

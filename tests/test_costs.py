@@ -123,6 +123,34 @@ class TestPartial:
         assert got == pytest.approx(2.0 * 2 * 0.5 * 0.25)
 
 
+    @pytest.mark.parametrize(
+        "expr",
+        [
+            NonMonotoneAffine(2.0, {"a": -1.5, "b": 0.75}),
+            Scale(0.5, Sum((
+                CongestionRational({"a": 1.0, "b": 0.5}, 2.0),
+                Polynomial((MonomialTerm(1.5, {"a": 2, "b": 1}), MonomialTerm(0.5, {"b": 3}))),
+                Affine(0.25, {"b": 2.0}),
+            ))),
+        ],
+        ids=["nonmonotone-affine", "scale-of-sum"],
+    )
+    @pytest.mark.parametrize("target", ["a", "b"])
+    def test_partial_matches_central_differences(self, expr, target):
+        point = {"a": 0.4, "b": 0.3}
+        h = 1e-6
+        up = eval_cost(expr, dict(point, **{target: point[target] + h})).finite
+        down = eval_cost(expr, dict(point, **{target: point[target] - h})).finite
+        got = eval_partial(expr, point, target)
+        assert got == pytest.approx((up - down) / (2 * h), rel=1e-7, abs=1e-9)
+
+    def test_partial_raises_where_the_value_is_undefined(self):
+        with pytest.raises(CostDomainError):
+            eval_partial(NonMonotoneAffine(0.5, {"a": -1.0}), {"a": 1.0}, "a")
+        with pytest.raises(CostDomainError):
+            eval_partial(Affine(1.0, {"a": 1.0}), {"a": 1.5}, "a")
+
+
 class TestClassify:
     def test_nonmonotone_escape_form_flagged(self):
         report = classify_cost(NonMonotoneAffine(3.0, {"commuters": -1.0}))
