@@ -18,11 +18,10 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
-from .compiled import compile_network
+from .compiled import _POW, CompiledNetwork, compile_network
 from .costs import InfiniteCostError
 from .equilibrium import (
     Assignment,
@@ -32,8 +31,9 @@ from .equilibrium import (
     simplex_grid,
     solve_fixed_point,
     uniform_assignment,
+    vertex_assignment,
 )
-from .netcore import Network
+from .netcore import Network, check_condition_gamma
 
 ZERO_TOLERANCE = 1e-12
 DISCRIMINANT_TOLERANCE = 1e-9
@@ -107,6 +107,23 @@ def segment_matrices(
     """
     if len(net.populations) != 2:
         raise PreconditionError("segment matrices are defined for exactly 2 populations")
+    _require_monotone(net)
+    core = compile_network(net)
+    ends = (core.pack(x)[..., None] for x in (first, second))
+    blocks, infinite = _segments(core, *ends, quadrature_nodes)
+    if infinite.any():
+        p, h, _ = np.argwhere(infinite)[0]
+        raise InfiniteCostError(
+            f"cost of road {net.roads[h].id!r} for population {net.populations[p].name!r} is "
+            f"infinite along the segment"
+        )
+    q0, q1, p0, p1 = blocks[..., 0]
+    return SegmentMatrices(
+        own=(q0, q1), cross=(p0, p1), endpoints=(first, second), quadrature_nodes=quadrature_nodes
+    )
+
+
+def _require_monotone(net: Network) -> None:
     for pop in net.populations:
         for rid, expr in pop.costs.items():
             if not expr.structurally_monotone():
@@ -114,34 +131,35 @@ def segment_matrices(
                     f"cost of road {rid!r} for population {pop.name!r} is not "
                     "monotone; averaged sensitivities require increasing costs"
                 )
-    core = compile_network(net)
+
+
+def _segments(
+    core: CompiledNetwork, first: np.ndarray, second: np.ndarray, quadrature_nodes: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(blocks, infinite) of the K segments from first[..., k] to second[..., k]
+    (padded shares, (P, W, K)): the averaged derivatives own[0], own[1],
+    cross[0] and cross[1] of `SegmentMatrices`, (4, N, K), and whether a
+    cost is infinite somewhere on its segment, (P, N, K).  A batch entry
+    equals its segment alone, bit for bit: pairs come before the quadrature
+    nodes, whose weighted sums run left to right from 0."""
     nodes, weights = gauss_legendre_unit(quadrature_nodes)
-    start, end = (np.append(core.road_flows(x), 0.0) for x in (first, second))
+    # Road flows (P*N + 1, K, 1); the last row is the zero row.
+    start, end = (core._flows(x.reshape(-1, x.shape[-1]))[..., None] for x in (first, second))
     population = np.arange(len(start)) // core.road_count  # of each flow row; 2 for the zero row
-    line = np.minimum((1 - nodes) * start[:, None] + nodes * end[:, None], 1.0)
-    averages, infinite = [], np.zeros(core.cost_slots.shape, dtype=bool)
+    line = np.minimum((1 - nodes) * start + nodes * end, 1.0)
+    averages, infinite = [], []
     # Population 0 moves with population 1 frozen at the second endpoint,
     # then population 1 moves with population 0 frozen at the first: the
     # order that makes the telescoping identity exact.
     for p, frozen in ((0, end), (1, start)):
-        moving = (population == p)[:, None]
+        moving = (population == p)[:, None, None]
         tangent = np.where(moving, 1.0, np.zeros_like(line))
-        slopes = core.program.slopes(np.where(moving, line, frozen[:, None]), tangent)
-        infinite |= np.isinf(slopes[core.cost_slots]).any(axis=-1)
-        # Node-weighted sums, left to right from 0 (accumulate is sequential).
-        averages.append(np.cumsum(slopes * weights, axis=-1)[:, -1] + 0.0)
-    if infinite.any():
-        p, h = np.argwhere(infinite)[0]
-        raise InfiniteCostError(
-            f"cost of road {net.roads[h].id!r} for population {net.populations[p].name!r} is "
-            f"infinite along the segment"
-        )
+        slopes = core.program.slopes(np.where(moving, line, frozen), tangent)
+        infinite.append(np.isinf(slopes).any(axis=-1))
+        averages.append(np.cumsum(slopes * weights, axis=-1)[..., -1] + 0.0)
     # Moving population 0 gives own[0] and cross[1]; moving 1 gives cross[0] and own[1].
-    own = (averages[0][core.cost_slots[0]], averages[1][core.cost_slots[1]])
-    cross = (averages[1][core.cost_slots[0]], averages[0][core.cost_slots[1]])
-    return SegmentMatrices(
-        own=own, cross=cross, endpoints=(first, second), quadrature_nodes=quadrature_nodes
-    )
+    blocks = np.stack(averages)[[[0], [1], [1], [0]], core.cost_slots[[0, 1, 0, 1]]]
+    return blocks, (infinite[0] | infinite[1])[core.cost_slots]
 
 
 # Case codes of a road's 2x2 sensitivity block, most benign first.
@@ -163,32 +181,37 @@ CASE_LEGEND = {
     H_NOT_SHARED: "road not used by both populations",
 }
 
-_SEVERITY = [H_NOT_SHARED, H_STRICT, H_INERT, H_FIRST, H_SECOND, H_BOUNDARY, H_VIOLATION]
+# The cases in rising severity; a block's rank is its index here.
+_CASES = (H_NOT_SHARED, H_STRICT, H_INERT, H_FIRST, H_SECOND, H_BOUNDARY, H_VIOLATION)
+_RANK = {case: rank for rank, case in enumerate(_CASES)}
+
+
+def _block_ranks(q0: np.ndarray, q1: np.ndarray, p0: np.ndarray, p1: np.ndarray) -> np.ndarray:
+    """The case rank of every block [[q0, p0], [p1, q1]].  With nonnegative
+    entries a block is PSD exactly when 4*q0*q1 >= (p0+p1)^2, tested
+    relative to the larger side; a negative entry is outside the lemma."""
+    zero = ZERO_TOLERANCE
+    p_sum = p0 + p1
+    product = 4 * q0 * q1
+    square = _POW(p_sum, 2).astype(float)  # libm pow, as `float ** 2`
+    disc = product - square
+    slack = DISCRIMINANT_TOLERANCE * np.maximum(product, square)
+    first, second = q0 > zero, q1 > zero
+    both = first & second
+    cases = [
+        (np.minimum(np.minimum(q0, q1), np.minimum(p0, p1)) < -zero, H_VIOLATION),
+        (both & (disc > slack), H_STRICT),
+        (both & (disc >= -slack), H_BOUNDARY),
+        (both | (p_sum > zero), H_VIOLATION),
+        (first, H_FIRST),
+        (second, H_SECOND),
+    ]
+    return np.select([c for c, _ in cases], [_RANK[case] for _, case in cases], _RANK[H_INERT])
 
 
 def _classify_h_case(q0: float, q1: float, p0: float, p1: float) -> str:
-    """The case of the block [[q0, p0], [p1, q1]].  With nonnegative entries
-    it is PSD exactly when 4*q0*q1 >= (p0+p1)^2, tested relative to the
-    larger side; a negative entry is outside the lemma."""
-    zero = ZERO_TOLERANCE
-    if min(q0, q1, p0, p1) < -zero:
-        return H_VIOLATION
-    p_sum = p0 + p1
-    if q0 > zero and q1 > zero:
-        disc = 4 * q0 * q1 - p_sum**2
-        slack = DISCRIMINANT_TOLERANCE * max(4 * q0 * q1, p_sum**2)
-        if disc > slack:
-            return H_STRICT
-        if disc >= -slack:
-            return H_BOUNDARY
-        return H_VIOLATION
-    if q0 <= zero and q1 <= zero and p_sum <= zero:
-        return H_INERT
-    if q0 > zero and q1 <= zero and p_sum <= zero:
-        return H_FIRST
-    if q0 <= zero and q1 > zero and p_sum <= zero:
-        return H_SECOND
-    return H_VIOLATION
+    """The case of the block [[q0, p0], [p1, q1]]."""
+    return _CASES[_block_ranks(*np.array([[q0], [q1], [p0], [p1]], dtype=float))[0]]
 
 
 _DEFPOS_CASES = {
@@ -209,9 +232,9 @@ class DefposResult:
 
 def check_defpos(sm: SegmentMatrices) -> DefposResult:
     """Classify each road's 2x2 sensitivity block for positive semidefiniteness:
-    the block's case (`_classify_h_case`) under its admissible-case name."""
-    blocks = zip(sm.own[0], sm.own[1], sm.cross[0], sm.cross[1])
-    cases = tuple(_DEFPOS_CASES[_classify_h_case(*block)] for block in blocks)
+    the block's case under its admissible-case name."""
+    ranks = _block_ranks(sm.own[0], sm.own[1], sm.cross[0], sm.cross[1])
+    cases = tuple(_DEFPOS_CASES[_CASES[rank]] for rank in ranks.tolist())
     return DefposResult(ok="violation" not in cases, cases=cases)
 
 
@@ -232,7 +255,6 @@ class UniquenessReport:
 class HSampler:
     pairs: int = 100
     seed: int = 0
-    include_corners: bool = True
     quadrature_nodes: int = 16
 
 
@@ -241,105 +263,76 @@ def check_hypothesis_coupling(net: Network, sampler: HSampler = HSampler()) -> U
 
     Preconditions: exactly two populations, each satisfying the
     distinguishing-road condition (raises `GammaConditionError` naming the
-    first offender).  For each sampled pair, every road used by both
-    populations must satisfy the strict coupling case, except at most one
-    road falling in one of the degenerate admissible cases.  Roads outside
-    either population's subnetwork are excluded (`n/a`).  Pairs whose
-    segment meets an infinite cost are skipped and counted.  The verdict is
-    "at-most-one (sampled)" or "hypothesis fails (sampled)"; sampling never
-    proves the hypothesis for all pairs.
+    first offender), and monotone costs.  For each sampled pair, every road
+    used by both populations must satisfy the strict coupling case, except
+    at most one road falling in one of the degenerate admissible cases.
+    Roads outside either population's subnetwork are excluded (`n/a`).
+    Pairs whose segment meets an infinite cost are skipped and counted.  The
+    verdict is "at-most-one (sampled)" or "hypothesis fails (sampled)";
+    sampling never proves the hypothesis for all pairs.
     """
     if len(net.populations) != 2:
         raise PreconditionError("uniqueness analysis is defined for exactly 2 populations")
-    from .netcore import check_condition_gamma
-
     for p, pop in enumerate(net.populations):
         holds, witnesses = check_condition_gamma(net, p)
         if not holds:
             offender = next(i for i in range(len(pop.routes)) if i not in witnesses)
             raise GammaConditionError(pop.name, offender)
-
-    shared = _shared_roads(net)
-    rng = np.random.default_rng(sampler.seed)
-    pairs = list(_sample_pairs(net, sampler, rng))
-    worst_case: dict[str, str] = {r.id: H_NOT_SHARED for r in net.roads}
-    worst_exceptional = 0
-    satisfied = True
-    skipped = 0
-    evaluated = 0
-    for first, second in pairs:
-        try:
-            sm = segment_matrices(net, first, second, sampler.quadrature_nodes)
-        except InfiniteCostError:
-            skipped += 1
-            continue
-        evaluated += 1
-        exceptional = 0
-        for h, road in enumerate(net.roads):
-            if road.id not in shared:
-                continue
-            case = _classify_h_case(sm.own[0][h], sm.own[1][h], sm.cross[0][h], sm.cross[1][h])
-            if _SEVERITY.index(case) > _SEVERITY.index(worst_case[road.id]):
-                worst_case[road.id] = case
-            if case != H_STRICT:
-                exceptional += 1
-                if case == H_VIOLATION:
-                    satisfied = False
-        worst_exceptional = max(worst_exceptional, exceptional)
-        if exceptional > 1:
-            satisfied = False
-    defpos_ok = all(
-        case not in (H_VIOLATION,) for case in worst_case.values()
-    )
+    _require_monotone(net)
+    core = compile_network(net)
+    ends = _sample_pairs(net, core, sampler)
+    nodes = sampler.quadrature_nodes
+    flow_rows = core.pop_count * core.road_count + 1
+    chunk = max(1, SEGMENT_BATCH // (nodes * (flow_rows + core.program.slot_count)))
+    kept = []  # the blocks of the pairs whose costs stay finite
+    for k in range(0, ends.shape[-1], chunk):
+        blocks, infinite = _segments(core, *ends[..., k : k + chunk], nodes)
+        kept.append(blocks[..., ~infinite.any(axis=(0, 1))])
+    shared = (core.cost_slots != core.program.zero_slot).all(axis=0)
+    ranks = _block_ranks(*np.concatenate(kept, axis=-1)[:, shared])  # (shared roads, pairs)
+    evaluated = ranks.shape[1]
+    worst = np.zeros(core.road_count, dtype=int)  # rank 0: not shared
+    worst[shared] = ranks.max(axis=1, initial=0)
+    exceptional = int(np.count_nonzero(ranks != _RANK[H_STRICT], axis=0).max(initial=0))
+    defpos_ok = bool(worst.max() < _RANK[H_VIOLATION])
+    satisfied = defpos_ok and exceptional <= 1 and evaluated > 0
     if evaluated == 0:
         verdict = "no finite sample pairs"
-    elif satisfied:
-        verdict = "at-most-one (sampled)"
     else:
-        verdict = "hypothesis fails (sampled)"
+        verdict = "at-most-one (sampled)" if satisfied else "hypothesis fails (sampled)"
     return UniquenessReport(
         defpos_ok=defpos_ok,
-        road_cases=tuple((r.id, worst_case[r.id]) for r in net.roads),
-        exceptional_roads=worst_exceptional,
-        hypothesis_satisfied=satisfied and evaluated > 0,
+        road_cases=tuple((road.id, _CASES[rank]) for road, rank in zip(net.roads, worst.tolist())),
+        exceptional_roads=exceptional,
+        hypothesis_satisfied=satisfied,
         pairs_sampled=evaluated,
-        pairs_skipped_infinite=skipped,
+        pairs_skipped_infinite=ends.shape[-1] - evaluated,
         verdict=verdict,
     )
 
 
-def _shared_roads(net: Network) -> set[str]:
-    used = [pop.road_ids() for pop in net.populations]
-    return set.intersection(*used) if used else set()
+SEGMENT_BATCH = 1 << 13  # flow rows and slots times quadrature nodes of one segment batch
 
 
-def _sample_pairs(
-    net: Network, sampler: HSampler, rng: np.random.Generator
-) -> Iterable[tuple[Assignment, Assignment]]:
+def _sample_pairs(net: Network, core: CompiledNetwork, sampler: HSampler) -> np.ndarray:
+    """Padded shares (2, P, W, K) of the pairs' first and second assignments:
+    every two vertices of the product of simplices, the barycenter with each
+    vertex, then `sampler.pairs` random pairs."""
+    rng = np.random.default_rng(sampler.seed)
+
     def random_assignment() -> Assignment:
-        return Assignment.make(
-            [rng.dirichlet(np.ones(len(pop.routes))) for pop in net.populations],
-            tolerance=1e-9,
-        )
+        shares = [rng.dirichlet(np.ones(n)) for n in core.route_counts]
+        return Assignment.make(shares, tolerance=1e-9)
 
-    if sampler.include_corners:
-        counts = [len(pop.routes) for pop in net.populations]
-        vertices = [
-            Assignment.make(
-                [
-                    [1.0 if i == k else 0.0 for i in range(n)]
-                    for n, k in zip(counts, combo)
-                ]
-            )
-            for combo in itertools.product(*(range(n) for n in counts))
-        ]
-        for a, b in itertools.combinations(vertices, 2):
-            yield a, b
-        bary = uniform_assignment(net)
-        for v in vertices:
-            yield bary, v
-    for _ in range(sampler.pairs):
-        yield random_assignment(), random_assignment()
+    vertices = [vertex_assignment(net, c) for c in itertools.product(*map(range, core.route_counts))]
+    bary = uniform_assignment(net)
+    pairs = itertools.chain(
+        itertools.combinations(vertices, 2),
+        ((bary, v) for v in vertices),
+        ((random_assignment(), random_assignment()) for _ in range(sampler.pairs)),
+    )
+    pair = np.dtype((float, (2, core.pop_count, core.width)))
+    return np.moveaxis(np.fromiter(([core.pack(a), core.pack(b)] for a, b in pairs), pair), 0, -1)
 
 
 def check_pair_orthogonality(net: Network, first: Assignment, second: Assignment) -> tuple[float, ...]:

@@ -4,8 +4,9 @@ Exit codes are a total function of the outcome class:
 
 * 0 - success / requested predicate holds
 * 1 - validation errors, predicate fails, or uniqueness hypothesis fails
-* 2 - unreadable or malformed input, dimension mismatch, bad flag value, or
-  a network the command is not defined for (uniqueness needs two populations)
+* 2 - unreadable or malformed input, dimension mismatch, bad flag value,
+  unknown junction, a cost undefined at reachable flows (0 * inf), or a
+  network the command is not defined for (uniqueness needs two populations)
 * 3 - solver did not converge or its result failed verification
 * 4 - non-monotone costs without --allow-nonmonotone, or with it, a
   non-monotone cost that evaluates negative
@@ -32,7 +33,7 @@ from .analysis import (
     HSampler,
     OracleBudgetError,
 )
-from .costs import CostDomainError, InfiniteCostError
+from .costs import CostDomainError, ExtRealGuardError, InfiniteCostError
 from .equilibrium import (
     DimensionMismatchError,
     MultistartParams,
@@ -41,7 +42,7 @@ from .equilibrium import (
     SolveParams,
 )
 from .fileio import ParseError
-from .netcore import enumerate_routes, validate_network
+from .netcore import NetworkIndexError, enumerate_routes, validate_network
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -184,8 +185,10 @@ def _finding_lines(report) -> list[str]:
 # Exit code of each refusal, reported as one `error:` line.
 _REFUSALS = (
     (ParseError, EXIT_INPUT),
-    (FileNotFoundError, EXIT_INPUT),
+    (OSError, EXIT_INPUT),
     (DimensionMismatchError, EXIT_INPUT),
+    (NetworkIndexError, EXIT_INPUT),
+    (ExtRealGuardError, EXIT_INPUT),
     (PreconditionError, EXIT_INPUT),
     (NonMonotoneCostError, EXIT_NONMONOTONE),
     (CostDomainError, EXIT_NONMONOTONE),

@@ -420,11 +420,6 @@ class CompiledNetwork:
 
     # -- nested-list views -------------------------------------------------
 
-    def road_flows(self, shares) -> np.ndarray:
-        """Per-population road flows (P, N) of one assignment."""
-        flows = self._flows(self.pack(shares).reshape(-1))[:-1]
-        return flows.reshape(self.pop_count, self.road_count)
-
     def route_times(self, shares) -> list[list[float]]:
         """Per-population route times of one assignment (math.inf allowed)."""
         return self.unpack(self.times(self.pack(shares)))

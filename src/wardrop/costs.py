@@ -613,6 +613,6 @@ def cost_from_obj(obj: Mapping) -> CostExpr:
                 float(obj.get("constant", 0.0)),
                 {str(n): float(c) for n, c in dict(obj.get("coeffs", {})).items()},
             )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed {kind!r} cost object: {exc}") from exc
     raise ValueError(f"unknown cost kind {kind!r}")

@@ -78,9 +78,6 @@ class Assignment:
             cleaned.append(tuple(x / s for x in clamped))
         return Assignment(tuple(cleaned))
 
-    def as_arrays(self) -> list[np.ndarray]:
-        return [np.asarray(v, dtype=float) for v in self.shares]
-
 
 def uniform_assignment(net: Network) -> Assignment:
     return Assignment.make([[1.0 / len(p.routes)] * len(p.routes) for p in net.populations])

@@ -26,16 +26,23 @@ def _reject_constant(name: str) -> Any:
     raise ParseError(f"non-finite number {name} is not allowed")
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if math.isinf(value):
+        raise ParseError(f"number {text} overflows to infinity")
+    return value
+
+
 def _load_json(path: str | Path) -> Any:
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        return json.loads(text, parse_constant=_reject_constant)
-    except ParseError as exc:
-        raise ParseError(f"{path}: {exc}") from None
+        text = Path(path).read_text(encoding="utf-8")
+        return json.loads(text, parse_constant=_reject_constant, parse_float=_finite_float)
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # a refused number, or text that is not UTF-8
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def network_from_obj(obj: Mapping) -> Network:
@@ -110,10 +117,10 @@ def assignment_from_obj(obj: Mapping, net: Network) -> Assignment:
             raise ParseError(
                 f"population {name!r} expects {len(pop.routes)} shares, got {vec!r}"
             )
-        vectors.append([float(x) for x in vec])
+        vectors.append(vec)
     try:
         return Assignment.make(vectors)
-    except ValueError as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(str(exc)) from exc
 
 

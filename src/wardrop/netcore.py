@@ -81,12 +81,6 @@ class Network:
     def road_index(self) -> dict[str, int]:
         return {r.id: i for i, r in enumerate(self.roads)}
 
-    def road_by_id(self, road_id: str) -> Road:
-        for r in self.roads:
-            if r.id == road_id:
-                return r
-        raise NetworkIndexError(road_id)
-
     def population_names(self) -> tuple[str, ...]:
         return tuple(p.name for p in self.populations)
 

@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
+from wardrop import analysis
+from wardrop import fixtures as nets
 from wardrop.analysis import (
     GammaConditionError,
     HSampler,
     OracleBudgetError,
     SegmentMatrices,
+    UniquenessReport,
     _classify_h_case,
     brute_force_equilibria,
     check_defpos,
@@ -25,6 +30,8 @@ from wardrop.equilibrium import (
     PreconditionError,
     _engine,
     solve_fixed_point,
+    uniform_assignment,
+    vertex_assignment,
 )
 from wardrop.netcore import Network, PopulationSpec
 
@@ -203,24 +210,24 @@ DEFPOS_NAMES = {
 }
 
 
-@pytest.mark.parametrize(
-    "block",
-    [
-        (1e-6, 1e-6, 1.05e-6, 1.05e-6),  # smaller eigenvalue -5e-8: not PSD
-        (1e-6, 1e-6, 1e-6, 1e-6),  # on the boundary, at any scale
-        (1.0, 1.0, 1.0, 1.0),
-        (1e6, 1e6, 1e6, 1e6 * (1 + 1e-12)),
-        (2.0, 3.0, 0.5, 0.25),
-        (1.0, 1.0, 1.0, 1.1),
-        (0.0, 0.0, 0.0, 0.0),
-        (2.0, 0.0, 0.0, 0.0),
-        (0.0, 3.0, 0.0, 0.0),
-        (0.0, 1.0, 0.0, 0.0),
-        (0.0, 0.0, 1.0, 0.0),
-        (-1.0, 0.0, 2.0, 0.0),
-        (1.0, 1.0, -1e-9, 0.0),
-    ],
-)
+LISTED_BLOCKS = [
+    (1e-6, 1e-6, 1.05e-6, 1.05e-6),  # smaller eigenvalue -5e-8: not PSD
+    (1e-6, 1e-6, 1e-6, 1e-6),  # on the boundary, at any scale
+    (1.0, 1.0, 1.0, 1.0),
+    (1e6, 1e6, 1e6, 1e6 * (1 + 1e-12)),
+    (2.0, 3.0, 0.5, 0.25),
+    (1.0, 1.0, 1.0, 1.1),
+    (0.0, 0.0, 0.0, 0.0),
+    (2.0, 0.0, 0.0, 0.0),
+    (0.0, 3.0, 0.0, 0.0),
+    (0.0, 1.0, 0.0, 0.0),
+    (0.0, 0.0, 1.0, 0.0),
+    (-1.0, 0.0, 2.0, 0.0),
+    (1.0, 1.0, -1e-9, 0.0),
+]
+
+
+@pytest.mark.parametrize("block", LISTED_BLOCKS)
 def test_defpos_cases_are_the_uniqueness_cases(block):
     q0, q1, p0, p1 = block
     result = check_defpos(_manual_matrices([q0], [p0], [q1], [p1]))
@@ -235,14 +242,144 @@ def test_small_indefinite_block_is_a_violation():
     assert check_defpos(_manual_matrices([q0], [p0], [q1], [p1])).cases == ("violation",)
 
 
-def test_defpos_agrees_with_the_uniqueness_cases_at_every_scale():
+def random_blocks() -> np.ndarray:
+    """2,000 blocks (q0, q1, p0, p1), 30% of the entries 0, at scales 1e-8 to 1e7."""
     rng = np.random.default_rng(7)
     blocks = rng.uniform(0.0, 3.0, (2000, 4))
     blocks[rng.random(blocks.shape) < 0.3] = 0.0
     blocks *= 10.0 ** rng.integers(-8, 8, (2000, 1))
+    return blocks
+
+
+def test_defpos_agrees_with_the_uniqueness_cases_at_every_scale():
+    blocks = random_blocks()
     q0, q1, p0, p1 = blocks.T
     result = check_defpos(_manual_matrices(q0, p0, q1, p1))
     assert result.cases == tuple(DEFPOS_NAMES[_classify_h_case(*b)] for b in blocks.tolist())
+
+
+def scalar_case(q0: float, q1: float, p0: float, p1: float) -> str:
+    """The case of one block [[q0, p0], [p1, q1]], branch by branch."""
+    zero = 1e-12
+    if min(q0, q1, p0, p1) < -zero:
+        return "violation"
+    p_sum = p0 + p1
+    if q0 > zero and q1 > zero:
+        disc = 4 * q0 * q1 - p_sum**2
+        slack = 1e-9 * max(4 * q0 * q1, p_sum**2)
+        if disc > slack:
+            return "H0"
+        if disc >= -slack:
+            return "H4"
+        return "violation"
+    if q0 <= zero and q1 <= zero and p_sum <= zero:
+        return "H1"
+    if q0 > zero and q1 <= zero and p_sum <= zero:
+        return "H2"
+    if q0 <= zero and q1 > zero and p_sum <= zero:
+        return "H3"
+    return "violation"
+
+
+def test_block_classifier_equals_the_scalar_rule():
+    blocks = np.concatenate([np.array(LISTED_BLOCKS), random_blocks()])
+    expected = [scalar_case(*b) for b in blocks.tolist()]
+    assert [_classify_h_case(*b) for b in blocks.tolist()] == expected
+    q0, q1, p0, p1 = blocks.T
+    cases = check_defpos(_manual_matrices(q0, p0, q1, p1)).cases
+    assert cases == tuple(DEFPOS_NAMES[case] for case in expected)
+
+
+SEVERITY = ["n/a", "H0", "H1", "H2", "H3", "H4", "violation"]
+
+
+def loop_coupling(net: Network, sampler: HSampler) -> UniquenessReport:
+    """check_hypothesis_coupling as a loop over the sampled pairs: one
+    segment_matrices call per pair, pairs with an infinite cost skipped, and
+    the scalar rule on each road both populations use."""
+    counts = [len(pop.routes) for pop in net.populations]
+    rng = np.random.default_rng(sampler.seed)
+    corners = itertools.product(*(range(n) for n in counts))
+    vertices = [vertex_assignment(net, combo) for combo in corners]
+    pairs = [*itertools.combinations(vertices, 2)]
+    pairs += [(uniform_assignment(net), v) for v in vertices]
+    for _ in range(sampler.pairs):
+        pairs.append(tuple(
+            Assignment.make([rng.dirichlet(np.ones(n)) for n in counts], tolerance=1e-9)
+            for _ in range(2)
+        ))
+    shared = set.intersection(*(pop.road_ids() for pop in net.populations))
+    worst = {road.id: "n/a" for road in net.roads}
+    worst_exceptional, satisfied, skipped = 0, True, 0
+    for first, second in pairs:
+        try:
+            sm = segment_matrices(net, first, second, sampler.quadrature_nodes)
+        except InfiniteCostError:
+            skipped += 1
+            continue
+        exceptional = 0
+        for h, road in enumerate(net.roads):
+            if road.id in shared:
+                case = scalar_case(sm.own[0][h], sm.own[1][h], sm.cross[0][h], sm.cross[1][h])
+                worst[road.id] = max(worst[road.id], case, key=SEVERITY.index)
+                exceptional += case != "H0"
+                satisfied &= case != "violation"
+        worst_exceptional = max(worst_exceptional, exceptional)
+        satisfied &= exceptional <= 1
+    evaluated = len(pairs) - skipped
+    if evaluated == 0:
+        verdict = "no finite sample pairs"
+    else:
+        verdict = "at-most-one (sampled)" if satisfied else "hypothesis fails (sampled)"
+    return UniquenessReport(
+        defpos_ok="violation" not in worst.values(),
+        road_cases=tuple(worst.items()),
+        exceptional_roads=worst_exceptional,
+        hypothesis_satisfied=satisfied and evaluated > 0,
+        pairs_sampled=evaluated,
+        pairs_skipped_infinite=skipped,
+        verdict=verdict,
+    )
+
+
+TWO_POPULATION_FIXTURES = sorted(set(nets.BUILDERS) - {"nonmonotone_pair"})
+
+
+@pytest.mark.parametrize("name", TWO_POPULATION_FIXTURES)
+def test_coupling_equals_a_loop_over_the_pairs_on_the_fixtures(name):
+    net = nets.BUILDERS[name]()
+    sampler = HSampler(pairs=100)
+    report = check_hypothesis_coupling(net, sampler)
+    assert report == loop_coupling(net, sampler)
+    if name == "congestion_corridor":
+        assert (report.pairs_sampled, report.pairs_skipped_infinite) == (23, 87)
+
+
+def test_coupling_equals_a_loop_over_the_pairs_on_random_networks():
+    rng = np.random.default_rng(17)
+    for k in range(12):
+        net = random_cost_network(rng)
+        sampler = HSampler(pairs=20, seed=k, quadrature_nodes=int(rng.choice([1, 5, 16])))
+        assert check_hypothesis_coupling(net, sampler) == loop_coupling(net, sampler)
+
+
+@pytest.mark.parametrize("per_chunk, sizes", [(1, [1] * 110), (7, [7] * 15 + [5])])
+def test_coupling_is_the_same_in_any_pair_chunks(per_chunk, sizes, corridor_net, monkeypatch):
+    sampler = HSampler(pairs=100)  # 110 pairs with the corners
+    expected = check_hypothesis_coupling(corridor_net, sampler)
+    core = analysis.compile_network(corridor_net)
+    flow_rows = core.pop_count * core.road_count + 1
+    per_pair = sampler.quadrature_nodes * (flow_rows + core.program.slot_count)
+    seen, segments = [], analysis._segments
+
+    def spy(core, first, second, nodes):
+        seen.append(first.shape[-1])
+        return segments(core, first, second, nodes)
+
+    monkeypatch.setattr(analysis, "_segments", spy)
+    monkeypatch.setattr(analysis, "SEGMENT_BATCH", per_chunk * per_pair)
+    assert check_hypothesis_coupling(corridor_net, sampler) == expected
+    assert seen == sizes
 
 
 class TestHypothesisCoupling:

@@ -178,6 +178,79 @@ class TestUniqueness:
         assert "per-road worst case" in out
 
 
+def _guarded_delay(tmp_path) -> str:
+    """delay_spillover with lower's r5 cost plus 0 times a congestion term
+    that blows up at reachable flows."""
+    obj = json.loads(dumps_structured(network_to_obj(nets.delay_spillover())))
+    costs = obj["populations"][1]["costs"]
+    blow_up = {"kind": "congestion", "weights": {"lower": 1}, "capacity": 0.5}
+    zero_times = {"kind": "scale", "factor": 0, "expr": blow_up}
+    costs["r5"] = {"kind": "sum", "terms": [costs["r5"], zero_times]}
+    return _write(tmp_path, "guarded.json", obj)
+
+
+def _poly_exponent(tmp_path, literal: str) -> str:
+    """delay_spillover with upper's r1 cost a monomial whose exponent is `literal`."""
+    obj = json.loads(dumps_structured(network_to_obj(nets.delay_spillover())))
+    term = {"coeff": 1.0, "exponents": {"upper": "EXPONENT"}}
+    obj["populations"][0]["costs"]["r1"] = {"kind": "poly", "terms": [term]}
+    path = tmp_path / "poly.json"
+    path.write_text(json.dumps(obj).replace('"EXPONENT"', literal))
+    return str(path)
+
+
+def _not_utf8(tmp_path) -> str:
+    path = tmp_path / "latin1.json"
+    path.write_bytes(json.dumps(network_to_obj(nets.delay_spillover())).encode("latin-1")
+                     .replace(b'"upper"', b'"\xe9upper"'))
+    return str(path)
+
+
+def _shares(tmp_path, upper: str) -> str:
+    """A delay_spillover assignment whose upper shares are written `upper`."""
+    path = tmp_path / "shares.json"
+    path.write_text(f'{{"upper": [{upper}], "lower": [0.5, 0.5]}}')
+    return str(path)
+
+
+def _half(tmp_path) -> str:
+    return _write(tmp_path, "half.json", {"upper": [0.5, 0.5], "lower": [0.5, 0.5]})
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        pytest.param(lambda f, t: ["solve", _guarded_delay(t)], 2, id="solve-0-times-inf"),
+        pytest.param(lambda f, t: ["verify", _guarded_delay(t), _half(t)], 2,
+                     id="verify-0-times-inf"),
+        pytest.param(lambda f, t: ["oracle", _guarded_delay(t), "--grid", "20"], 2,
+                     id="oracle-0-times-inf"),
+        pytest.param(lambda f, t: ["uniqueness", _guarded_delay(t), "--starts", "1"], 2,
+                     id="uniqueness-0-times-inf"),
+        pytest.param(lambda f, t: ["routes", f["braess_base"], "--origin", "zz",
+                                   "--destination", "d"], 2, id="routes-unknown-junction"),
+        pytest.param(lambda f, t: ["validate", str(t)], 2, id="network-is-a-directory"),
+        pytest.param(lambda f, t: ["verify", f["delay_spillover"], str(t)], 2,
+                     id="assignment-is-a-directory"),
+        pytest.param(lambda f, t: ["validate", _not_utf8(t)], 2, id="network-not-utf8"),
+        pytest.param(lambda f, t: ["verify", f["delay_spillover"], _shares(t, '"a", 1')], 2,
+                     id="share-not-a-number"),
+        pytest.param(lambda f, t: ["verify", f["delay_spillover"], _shares(t, "9" * 401 + ", 0")],
+                     2, id="share-too-large-for-a-float"),
+        pytest.param(lambda f, t: ["validate", _poly_exponent(t, "1e400")], 2,
+                     id="exponent-overflows-to-inf"),
+        pytest.param(lambda f, t: ["validate", _poly_exponent(t, "9" * 401)], 2,
+                     id="exponent-too-large-for-a-float"),
+    ],
+)
+def test_refused_input_exits_with_one_error_line(argv, code, files, tmp_path, capsys):
+    capsys.readouterr()
+    assert main(argv(files, tmp_path)) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 class TestRoutes:
     def test_braess_augmented_routes(self, files, capsys):
         assert main([

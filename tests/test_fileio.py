@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from wardrop import fixtures as nets
+from wardrop.fixtures import write_fixture_files
 from wardrop.equilibrium import Assignment, solve_fixed_point, verify
 from wardrop.fileio import (
     ParseError,
@@ -42,6 +43,13 @@ def test_shipped_fixture_files_match_builders():
         path = REPO_FIXTURES / f"{name}.json"
         assert path.exists(), f"missing shipped fixture {path}"
         assert load_network(path) == builder(), name
+
+
+def test_shipped_fixture_files_are_the_written_builders_byte_for_byte(tmp_path):
+    written = write_fixture_files(tmp_path)
+    assert sorted(p.name for p in written) == sorted(p.name for p in REPO_FIXTURES.glob("*.json"))
+    for path in written:
+        assert path.read_bytes() == (REPO_FIXTURES / path.name).read_bytes(), path.name
 
 
 def test_rich_cost_forms_round_trip(tmp_path):
