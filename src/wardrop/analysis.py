@@ -443,9 +443,6 @@ def brute_force_equilibria(
     )
 
 
-SCAN_BATCH = 1024  # grid points evaluated per batch
-
-
 def _scan_product_grid(
     net: Network,
     grids: list[np.ndarray],
@@ -461,7 +458,7 @@ def _scan_product_grid(
     last = len(grids) - 1
     outer = np.array(list(itertools.product(*(range(len(g)) for g in grids[:last]))), dtype=int)
     inner = len(grids[last])
-    per_batch = max(1, SCAN_BATCH // inner)
+    per_batch = max(1, core._chunk // inner)  # the working set `core.times` evaluates at once
     hits: list[tuple[tuple[tuple[float, ...], ...], float]] = []
     for start in range(0, len(outer), per_batch):
         rows = np.repeat(outer[start : start + per_batch], inner, axis=0)
@@ -481,38 +478,78 @@ def _scan_product_grid(
     return hits
 
 
+CLUSTER_BLOCK = 1 << 12  # candidate pairs whose gaps one block of the sweep holds
+
+
 def _cluster_hits(
     hits: list[tuple[tuple[tuple[float, ...], ...], float]], radius: float
 ) -> list[tuple[Assignment, float]]:
-    representatives: list[tuple[tuple[tuple[float, ...], ...], float]] = []
+    """Connected components of the hits under "max-norm gap <= radius", each
+    represented by its member with the smallest (residual, point), in point
+    order."""
     hits = sorted(hits)
-    parent = list(range(len(hits)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i, (pa, _) in enumerate(hits):
-        for j in range(i + 1, len(hits)):
-            pb = hits[j][0]
-            gap = max(
-                abs(a - b) for va, vb in zip(pa, pb) for a, b in zip(va, vb)
-            )
-            if gap <= radius:
-                parent[find(j)] = find(i)
-    groups: dict[int, list[int]] = {}
-    for i in range(len(hits)):
-        groups.setdefault(find(i), []).append(i)
-    for members in groups.values():
-        best = min(members, key=lambda k: (hits[k][1], hits[k][0]))
-        representatives.append(hits[best])
-    representatives.sort()
+    if not hits:
+        return []
+    points = np.array([[x for vec in point for x in vec] for point, _ in hits])
+    first, second = _neighbour_pairs(points, radius)
+    label = _components(len(hits), first, second)
+    order = np.lexsort((np.arange(len(hits)), np.array([r for _, r in hits]), label))
+    heads = order[np.flatnonzero(np.diff(label[order], prepend=-1))]
     return [
-        (Assignment.make([list(v) for v in point], tolerance=1e-9), residual)
-        for point, residual in representatives
+        (Assignment.make([list(v) for v in hits[k][0]], tolerance=1e-9), hits[k][1])
+        for k in np.sort(heads).tolist()
     ]
+
+
+def _neighbour_pairs(points: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """(i, j) arrays, i < j, of the rows of `points` whose largest coordinate
+    gap is at most radius.  Rows are sorted, so column 0 never decreases and
+    the candidates j of row i form the window i < j < end[i]; the window
+    reaches 2 * radius past row i's column 0 so that rounding in the gap
+    cannot drop a pair at the radius.  Gaps are computed one coordinate at a
+    time, in blocks of about CLUSTER_BLOCK candidates (one whole row at
+    least)."""
+    count = len(points)
+    lead = points[:, 0]
+    widths = np.searchsorted(lead, lead + 2 * radius, side="right") - np.arange(1, count + 1)
+    offsets = np.concatenate(([0], np.cumsum(widths)))
+    columns = np.ascontiguousarray(points.T)
+    found: list[tuple[np.ndarray, np.ndarray]] = []
+    start = 0
+    while start < count:
+        stop = np.searchsorted(offsets, offsets[start] + CLUSTER_BLOCK, side="right") - 1
+        stop = max(stop, start + 1)
+        counts = widths[start:stop]
+        i = np.repeat(np.arange(start, stop), counts)
+        row_start = np.repeat(offsets[start:stop] - offsets[start], counts)
+        j = i + 1 + np.arange(len(i)) - row_start  # i + 1 up to the window's end
+        gap = np.abs(columns[0, i] - columns[0, j])
+        for column in columns[1:]:
+            np.maximum(gap, np.abs(column[i] - column[j]), out=gap)
+        near = gap <= radius
+        found.append((i[near], j[near]))
+        start = stop
+    return np.concatenate([i for i, _ in found]), np.concatenate([j for _, j in found])
+
+
+def _components(count: int, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Each node's smallest connected node, for the graph with edges
+    (first[e], second[e]).  Every round hooks each root that an edge joins
+    to a smaller root onto the smallest such root, then compresses every
+    path to its root.  Labels only fall, and a round leaves fewer roots
+    while any edge joins two, so the last root of a component is its
+    smallest node."""
+    label = np.arange(count)
+    while True:
+        a, b = label[first], label[second]
+        if np.array_equal(a, b):
+            return label
+        np.minimum.at(label, np.maximum(a, b), np.minimum(a, b))
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
 
 
 @dataclass(frozen=True)

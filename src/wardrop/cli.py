@@ -66,8 +66,8 @@ def _fmt(x) -> str:
 def _positive(kind: type, name: str):
     def parse(text: str):
         value = kind(text)
-        if value <= 0:
-            raise argparse.ArgumentTypeError(f"{name} must be positive")
+        if not 0 < value < math.inf:
+            raise argparse.ArgumentTypeError(f"{name} must be positive and finite")
         return value
 
     return parse
@@ -264,7 +264,9 @@ def _dispatch(args) -> int:
 
     if args.command == "oracle":
         net = _load_net(args.network)
-        result = analysis.brute_force_equilibria(net, args.grid, budget=args.budget)
+        result = analysis.brute_force_equilibria(
+            net, args.grid, tol=args.tol, budget=args.budget
+        )
         lines = [
             f"grid resolution: {result.resolution}",
             f"points scanned: {result.points_scanned}",

@@ -130,6 +130,9 @@ class SolveParams:
     def __post_init__(self) -> None:
         if not 0 < self.omega <= 1:
             raise ValueError("damping must lie in (0, 1]")
+        for name in ("residual_tol", "verify_tol"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
 
 
 @dataclass(frozen=True)

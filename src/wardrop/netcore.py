@@ -24,6 +24,9 @@ from .costs import CostExpr
 class NetworkIndexError(KeyError):
     """An unknown junction id, road id, or population index was referenced."""
 
+    def __str__(self) -> str:  # the message, not KeyError's repr of it
+        return Exception.__str__(self)
+
 
 @dataclass(frozen=True, slots=True)
 class Junction:
@@ -86,7 +89,7 @@ class Network:
 
     def population(self, index: int) -> PopulationSpec:
         if not 0 <= index < len(self.populations):
-            raise NetworkIndexError(f"population index {index}")
+            raise NetworkIndexError(f"no population at index {index}")
         return self.populations[index]
 
 
@@ -332,7 +335,7 @@ def build_incidence(net: Network, population: int) -> IncidenceMatrix:
             try:
                 entries[index[rid], col] = 1
             except KeyError:
-                raise NetworkIndexError(rid) from None
+                raise NetworkIndexError(f"unknown road {rid!r}") from None
     return IncidenceMatrix(road_ids=tuple(r.id for r in net.roads), entries=entries)
 
 
@@ -366,9 +369,9 @@ def enumerate_routes(net: Network, origin: str, destination: str) -> list[RouteS
     """
     junctions = {j.id for j in net.junctions}
     if origin not in junctions:
-        raise NetworkIndexError(origin)
+        raise NetworkIndexError(f"unknown junction {origin!r}")
     if destination not in junctions:
-        raise NetworkIndexError(destination)
+        raise NetworkIndexError(f"unknown junction {destination!r}")
     if origin == destination:
         return []
     outgoing: dict[str, list[Road]] = {}

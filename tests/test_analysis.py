@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wardrop import analysis
 from wardrop import fixtures as nets
@@ -22,6 +25,7 @@ from wardrop.analysis import (
     check_pair_orthogonality,
     compare_scenarios,
     gauss_legendre_unit,
+    _cluster_hits,
     segment_matrices,
 )
 from wardrop.costs import InfiniteCostError
@@ -29,6 +33,7 @@ from wardrop.equilibrium import (
     Assignment,
     PreconditionError,
     _engine,
+    simplex_grid,
     solve_fixed_point,
     uniform_assignment,
     vertex_assignment,
@@ -503,6 +508,112 @@ class TestOracle:
                 for theta, _ in oracle.equilibria
             ]
             assert min(gaps) <= 2 / resolution
+
+
+def loop_clusters(hits, radius):
+    """The oracle's clustering as a loop over every pair of hits: union-find
+    on "largest share gap <= radius", each component represented by its
+    member with the smallest (residual, point), in point order."""
+    representatives = []
+    hits = sorted(hits)
+    parent = list(range(len(hits)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, (pa, _) in enumerate(hits):
+        for j in range(i + 1, len(hits)):
+            pb = hits[j][0]
+            gap = max(abs(a - b) for va, vb in zip(pa, pb) for a, b in zip(va, vb))
+            if gap <= radius:
+                parent[find(j)] = find(i)
+    groups = {}
+    for i in range(len(hits)):
+        groups.setdefault(find(i), []).append(i)
+    for members in groups.values():
+        best = min(members, key=lambda k: (hits[k][1], hits[k][0]))
+        representatives.append(hits[best])
+    representatives.sort()
+    return [
+        (Assignment.make([list(v) for v in point], tolerance=1e-9), residual)
+        for point, residual in representatives
+    ]
+
+
+def assert_same_clusters(found, expected):
+    assert [(theta.shares, residual) for theta, residual in found] == [
+        (theta.shares, residual) for theta, residual in expected
+    ]
+    assert found == expected
+
+
+# The (fixture, grid) of every oracle run of the benchmark's workloads.
+BENCHMARK_ORACLE_RUNS = [
+    ("delay_spillover", 100), ("merge_base", 100), ("congestion_corridor", 200),
+    ("congestion_corridor", 800), ("braess_base", 24), ("merge_linked", 12),
+]
+
+
+@pytest.mark.parametrize("name, grid", BENCHMARK_ORACLE_RUNS)
+def test_clusters_equal_the_pairwise_loop_on_the_oracle_hits(name, grid, monkeypatch):
+    seen = []
+
+    def spy(hits, radius):
+        seen.append((list(hits), radius))
+        return _cluster_hits(hits, radius)
+
+    monkeypatch.setattr(analysis, "_cluster_hits", spy)
+    result = brute_force_equilibria(nets.BUILDERS[name](), grid)
+    (hits, radius), = seen
+    assert radius == 2.0 / grid and len(hits) > 1
+    assert_same_clusters(list(result.equilibria), loop_clusters(hits, radius))
+
+
+@st.composite
+def grid_hits(draw):
+    """Hits on a product simplex grid: 1-3 populations of 1-4 routes, some
+    points repeated, residuals drawn from few values so that they tie."""
+    resolution = draw(st.integers(2, 24))
+    routes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    grids = [list(simplex_grid(n, resolution)) for n in routes]
+    point = st.tuples(*(st.sampled_from(g).map(tuple) for g in grids))
+    residual = st.sampled_from([0.0, 0.0, 1e-3, 0.25, 0.5])
+    hits = draw(st.lists(st.tuples(point, residual), max_size=60))
+    return hits, draw(st.sampled_from([0.5, 1.0, 2.0, 3.0])) / resolution
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(grid_hits())
+def test_clusters_equal_the_pairwise_loop_on_grid_hits(drawn):
+    hits, radius = drawn
+    assert_same_clusters(_cluster_hits(hits, radius), loop_clusters(hits, radius))
+
+
+@pytest.mark.parametrize("moved", [0, 1])
+def test_a_gap_exactly_at_the_radius_joins_and_one_ulp_less_splits(moved):
+    # The pair differs in one population: in 0, the gap is in the sweep's sort
+    # column, where adding the gap back to 2/6 falls one ulp short of 5/6.
+    near, far, rest = (2 / 6, 2 / 6, 2 / 6), (5 / 6, 0.0, 1 / 6), (0.5, 0.2, 0.3)
+    gap = abs(2 / 6 - 5 / 6)
+    assert gap > 2 / 6 and 2 / 6 + gap < 5 / 6
+    first = (((near, rest) if moved == 0 else (rest, near)), 0.25)
+    second = (((far, rest) if moved == 0 else (rest, far)), 0.25)
+    for radius, clusters in [
+        (math.nextafter(gap, 0.0), 2), (gap, 1), (math.nextafter(gap, 1.0), 1),
+    ]:
+        found = _cluster_hits([second, first], radius)
+        assert len(found) == clusters
+        assert_same_clusters(found, loop_clusters([second, first], radius))
+
+
+def test_every_point_of_a_fine_grid_is_one_cluster():
+    hits = [((point,), 0.0) for point in simplex_grid(3, 200)]
+    assert len(hits) == 20301
+    (theta, residual), = _cluster_hits(hits, 2.0 / 200)
+    assert theta.shares == ((0.0, 0.0, 1.0),) and residual == 0.0
 
 
 class TestCompare:

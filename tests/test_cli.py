@@ -8,6 +8,7 @@ import pytest
 
 from wardrop import fixtures as nets
 from wardrop.cli import build_parser, main
+from wardrop.equilibrium import SolveParams
 from wardrop.fileio import dumps_structured, network_to_obj, save_network
 
 
@@ -322,3 +323,38 @@ class TestStructuredOutput:
         with pytest.raises(SystemExit) as err:
             main(["solve", files["delay_spillover"], "--omega", "1.5"])
         assert err.value.code == 2
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0"])
+def test_non_finite_tolerances_are_refused(value, files, tmp_path, capsys):
+    # Without the flag this corner is not Nash (exit 1); no tolerance may certify it.
+    corner = _write(tmp_path, "corner.json", {"trucks": [1, 0], "cars": [1, 0]})
+    assert main(["verify", files["braess_base"], corner]) == 1
+    for argv in (["verify", files["braess_base"], corner, f"--tol={value}"],
+                 ["solve", files["braess_base"], f"--residual-tol={value}"]):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert "must be positive and finite" in capsys.readouterr().err
+    for field in ("residual_tol", "verify_tol"):
+        with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+            SolveParams(**{field: float(value)})
+
+
+@pytest.mark.parametrize("tol, shown", [("1e-9", "2"), ("5", "5"), ("50", "50")])
+def test_oracle_tolerance_is_the_larger_of_tol_and_the_grid_bound(tol, shown, files, capsys):
+    assert main(["oracle", files["braess_base"], "--grid", "10", "--tol", tol]) == 0
+    assert f"tolerance: {shown}\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["--origin", "zz", "--destination", "d"], "error: unknown junction 'zz'\n"),
+        (["--origin", "o", "--destination", "zz"], "error: unknown junction 'zz'\n"),
+    ],
+)
+def test_unknown_junction_error_names_the_kind_of_id(argv, line, files, capsys):
+    capsys.readouterr()
+    assert main(["routes", files["braess_base"], *argv]) == 2
+    assert capsys.readouterr().err == line

@@ -279,3 +279,19 @@ class TestFlows:
         by_id_a = dict(zip([r.id for r in delay_net.roads], flows_a.tolist()))
         by_id_b = dict(zip([r.id for r in renumbered.roads], flows_b.tolist()))
         assert by_id_a == by_id_b
+
+
+def test_index_errors_name_the_kind_of_id(delay_net, braess_net):
+    stray = Network(
+        junctions=(Junction("a"), Junction("b")),
+        roads=(Road("r1", "a", "b"),),
+        populations=(PopulationSpec("only", "a", "b", (RouteSpec(("r9",)),), {}),),
+    )
+    for call, message in [
+        (lambda: build_incidence(delay_net, 5), "no population at index 5"),
+        (lambda: build_incidence(stray, 0), "unknown road 'r9'"),
+        (lambda: enumerate_routes(braess_net, "zz", "d"), "unknown junction 'zz'"),
+    ]:
+        with pytest.raises(NetworkIndexError) as err:
+            call()
+        assert str(err.value) == message
