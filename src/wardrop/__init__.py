@@ -53,6 +53,7 @@ from .equilibrium import (
     route_times,
     solve_fixed_point,
     solve_multistart,
+    solve_starts,
     uniform_assignment,
     verify,
     vertex_assignment,

@@ -28,6 +28,7 @@ from .equilibrium import (
     PreconditionError,
     SolveParams,
     is_nash,
+    nonmonotone_cost,
     simplex_grid,
     solve_fixed_point,
     uniform_assignment,
@@ -124,13 +125,12 @@ def segment_matrices(
 
 
 def _require_monotone(net: Network) -> None:
-    for pop in net.populations:
-        for rid, expr in pop.costs.items():
-            if not expr.structurally_monotone():
-                raise PreconditionError(
-                    f"cost of road {rid!r} for population {pop.name!r} is not "
-                    "monotone; averaged sensitivities require increasing costs"
-                )
+    found = nonmonotone_cost(net)
+    if found is not None:
+        raise PreconditionError(
+            f"cost of road {found[1]!r} for population {found[0]!r} is not "
+            "monotone; averaged sensitivities require increasing costs"
+        )
 
 
 def _segments(

@@ -49,7 +49,7 @@ def _route_total(values: np.ndarray, keepdims: bool = False) -> np.ndarray:
     """Sums over the routes (axis 1) of (P, W, ...): row by row for a batch,
     else one reduce, which numpy adds one by one below 8 elements."""
     if values.ndim > 2:
-        total = _column_total(np.moveaxis(values, 1, 0))
+        total = _column_total(values.swapaxes(0, 1))
     elif values.shape[1] < 8:
         return np.add.reduce(values, 1, None, None, keepdims, 0.0)
     else:

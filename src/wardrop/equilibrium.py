@@ -15,9 +15,9 @@ size, and a clip-and-rescale normalization; its fixed points are exactly
 the Nash equilibria, and the solver runs a damped iteration of that map to
 a verified fixed point.
 
-Everything here is pure; the multistart driver owns per-start state and
-merges results deterministically, so results are independent of execution
-order.
+Everything here is pure.  The solver iterates any number of starts as one
+batch, each exactly as it would alone; the multistart driver merges their
+results deterministically, so results are independent of start order.
 """
 
 from __future__ import annotations
@@ -130,6 +130,8 @@ class SolveParams:
     def __post_init__(self) -> None:
         if not 0 < self.omega <= 1:
             raise ValueError("damping must lie in (0, 1]")
+        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, int) or self.max_iters < 1:
+            raise ValueError("max_iters must be an int of at least 1")
         for name in ("residual_tol", "verify_tol"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
@@ -156,6 +158,14 @@ class MultistartParams:
     seed: int = 0
     dedup_tolerance: float = 1e-6
     solve: SolveParams = field(default_factory=SolveParams)
+
+    def __post_init__(self) -> None:
+        if self.grid_depth < 1:
+            raise ValueError("grid_depth must be at least 1")
+        if self.random_starts < 0:
+            raise ValueError("random_starts must not be negative")
+        if not 0 <= self.dedup_tolerance < math.inf:
+            raise ValueError("dedup_tolerance must be nonnegative and finite")
 
 
 _engine = compile_network  # the compiled network's former internal name
@@ -360,16 +370,121 @@ def fixed_point_residual(net: Network, theta: Assignment) -> float:
     return float(np.abs(x - core.map_step(x, core.times(x))).max())
 
 
-def _require_monotone(net: Network, allow_nonmonotone: bool) -> None:
-    if allow_nonmonotone:
-        return
+def nonmonotone_cost(net: Network) -> tuple[str, str] | None:
+    """(population name, road id) of the first cost, in population and cost
+    order, that is not structurally monotone; None if every cost is."""
     for pop in net.populations:
         for rid, expr in pop.costs.items():
             if not expr.structurally_monotone():
-                raise NonMonotoneCostError(
-                    f"cost of road {rid!r} for population {pop.name!r} is not "
-                    "monotone; pass allow_nonmonotone to solve anyway"
-                )
+                return pop.name, rid
+    return None
+
+
+def _require_monotone(net: Network, allow_nonmonotone: bool) -> None:
+    found = None if allow_nonmonotone else nonmonotone_cost(net)
+    if found is not None:
+        raise NonMonotoneCostError(
+            f"cost of road {found[1]!r} for population {found[0]!r} is not "
+            "monotone; pass allow_nonmonotone to solve anyway"
+        )
+
+
+class _Run:
+    """One start's state in the damped iteration: its best iterate and
+    residual so far, its residual trajectory, and how it stopped."""
+
+    __slots__ = ("best", "best_residual", "trajectory", "iterations", "converged")
+
+    def __init__(self, x: np.ndarray):
+        self.best = x
+        self.best_residual = math.inf
+        self.trajectory: list[float] = []
+        self.iterations = 0
+        self.converged = False
+
+    def observe(self, x: np.ndarray, residual: float, iteration: int) -> None:
+        """Record the map residual at iterate `x`, the iteration-th one."""
+        if residual < self.best_residual:
+            self.best, self.best_residual = x, residual
+        if iteration % 100 == 1:
+            self.trajectory.append(residual)
+
+    def converge(self, image: np.ndarray, residual: float, iteration: int) -> None:
+        self.best, self.best_residual = image, residual
+        self.iterations, self.converged = iteration, True
+
+
+def _iterate(core: CompiledNetwork, runs: list[_Run], params: SolveParams) -> None:
+    """Damped iteration of every run at once, one run per batch column.
+
+    A batch column evaluates bit for bit as its start alone, so each run
+    takes the path its solo iteration takes.  A run that converges leaves
+    the batch; the last one left runs unbatched, on (P, W) arrays, where
+    each step costs less.
+    """
+    active = list(runs)  # the run of each column of x
+    x = runs[0].best if len(runs) == 1 else np.stack([run.best for run in runs], axis=-1)
+    omega, tol = params.omega, params.residual_tol
+    keep = 1 - omega
+    for iteration in range(1, params.max_iters + 1):
+        image = core.map_step(x, core.times(x))
+        if x.ndim == 2:
+            residual = float(np.abs(x - image).max())
+            active[0].observe(x, residual, iteration)
+            if residual < tol:
+                active[0].converge(image, residual, iteration)
+                return
+            x = keep * x + omega * image
+            continue
+        residuals = np.abs(x - image).max(axis=(0, 1)).tolist()
+        left = []  # the columns that go on
+        for j, (run, residual) in enumerate(zip(active, residuals)):
+            run.observe(x[..., j], residual, iteration)
+            if residual < tol:
+                run.converge(image[..., j], residual, iteration)
+            else:
+                left.append(j)
+        x = keep * x + omega * image
+        if len(left) < len(active):
+            if not left:
+                return
+            active = [active[j] for j in left]
+            x = x[..., left[0]] if len(left) == 1 else x[..., left]
+    for run in active:
+        run.iterations = params.max_iters
+
+
+def _solve(net: Network, starts: Sequence[Assignment], params: SolveParams) -> list[SolveResult]:
+    _require_monotone(net, params.allow_nonmonotone)
+    core = compile_network(net)
+    runs = [_Run(core.pack(start)) for start in starts]
+    if runs:
+        _iterate(core, runs, params)
+    results = []
+    for run in runs:
+        final = Assignment.make(core.unpack(run.best), tolerance=1e-9)
+        results.append(SolveResult(
+            assignment=final,
+            iterations=run.iterations,
+            residual=run.best_residual,
+            converged=run.converged,
+            verified=verify(net, final, tol=params.verify_tol),
+            trajectory=(*run.trajectory, run.best_residual),
+        ))
+    return results
+
+
+def solve_starts(
+    net: Network, starts: Sequence[Assignment], params: SolveParams = SolveParams()
+) -> list[SolveResult]:
+    """Damped fixed-point iteration from every start at once.
+
+    Result k equals `solve_fixed_point(net, starts[k], params)` field for
+    field: the starts share one batched iteration, and each stops as its
+    own would.  An evaluation error from any start fails the whole call,
+    with the first such error the batch meets.
+    """
+    return _solve(net, starts, params)
 
 
 def solve_fixed_point(
@@ -382,44 +497,12 @@ def solve_fixed_point(
     Iterates theta <- (1-omega)*theta + omega*map(theta) until the map
     residual drops below `residual_tol` or `max_iters` is hit.  The result
     always carries a verification report; non-convergence is flagged on the
-    best iterate, never raised.
+    best iterate, never raised.  The trajectory holds the residual every
+    100 iterations, then the best one.
     """
-    _require_monotone(net, params.allow_nonmonotone)
-    core = compile_network(net)
-    x = core.pack(theta0 if theta0 is not None else uniform_assignment(net))
-    omega = params.omega
-    keep = 1 - omega
-    residual = math.inf
-    best_residual = math.inf
-    best = x
-    trajectory: list[float] = []
-    iterations = 0
-    for iterations in range(1, params.max_iters + 1):
-        image = core.map_step(x, core.times(x))
-        residual = float(np.abs(x - image).max())
-        if residual < best_residual:
-            best_residual = residual
-            best = x
-        if iterations % 100 == 1:
-            trajectory.append(residual)
-        if residual < params.residual_tol:
-            x = image
-            break
-        x = keep * x + omega * image
-    converged = residual < params.residual_tol
-    if converged:
-        best, best_residual = x, residual
-    trajectory.append(best_residual)
-    final = Assignment.make(core.unpack(best), tolerance=1e-9)
-    report = verify(net, final, tol=params.verify_tol)
-    return SolveResult(
-        assignment=final,
-        iterations=iterations,
-        residual=best_residual,
-        converged=converged,
-        verified=report,
-        trajectory=tuple(trajectory),
-    )
+    # Calls `_solve` directly, so that the benchmark's spans charge a lone
+    # solve's iterations to this function.
+    return _solve(net, [theta0 if theta0 is not None else uniform_assignment(net)], params)[0]
 
 
 def simplex_grid(n: int, resolution: int) -> Iterator[tuple[float, ...]]:
@@ -443,7 +526,7 @@ def simplex_grid(n: int, resolution: int) -> Iterator[tuple[float, ...]]:
 
 def _start_points(net: Network, params: MultistartParams) -> list[Assignment]:
     per_pop_grids = [
-        [list(point) for point in simplex_grid(len(pop.routes), max(1, params.grid_depth))]
+        [list(point) for point in simplex_grid(len(pop.routes), params.grid_depth)]
         for pop in net.populations
     ]
     starts = [
@@ -466,25 +549,22 @@ def solve_multistart(net: Network, params: MultistartParams = MultistartParams()
     fail to converge or verify are dropped; the list is empty only if every
     start fails.
     """
-    _require_monotone(net, params.solve.allow_nonmonotone)
-    results = [solve_fixed_point(net, start, params.solve) for start in _start_points(net, params)]
+    results = solve_starts(net, _start_points(net, params), params.solve)
     successes = [r for r in results if r.success]
     successes.sort(key=lambda r: r.assignment.shares)
     distinct: list[SolveResult] = []
     for result in successes:
-        duplicate = False
-        for kept in distinct:
+        for k, kept in enumerate(distinct):
             gap = max(
                 abs(a - b)
                 for va, vb in zip(result.assignment.shares, kept.assignment.shares)
                 for a, b in zip(va, vb)
             )
             if gap < params.dedup_tolerance:
-                duplicate = True
                 if result.residual < kept.residual:
-                    distinct[distinct.index(kept)] = result
+                    distinct[k] = result
                 break
-        if not duplicate:
+        else:
             distinct.append(result)
     return distinct
 

@@ -24,6 +24,7 @@ from wardrop.equilibrium import (
     is_equilibrium,
     is_nash,
     mean_times,
+    nonmonotone_cost,
     route_times,
     simplex_grid,
     solve_fixed_point,
@@ -345,3 +346,37 @@ def test_simplex_grid_counts_and_membership():
         assert sum(p) == pytest.approx(1.0)
         assert all(x >= 0 for x in p)
     assert list(simplex_grid(1, 10)) == [(1.0,)]
+
+
+@pytest.mark.parametrize("max_iters", [0, -1, True, 1.5, 100.0])
+def test_solve_params_refuse_a_bad_iteration_budget(max_iters):
+    with pytest.raises(ValueError, match="max_iters"):
+        SolveParams(max_iters=max_iters)
+
+
+def test_one_iteration_is_a_valid_budget(braess_net):
+    assert solve_fixed_point(braess_net, vertex_assignment(braess_net, (0, 0)),
+                             SolveParams(max_iters=1)).iterations == 1
+
+
+@pytest.mark.parametrize("field, value", [
+    ("grid_depth", 0),
+    ("grid_depth", -1),
+    ("random_starts", -1),
+    ("dedup_tolerance", -1e-9),
+    ("dedup_tolerance", math.inf),
+    ("dedup_tolerance", math.nan),
+])
+def test_multistart_params_refuse_bad_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        MultistartParams(**{field: value})
+
+
+def test_multistart_params_allow_no_random_starts_and_no_dedup_gap(delay_net):
+    params = MultistartParams(random_starts=0, dedup_tolerance=0.0)
+    assert solve_multistart(delay_net, params)
+
+
+def test_the_monotonicity_scan_names_the_first_offender(pathological_net, delay_net):
+    assert nonmonotone_cost(pathological_net) == ("commuters", "r2")
+    assert nonmonotone_cost(delay_net) is None
