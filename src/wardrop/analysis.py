@@ -422,6 +422,8 @@ def brute_force_equilibria(
     smallest residual.  Raises `OracleBudgetError` when the grid would
     exceed `budget` points.
     """
+    if resolution < 1:
+        raise ValueError("resolution must be at least 1")
     counts = compile_network(net).route_counts
     sizes = [math.comb(resolution + n - 1, n - 1) for n in counts]
     total = math.prod(sizes)

@@ -89,13 +89,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, solver: bool = False) -> None:
+    def common(p: argparse.ArgumentParser, solver: bool = False, tol: bool = True) -> None:
         p.add_argument("--format", choices=["text", "structured"], default="text")
         p.add_argument("--output", default=None, metavar="PATH",
                        help="write the report here instead of standard output")
-        p.add_argument("--tol", type=_positive(float, "tol"), default=1e-9,
-                       help="time-equality tolerance (relative)")
-        p.add_argument("--seed", type=int, default=0)
+        if tol:
+            p.add_argument("--tol", type=_positive(float, "tol"), default=1e-9,
+                           help="time-equality tolerance (relative)")
         if solver:
             p.add_argument("--omega", type=_omega, default=0.5, help="damping in (0, 1]")
             p.add_argument("--max-iters", type=_positive(int, "max-iters"), default=100_000)
@@ -104,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_validate = sub.add_parser("validate", help="structural checks on a network file")
     p_validate.add_argument("network")
-    common(p_validate)
+    common(p_validate, tol=False)
 
     p_solve = sub.add_parser("solve", help="solve for a verified Nash equilibrium")
     p_solve.add_argument("network")
@@ -137,13 +137,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_unique.add_argument("--quadrature", type=_positive(int, "quadrature"), default=16)
     p_unique.add_argument("--starts", type=_positive(int, "starts"), default=4,
                           help="random multistart count for the residual check")
+    p_unique.add_argument("--seed", type=int, default=0)
     common(p_unique)
 
     p_routes = sub.add_parser("routes", help="enumerate simple routes between two junctions")
     p_routes.add_argument("network")
     p_routes.add_argument("--origin", required=True)
     p_routes.add_argument("--destination", required=True)
-    common(p_routes)
+    common(p_routes, tol=False)
 
     return parser
 
@@ -345,7 +346,9 @@ def _multistart_residuals(net, args) -> list[tuple[float, ...]]:
     try:
         results = equilibrium.solve_multistart(
             net,
-            MultistartParams(random_starts=args.starts, seed=args.seed),
+            MultistartParams(
+                random_starts=args.starts, seed=args.seed, solve=SolveParams(verify_tol=args.tol)
+            ),
         )
     except NonMonotoneCostError:
         return []

@@ -299,7 +299,7 @@ class CompiledNetwork:
              for p, n in enumerate(self.route_counts)],
             axis=1,
         )
-        self._last: tuple[object, np.ndarray, np.ndarray, dict[float, Spreads]] | None = None
+        self._last: tuple[tuple, np.ndarray, np.ndarray, dict[float, Spreads]] | None = None
 
     def pack(self, shares) -> np.ndarray:
         """Padded (P, W) share array of an assignment or nested share lists."""
@@ -336,16 +336,18 @@ class CompiledNetwork:
         values = self.program.values(self._flows(flat))
         return _gather_sum(values, self._route_gather).reshape(x.shape)
 
-    def _evaluation(self, theta) -> tuple[object, np.ndarray, np.ndarray, dict[float, Spreads]]:
-        """(theta, shares, times, spreads by share tolerance) of one assignment.
-        The last one is kept, so that the predicates `verify` runs share one;
-        callers use the record they get, which no other call changes."""
+    def _evaluation(self, theta) -> tuple[tuple, np.ndarray, np.ndarray, dict[float, Spreads]]:
+        """(share values, shares, times, spreads by share tolerance) of one
+        assignment.  The last one is kept, keyed on the share values, so that
+        the predicates `verify` runs share one; callers use the record they
+        get, which no other call changes."""
+        key = tuple(map(tuple, getattr(theta, "shares", theta)))
         last = self._last
-        if last is None or last[0] is not theta:
+        if last is None or last[0] != key:
             x = self.pack(theta)
             t = self.times(x)
             x.flags.writeable = t.flags.writeable = False
-            last = self._last = (theta, x, t, {})
+            last = self._last = (key, x, t, {})
         return last
 
     def evaluate(self, theta) -> tuple[np.ndarray, np.ndarray]:

@@ -15,6 +15,7 @@ here.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -485,15 +486,11 @@ def classify_cost(expr: CostExpr, grid: int = 21) -> CostClassReport:
 
 
 def _combinations(names: Sequence[str], points: np.ndarray) -> Iterable[dict[str, float]]:
-    if not names:
-        yield {}
-        return
-    head, *tail = names
-    for rest in _combinations(tail, points):
-        for x in points:
-            combo = dict(rest)
-            combo[head] = float(x)
-            yield combo
+    """Every assignment of `points` to `names`, the first name fastest;
+    keys run from the last name to the first."""
+    order = list(reversed(names))
+    values = [float(x) for x in points]
+    return (dict(zip(order, combo)) for combo in itertools.product(values, repeat=len(order)))
 
 
 # ---------------------------------------------------------------------------

@@ -507,21 +507,20 @@ def solve_fixed_point(
 
 def simplex_grid(n: int, resolution: int) -> Iterator[tuple[float, ...]]:
     """All points of the uniform simplex grid with `resolution` subdivisions,
-    in deterministic lexicographic order of the composition."""
-    if n == 1:
-        yield (1.0,)
-        return
+    in deterministic lexicographic order of the composition.
 
-    def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-        if parts == 1:
-            yield (total,)
-            return
-        for first in range(total + 1):
-            for rest in compositions(total - first, parts - 1):
-                yield (first, *rest)
-
-    for combo in compositions(resolution, n):
-        yield tuple(c / resolution for c in combo)
+    Stars and bars: each choice of n - 1 bar positions among
+    resolution + n - 1 slots splits the stars between the bars into one
+    composition, and choices in lexicographic order give compositions in
+    lexicographic order.
+    """
+    if resolution < 1:
+        raise ValueError("resolution must be at least 1")
+    end = resolution + n - 1
+    return (
+        tuple((b - a - 1) / resolution for a, b in zip((-1, *bars), (*bars, end)))
+        for bars in itertools.combinations(range(end), n - 1)
+    )
 
 
 def _start_points(net: Network, params: MultistartParams) -> list[Assignment]:

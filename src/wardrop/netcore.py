@@ -13,8 +13,9 @@ pure, so concurrent readers need no coordination.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -143,11 +144,11 @@ def validate_network(net: Network) -> ValidationReport:
         seen.add(jid)
     junctions = set(junction_ids)
 
-    road_ids: list[str] = []
+    road_ids: set[str] = set()
     for road in net.roads:
         if road.id in road_ids:
             err("duplicate-id", f"road id {road.id!r} repeats", road.id)
-        road_ids.append(road.id)
+        road_ids.add(road.id)
         for endpoint in (road.tail, road.head):
             if endpoint not in junctions:
                 err(
@@ -206,18 +207,13 @@ def validate_network(net: Network) -> ValidationReport:
                     f"cost for road {rid!r} of {pop.name!r} references unknown populations {unknown}",
                     pop.name, rid, *unknown,
                 )
-        findings.extend(_check_subnetwork(pop, roads_by_id))
+        _check_subnetwork(pop, roads_by_id, err)
 
     # Union-network degree rule: every junction should have at least one
     # entering and one exiting road, except on the side where it serves as
     # some population's origin (entering) or destination (exiting).
-    in_deg = {j: 0 for j in junctions}
-    out_deg = {j: 0 for j in junctions}
-    for road in net.roads:
-        if road.tail in junctions:
-            out_deg[road.tail] += 1
-        if road.head in junctions:
-            in_deg[road.head] += 1
+    in_deg = Counter(road.head for road in net.roads)
+    out_deg = Counter(road.tail for road in net.roads)
     origins = {p.origin for p in net.populations}
     destinations = {p.destination for p in net.populations}
     for jid in sorted(junctions):
@@ -233,92 +229,57 @@ def validate_network(net: Network) -> ValidationReport:
     return ValidationReport(ok=ok, findings=tuple(findings))
 
 
-def _check_subnetwork(pop: PopulationSpec, roads_by_id: Mapping[str, Road]) -> list[Finding]:
+def _check_subnetwork(
+    pop: PopulationSpec, roads_by_id: Mapping[str, Road], err: Callable[..., None]
+) -> None:
     """Connected-DAG / unique-source / unique-sink checks for one population."""
-    findings: list[Finding] = []
-    used = [roads_by_id[r] for route in pop.routes for r in route.road_ids if r in roads_by_id]
-    if not used:
-        return findings
-    edges = {(r.tail, r.head, r.id) for r in used}
-    nodes = {r.tail for r in used} | {r.head for r in used}
+    used = {r: roads_by_id[r] for route in pop.routes for r in route.road_ids if r in roads_by_id}
+    successors: dict[str, list[str]] = {}
+    neighbours: dict[str, set[str]] = {}
+    entering: dict[str, int] = {}  # roads entering each junction
+    for road in used.values():
+        tail, head = road.tail, road.head
+        successors.setdefault(tail, []).append(head)
+        successors.setdefault(head, [])
+        neighbours.setdefault(tail, set()).add(head)
+        neighbours.setdefault(head, set()).add(tail)
+        entering[head] = entering.get(head, 0) + 1
+    if not successors:
+        return
+    sources = sorted(n for n in successors if n not in entering)
+    sinks = sorted(n for n, heads in successors.items() if not heads)
 
-    adj: dict[str, list[str]] = {n: [] for n in nodes}
-    for tail, head, _ in edges:
-        adj[tail].append(head)
-
-    # Cycle detection by depth-first search with colors.
-    color = {n: 0 for n in nodes}  # 0 white, 1 gray, 2 black
-    acyclic = True
-
-    def visit(node: str) -> None:
-        nonlocal acyclic
-        stack = [(node, iter(adj[node]))]
-        color[node] = 1
-        while stack:
-            current, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if color[nxt] == 1:
-                    acyclic = False
-                elif color[nxt] == 0:
-                    color[nxt] = 1
-                    stack.append((nxt, iter(adj[nxt])))
-                    advanced = True
-                    break
-            if not advanced:
-                color[current] = 2
-                stack.pop()
-
-    for n in sorted(nodes):
-        if color[n] == 0:
-            visit(n)
+    # Kahn: acyclic exactly when deleting the junctions that no remaining
+    # road enters deletes them all.
+    ready, deleted = list(sources), 0
+    while ready:
+        deleted += 1
+        for head in successors[ready.pop()]:
+            entering[head] -= 1
+            if not entering[head]:
+                ready.append(head)
+    acyclic = deleted == len(successors)
     if not acyclic:
-        findings.append(
-            Finding("error", "not-acyclic", f"subnetwork of {pop.name!r} contains a cycle", (pop.name,))
-        )
+        err("not-acyclic", f"subnetwork of {pop.name!r} contains a cycle", pop.name)
 
     # Weak connectivity.
-    undirected: dict[str, set[str]] = {n: set() for n in nodes}
-    for tail, head, _ in edges:
-        undirected[tail].add(head)
-        undirected[head].add(tail)
-    reached = {next(iter(sorted(nodes)))}
+    reached = {min(successors)}
     frontier = list(reached)
     while frontier:
-        n = frontier.pop()
-        for m in undirected[n]:
-            if m not in reached:
-                reached.add(m)
-                frontier.append(m)
-    if reached != nodes:
-        findings.append(
-            Finding("error", "not-connected", f"subnetwork of {pop.name!r} is disconnected", (pop.name,))
-        )
+        for m in neighbours[frontier.pop()] - reached:
+            reached.add(m)
+            frontier.append(m)
+    if len(reached) != len(successors):
+        err("not-connected", f"subnetwork of {pop.name!r} is disconnected", pop.name)
 
-    sub_in = {n: 0 for n in nodes}
-    sub_out = {n: 0 for n in nodes}
-    for tail, head, _ in edges:
-        sub_out[tail] += 1
-        sub_in[head] += 1
-    sources = sorted(n for n in nodes if sub_in[n] == 0)
-    sinks = sorted(n for n in nodes if sub_out[n] == 0)
-    if acyclic and sources != [pop.origin]:
-        findings.append(
-            Finding(
-                "error", "source-sink",
-                f"subnetwork of {pop.name!r} has sources {sources}, expected [{pop.origin!r}]",
-                (pop.name, *sources),
+    ends = (("sources", sources, pop.origin), ("sinks", sinks, pop.destination))
+    for kind, found, expected in ends:
+        if acyclic and found != [expected]:
+            err(
+                "source-sink",
+                f"subnetwork of {pop.name!r} has {kind} {found}, expected [{expected!r}]",
+                pop.name, *found,
             )
-        )
-    if acyclic and sinks != [pop.destination]:
-        findings.append(
-            Finding(
-                "error", "source-sink",
-                f"subnetwork of {pop.name!r} has sinks {sinks}, expected [{pop.destination!r}]",
-                (pop.name, *sinks),
-            )
-        )
-    return findings
 
 
 def build_incidence(net: Network, population: int) -> IncidenceMatrix:

@@ -36,6 +36,7 @@ from wardrop.equilibrium import (
     is_equilibrium,
     is_nash,
     solve_fixed_point,
+    solve_starts,
     uniform_assignment,
     verify,
     vertex_assignment,
@@ -336,11 +337,8 @@ def test_criterion_7f_all_multistart_pairs_satisfy_the_orthogonality_identity():
         for name, builder in nets.BUILDERS.items():
             net = builder()
             params = SolveParams(allow_nonmonotone=(name == "nonmonotone_pair"))
-            found = []
-            for start in _start_points(net, rng):
-                result = solve_fixed_point(net, start, params)
-                if result.success:
-                    found.append(result.assignment)
+            results = solve_starts(net, _start_points(net, rng), params)
+            found = [result.assignment for result in results if result.success]
             assert found, name
             for a, b in itertools.combinations(found, 2):
                 residuals = check_pair_orthogonality(net, a, b)

@@ -449,6 +449,11 @@ class TestUnique0:
 
 
 class TestOracle:
+    @pytest.mark.parametrize("resolution", [0, -1])
+    def test_refuses_a_resolution_below_one(self, delay_net, resolution):
+        with pytest.raises(ValueError, match="resolution"):
+            brute_force_equilibria(delay_net, resolution)
+
     def test_delay_single_cluster_at_half(self, delay_net):
         result = brute_force_equilibria(delay_net, 400)
         assert len(result.equilibria) == 1

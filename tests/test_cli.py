@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from wardrop import equilibrium
 from wardrop import fixtures as nets
 from wardrop.cli import build_parser, main
 from wardrop.equilibrium import SolveParams
@@ -339,6 +340,40 @@ def test_non_finite_tolerances_are_refused(value, files, tmp_path, capsys):
     for field in ("residual_tol", "verify_tol"):
         with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
             SolveParams(**{field: float(value)})
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [("validate", "--tol"), ("routes", "--tol"),
+     *((command, "--seed") for command in ("validate", "solve", "verify", "compare", "oracle", "routes"))],
+)
+def test_flags_a_command_would_ignore_are_refused(command, flag, files, tmp_path, capsys):
+    net = files["braess_base"]
+    corner = _write(tmp_path, "corner.json", {"trucks": [1, 0], "cars": [1, 0]})
+    operands = {
+        "verify": [net, corner],
+        "compare": [net, files["braess_augmented"]],
+        "routes": [net, "--origin", "o", "--destination", "d"],
+    }.get(command, [net])
+    assert main([command, *operands]) in (0, 1)  # accepted without the flag
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as err:
+        main([command, *operands, flag, "1"])
+    assert err.value.code == 2
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+
+def test_uniqueness_tol_is_the_multistart_verification_tolerance(files, monkeypatch):
+    seen = []
+
+    def solve_multistart(net, params):
+        seen.append(params.solve.verify_tol)
+        return []
+
+    monkeypatch.setattr(equilibrium, "solve_multistart", solve_multistart)
+    main(["uniqueness", files["delay_spillover"], "--pairs", "1", "--tol", "1e-6"])
+    main(["uniqueness", files["delay_spillover"], "--pairs", "1"])
+    assert seen == [1e-6, SolveParams().verify_tol]
 
 
 @pytest.mark.parametrize("tol, shown", [("1e-9", "2"), ("5", "5"), ("50", "50")])

@@ -20,6 +20,7 @@ from wardrop.costs import (
     Polynomial,
     Scale,
     Sum,
+    _combinations,
     classify_cost,
     compile_scalar,
     cost_from_obj,
@@ -174,6 +175,30 @@ class TestClassify:
         # signed slopes must go through the explicit escape form
         with pytest.raises(ValueError, match="NonMonotoneAffine"):
             Affine(3.0, {"a": -1.0})
+
+
+def _recursive_combinations(names, points):
+    """The recursive enumeration that `itertools.product` replaced."""
+    if not names:
+        yield {}
+        return
+    head, *tail = names
+    for rest in _recursive_combinations(tail, points):
+        for x in points:
+            combo = dict(rest)
+            combo[head] = float(x)
+            yield combo
+
+
+@pytest.mark.parametrize("count", range(4))
+def test_combinations_equal_the_recursive_enumeration(count):
+    names = ["a", "b", "c"][:count]
+    for size in range(1, 10):
+        points = np.linspace(0.0, 1.0, size)
+        got, want = list(_combinations(names, points)), list(_recursive_combinations(names, points))
+        assert got == want
+        assert [list(d) for d in got] == [list(d) for d in want]  # key order too
+        assert all(type(v) is float for d in got for v in d.values())
 
 
 def test_blowup_boundary_values_grow_without_bound():

@@ -7,6 +7,8 @@ import math
 import numpy as np
 import pytest
 
+from wardrop import fixtures as nets
+from wardrop.compiled import compile_network
 from wardrop.costs import Constant, ExtReal
 from wardrop.equilibrium import (
     Assignment,
@@ -194,6 +196,40 @@ class TestPredicates:
         assert report.is_equilibrium and report.is_nash and not report.is_eps_nash
 
 
+@pytest.fixture(scope="module")
+def corridor_solution(corridor_net):
+    return solve_fixed_point(corridor_net).assignment.shares
+
+
+class TestEvaluationMemo:
+    """The last evaluation is reused only for the same share values."""
+
+    @pytest.mark.parametrize(
+        "query",
+        [is_equilibrium, is_nash, lambda net, theta: is_eps_nash(net, theta, eps=1e-3), route_times],
+        ids=["is_equilibrium", "is_nash", "is_eps_nash", "route_times"],
+    )
+    def test_shares_changed_in_place_are_evaluated_afresh(self, corridor_net, corridor_solution, query):
+        shares = [[0.9, 0.1], [0.9, 0.1]]
+        before = query(corridor_net, shares)
+        for vec, solved in zip(shares, corridor_solution):
+            vec[:] = solved
+        after = query(corridor_net, shares)
+        fresh = query(corridor_net, [list(vec) for vec in shares])
+        assert fresh != before
+        assert after == fresh
+
+    def test_verify_evaluates_route_times_once(self):
+        net = nets.congestion_corridor()
+        core = compile_network(net)
+        shapes = []
+        times = core.times
+        core.times = lambda x: shapes.append(x.shape) or times(x)
+        verify(net, Assignment.make([[0.9, 0.1], [0.9, 0.1]]))
+        # the eps-shifts evaluate as one batch, of three dimensions
+        assert shapes.count((core.pop_count, core.width)) == 1
+
+
 class TestCompressTime:
     def test_endpoints(self):
         assert compress_time(0.0) == 0.0
@@ -346,6 +382,36 @@ def test_simplex_grid_counts_and_membership():
         assert sum(p) == pytest.approx(1.0)
         assert all(x >= 0 for x in p)
     assert list(simplex_grid(1, 10)) == [(1.0,)]
+
+
+def _recursive_simplex_grid(n, resolution):
+    """The recursive enumeration that stars and bars replaced."""
+    if n == 1:
+        yield (1.0,)
+        return
+
+    def compositions(total, parts):
+        if parts == 1:
+            yield (total,)
+            return
+        for first in range(total + 1):
+            for rest in compositions(total - first, parts - 1):
+                yield (first, *rest)
+
+    for combo in compositions(resolution, n):
+        yield tuple(c / resolution for c in combo)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_simplex_grid_equals_the_recursive_enumeration(n):
+    for resolution in range(1, 13):
+        assert list(simplex_grid(n, resolution)) == list(_recursive_simplex_grid(n, resolution))
+
+
+@pytest.mark.parametrize("resolution", [0, -1])
+def test_simplex_grid_refuses_a_resolution_below_one(resolution):
+    with pytest.raises(ValueError, match="resolution"):
+        simplex_grid(2, resolution)
 
 
 @pytest.mark.parametrize("max_iters", [0, -1, True, 1.5, 100.0])

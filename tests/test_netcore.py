@@ -7,6 +7,7 @@ import pytest
 
 from wardrop.costs import Constant
 from wardrop.netcore import (
+    Finding,
     Junction,
     Network,
     NetworkIndexError,
@@ -115,6 +116,85 @@ class TestValidate:
         report = validate_network(net)
         assert report.ok
         assert "isolated-junction" in _codes(report, "warning")
+
+
+    @staticmethod
+    def _one_population(roads, routes, origin="o", destination="d"):
+        junctions = sorted({j for _, tail, head in roads for j in (tail, head)})
+        return Network(
+            junctions=tuple(Junction(j) for j in junctions),
+            roads=tuple(Road(*road) for road in roads),
+            populations=(
+                PopulationSpec(
+                    "only", origin, destination,
+                    tuple(RouteSpec(route) for route in routes),
+                    {rid: Constant(1.0) for route in routes for rid in route},
+                ),
+            ),
+        )
+
+    def _subnetwork_findings(self, net):
+        codes = ("not-acyclic", "not-connected", "source-sink")
+        return [f for f in validate_network(net).findings if f.code in codes]
+
+    def test_disconnected_subnetwork(self):
+        # the second route lies apart from the first: two sources, two sinks
+        net = self._one_population([("r1", "o", "d"), ("r2", "x", "y")], [("r1",), ("r2",)])
+        assert self._subnetwork_findings(net) == [
+            Finding("error", "not-connected", "subnetwork of 'only' is disconnected", ("only",)),
+            Finding(
+                "error", "source-sink",
+                "subnetwork of 'only' has sources ['o', 'x'], expected ['o']",
+                ("only", "o", "x"),
+            ),
+            Finding(
+                "error", "source-sink",
+                "subnetwork of 'only' has sinks ['d', 'y'], expected ['d']",
+                ("only", "d", "y"),
+            ),
+        ]
+
+    def test_second_source(self):
+        net = self._one_population(
+            [("r1", "o", "m"), ("r2", "x", "m"), ("r3", "m", "d")], [("r1", "r3"), ("r2", "r3")]
+        )
+        assert self._subnetwork_findings(net) == [
+            Finding(
+                "error", "source-sink",
+                "subnetwork of 'only' has sources ['o', 'x'], expected ['o']",
+                ("only", "o", "x"),
+            ),
+        ]
+
+    def test_sink_other_than_the_destination(self):
+        net = self._one_population([("r1", "o", "m"), ("r2", "m", "y")], [("r1", "r2")])
+        assert self._subnetwork_findings(net) == [
+            Finding(
+                "error", "source-sink",
+                "subnetwork of 'only' has sinks ['y'], expected ['d']",
+                ("only", "y"),
+            ),
+        ]
+
+    def test_cycle_suppresses_source_sink(self):
+        # no junction of a 2-cycle is a source or a sink, but that is not reported
+        net = self._one_population([("r1", "a", "b"), ("r2", "b", "a")], [("r1", "r2")])
+        assert self._subnetwork_findings(net) == [
+            Finding("error", "not-acyclic", "subnetwork of 'only' contains a cycle", ("only",)),
+        ]
+
+    def test_junction_degree_warnings(self):
+        # a has no entering road and y no exiting one; neither is an origin
+        # or a destination, so both only warn
+        net = self._one_population(
+            [("r1", "o", "d"), ("r2", "a", "d"), ("r3", "o", "y")], [("r1",)]
+        )
+        report = validate_network(net)
+        assert report.ok
+        assert report.findings == (
+            Finding("warning", "junction-degree", "junction 'a' has no entering road", ("a",)),
+            Finding("warning", "junction-degree", "junction 'y' has no exiting road", ("y",)),
+        )
 
 
 class TestIncidence:
