@@ -27,6 +27,7 @@ from .equilibrium import (
     Assignment,
     PreconditionError,
     SolveParams,
+    _require_int,
     is_nash,
     nonmonotone_cost,
     simplex_grid,
@@ -256,6 +257,10 @@ class HSampler:
     pairs: int = 100
     seed: int = 0
     quadrature_nodes: int = 16
+
+    def __post_init__(self) -> None:
+        _require_int(self, "pairs", 0)
+        _require_int(self, "quadrature_nodes", 1)
 
 
 def check_hypothesis_coupling(net: Network, sampler: HSampler = HSampler()) -> UniquenessReport:

@@ -248,7 +248,7 @@ _WORKING_SET = 1 << 17  # array elements an evaluation may hold per intermediate
 
 
 class CompiledNetwork:
-    """A network lowered to index tables and one cost program."""
+    """A network lowered to index tables and one cost program, fixed once built."""
 
     def __init__(self, net: Network):
         self.names = net.population_names()
@@ -299,7 +299,6 @@ class CompiledNetwork:
              for p, n in enumerate(self.route_counts)],
             axis=1,
         )
-        self._last: tuple[tuple, np.ndarray, np.ndarray, dict[float, Spreads]] | None = None
 
     def pack(self, shares) -> np.ndarray:
         """Padded (P, W) share array of an assignment or nested share lists."""
@@ -336,24 +335,6 @@ class CompiledNetwork:
         values = self.program.values(self._flows(flat))
         return _gather_sum(values, self._route_gather).reshape(x.shape)
 
-    def _evaluation(self, theta) -> tuple[tuple, np.ndarray, np.ndarray, dict[float, Spreads]]:
-        """(share values, shares, times, spreads by share tolerance) of one
-        assignment.  The last one is kept, keyed on the share values, so that
-        the predicates `verify` runs share one; callers use the record they
-        get, which no other call changes."""
-        key = tuple(map(tuple, getattr(theta, "shares", theta)))
-        last = self._last
-        if last is None or last[0] != key:
-            x = self.pack(theta)
-            t = self.times(x)
-            x.flags.writeable = t.flags.writeable = False
-            last = self._last = (key, x, t, {})
-        return last
-
-    def evaluate(self, theta) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only (shares, times) of one assignment."""
-        return self._evaluation(theta)[1:3]
-
     def map_step(self, x: np.ndarray, t: np.ndarray) -> np.ndarray:
         """One application of the equilibrium self-map (clip-and-rescale).
 
@@ -386,13 +367,6 @@ class CompiledNetwork:
         shortfall = np.subtract(mean, t, out=np.full(t.shape, -np.inf), where=unused)
         mean_scale = np.where(mean < np.inf, np.maximum(1.0, mean), 1.0)
         return Spreads(spread, scale, shortfall, mean_scale)
-
-    def spreads_of(self, theta, share_tol: float) -> Spreads:
-        """`spreads` of one assignment, kept with its evaluation."""
-        _, x, t, kept = self._evaluation(theta)
-        if share_tol not in kept:
-            kept[share_tol] = self.spreads(x, t, share_tol)
-        return kept[share_tol]
 
     def eps_gains(
         self, x: np.ndarray, t: np.ndarray, eps_values: Sequence[float], slack: float

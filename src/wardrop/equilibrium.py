@@ -119,6 +119,13 @@ class EquilibriumReport:
     eps_used: float
 
 
+def _require_int(record, name: str, least: int) -> None:
+    """Refuse field `name` of `record` unless it is an int, not a bool, >= `least`."""
+    value = getattr(record, name)
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ValueError(f"{name} must be an int of at least {least}")
+
+
 @dataclass(frozen=True)
 class SolveParams:
     omega: float = 0.5
@@ -130,8 +137,7 @@ class SolveParams:
     def __post_init__(self) -> None:
         if not 0 < self.omega <= 1:
             raise ValueError("damping must lie in (0, 1]")
-        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, int) or self.max_iters < 1:
-            raise ValueError("max_iters must be an int of at least 1")
+        _require_int(self, "max_iters", 1)
         for name in ("residual_tol", "verify_tol"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
@@ -160,10 +166,8 @@ class MultistartParams:
     solve: SolveParams = field(default_factory=SolveParams)
 
     def __post_init__(self) -> None:
-        if self.grid_depth < 1:
-            raise ValueError("grid_depth must be at least 1")
-        if self.random_starts < 0:
-            raise ValueError("random_starts must not be negative")
+        _require_int(self, "grid_depth", 1)
+        _require_int(self, "random_starts", 0)
         if not 0 <= self.dedup_tolerance < math.inf:
             raise ValueError("dedup_tolerance must be nonnegative and finite")
 
@@ -173,8 +177,8 @@ _engine = compile_network  # the compiled network's former internal name
 
 def _evaluate(net: Network, theta: Assignment) -> tuple[CompiledNetwork, np.ndarray, np.ndarray]:
     core = compile_network(net)
-    x, t = core.evaluate(theta)
-    return core, x, t
+    x = core.pack(theta)
+    return core, x, core.times(x)
 
 
 def _to_extreal(x: float) -> ExtReal:
@@ -210,12 +214,11 @@ def mean_times(theta: Assignment, times: Sequence[Sequence[ExtReal]]) -> tuple[E
 
 
 def _predicates(
-    net: Network, theta: Assignment, tol: float, share_tol: float
+    core: CompiledNetwork, x: np.ndarray, t: np.ndarray, tol: float, share_tol: float
 ) -> tuple[PredicateVerdict, PredicateVerdict]:
     """The equilibrium verdict, and the verdict on the unused routes alone
     (the part Nash adds to it)."""
-    core = compile_network(net)
-    s = core.spreads_of(theta, share_tol)
+    s = core.spreads(x, t, share_tol)
     spreads = (s.spread / s.scale).tolist()
     detail = []
     for name, spread in zip(core.names, spreads):
@@ -235,6 +238,29 @@ def _predicates(
     return eq, unused
 
 
+def _nash(eq: PredicateVerdict, unused: PredicateVerdict) -> PredicateVerdict:
+    return PredicateVerdict(eq.holds and unused.holds, unused.residual, eq.detail + unused.detail)
+
+
+def _eps_nash(
+    core: CompiledNetwork, x: np.ndarray, t: np.ndarray, eq: PredicateVerdict,
+    eps_values: list[float], tol: float,
+) -> PredicateVerdict:
+    """The eps-Nash verdict from the gains of every feasible shift."""
+    p, i, j, e, gain = core.eps_gains(x, t, eps_values, INPUT_TOLERANCE)
+    paying = gain > tol
+    shifts = zip(*(a[paying].tolist() for a in (p, i, j, e, gain)))
+    detail = [
+        f"{core.names[q]}: moving {mass:g} from route {a} to route {b} gains {g:.3e}"
+        for q, a, b, mass, g in shifts
+    ]
+    return PredicateVerdict(
+        holds=eq.holds and not detail,
+        residual=max(0.0, float(gain.max(initial=0.0))),
+        detail=eq.detail + tuple(detail),
+    )
+
+
 def is_equilibrium(
     net: Network,
     theta: Assignment,
@@ -246,7 +272,7 @@ def is_equilibrium(
     Finite pairs compare with relative tolerance `tol`; two infinite times
     count as equal.  Simplex vertices pass trivially.
     """
-    return _predicates(net, theta, tol, share_tol)[0]
+    return _predicates(*_evaluate(net, theta), tol, share_tol)[0]
 
 
 def is_nash(
@@ -256,12 +282,7 @@ def is_nash(
     share_tol: float = DEFAULT_SHARE_TOLERANCE,
 ) -> PredicateVerdict:
     """Equilibrium, and no unused route is faster than the population mean."""
-    eq, unused = _predicates(net, theta, tol, share_tol)
-    return PredicateVerdict(
-        holds=eq.holds and unused.holds,
-        residual=unused.residual,
-        detail=eq.detail + unused.detail,
-    )
+    return _nash(*_predicates(*_evaluate(net, theta), tol, share_tol))
 
 
 def default_eps(theta: Assignment, share_tol: float = DEFAULT_SHARE_TOLERANCE) -> float:
@@ -292,21 +313,9 @@ def is_eps_nash(
         eps = default_eps(theta, share_tol)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    eq, _ = _predicates(net, theta, tol, share_tol)
     core, x, t = _evaluate(net, theta)
-    eps_values = [eps, eps / 2, eps / 4] if ladder else [eps]
-    p, i, j, e, gain = core.eps_gains(x, t, eps_values, INPUT_TOLERANCE)
-    paying = gain > tol
-    shifts = zip(*(a[paying].tolist() for a in (p, i, j, e, gain)))
-    detail = [
-        f"{core.names[q]}: moving {mass:g} from route {a} to route {b} gains {g:.3e}"
-        for q, a, b, mass, g in shifts
-    ]
-    return PredicateVerdict(
-        holds=eq.holds and not detail,
-        residual=max(0.0, float(gain.max(initial=0.0))),
-        detail=eq.detail + tuple(detail),
-    )
+    eq, _ = _predicates(core, x, t, tol, share_tol)
+    return _eps_nash(core, x, t, eq, [eps, eps / 2, eps / 4] if ladder else [eps], tol)
 
 
 def verify(
@@ -319,15 +328,17 @@ def verify(
     """Evaluate all three predicates; the report's verdicts are nested so
     eps-Nash implies Nash implies equilibrium by construction.  Route times
     are evaluated once, and shared by the three predicates."""
-    eq = is_equilibrium(net, theta, tol=tol, share_tol=share_tol)
-    nash = is_nash(net, theta, tol=tol, share_tol=share_tol)
+    core, x, t = _evaluate(net, theta)
+    eq, unused = _predicates(core, x, t, tol, share_tol)
+    nash = _nash(eq, unused)
     eps_used = default_eps(theta, share_tol) if eps is None else eps
-    eps_verdict = is_eps_nash(net, theta, eps=eps_used, tol=tol, share_tol=share_tol)
-    _, x, t = _evaluate(net, theta)
+    if eps_used <= 0:
+        raise ValueError("eps must be positive")
+    eps_verdict = _eps_nash(core, x, t, eq, [eps_used], tol)
     return EquilibriumReport(
         is_equilibrium=eq.holds,
-        is_nash=eq.holds and nash.holds,
-        is_eps_nash=eq.holds and nash.holds and eps_verdict.holds,
+        is_nash=nash.holds,
+        is_eps_nash=nash.holds and eps_verdict.holds,
         common_times=tuple(_to_extreal(m) for m in share_mean(x, t, 0.0).tolist()),
         equilibrium_residual=eq.residual,
         nash_residual=nash.residual,
@@ -587,10 +598,10 @@ def check_conditional_optimality(
     scales with grid spacing times an empirical variation bound.  This is
     a sufficient condition for Nash, not a consequence of it.
     """
-    eq = is_equilibrium(net, theta)
+    core, x, t = _evaluate(net, theta)
+    eq, _ = _predicates(core, x, t, DEFAULT_TIME_TOLERANCE, DEFAULT_SHARE_TOLERANCE)
     if not eq.holds:
         raise PreconditionError("assignment is not an equilibrium")
-    core, x, t = _evaluate(net, theta)
     at_theta = share_mean(x, t, 0.0).tolist()
     rows = []
     holds = True

@@ -122,11 +122,12 @@ class IncidenceMatrix:
 def validate_network(net: Network) -> ValidationReport:
     """Check every structural invariant; problems become findings, not raises.
 
-    Error-level rules: unique ids, known endpoints, no self-loops, route
-    adjacency, distinct roads per route, origin/destination endpoints,
-    per-population connected-DAG with unique source/sink, costs defined for
-    every used road, cost coefficients naming known populations.  Degree
-    anomalies in the union network are warnings.
+    Error-level rules: unique ids, known endpoints, no self-loops, at least
+    one route per population, route adjacency, distinct roads per route,
+    origin/destination endpoints, per-population connected-DAG with unique
+    source/sink, costs defined for every used road, cost coefficients
+    naming known populations.  Degree anomalies in the union network are
+    warnings.
     """
     findings: list[Finding] = []
 
@@ -171,6 +172,8 @@ def validate_network(net: Network) -> ValidationReport:
             err("unknown-junction", f"population {pop.name!r} has unknown origin", pop.name, pop.origin)
         if pop.destination not in junctions:
             err("unknown-junction", f"population {pop.name!r} has unknown destination", pop.name, pop.destination)
+        if not pop.routes:
+            err("no-routes", f"population {pop.name!r} has no routes", pop.name)
         for ri, route in enumerate(pop.routes):
             label = f"{pop.name}:route{ri}"
             if not route.road_ids:
@@ -389,6 +392,8 @@ def flows_on_roads(
             raise ValueError(
                 f"share vector of shape {vec.shape} does not match {inc.entries.shape[1]} routes"
             )
+        if not np.isfinite(vec).all():
+            raise ValueError(f"share vector has a non-finite component in {vec.tolist()}")
         if abs(vec.sum() - 1.0) > tolerance:
             raise ValueError(f"share vector sums to {vec.sum()}, not 1")
         if (vec < -tolerance).any():

@@ -387,6 +387,20 @@ def test_coupling_is_the_same_in_any_pair_chunks(per_chunk, sizes, corridor_net,
     assert seen == sizes
 
 
+@pytest.mark.parametrize("field, value", [
+    ("pairs", -2),
+    ("pairs", 2.5),
+    ("pairs", True),
+    ("quadrature_nodes", 0),
+    ("quadrature_nodes", 2.5),
+    ("quadrature_nodes", True),
+])
+def test_sampler_refuses_bad_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        HSampler(**{field: value})
+    HSampler(pairs=0, quadrature_nodes=1)
+
+
 class TestHypothesisCoupling:
     def test_delay_network_satisfied(self, delay_net):
         report = check_hypothesis_coupling(delay_net, HSampler(pairs=100, seed=0))

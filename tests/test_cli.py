@@ -9,8 +9,10 @@ import pytest
 from wardrop import equilibrium
 from wardrop import fixtures as nets
 from wardrop.cli import build_parser, main
+from wardrop.costs import Constant
 from wardrop.equilibrium import SolveParams
 from wardrop.fileio import dumps_structured, network_to_obj, save_network
+from wardrop.netcore import Junction, Network, PopulationSpec, Road, RouteSpec
 
 
 @pytest.fixture()
@@ -172,6 +174,31 @@ class TestUniqueness:
         assert err.startswith("error: ") and "2 populations" in err
         assert err.count("\n") == 1
 
+    def test_every_pair_of_multistart_equilibria_has_its_residuals(self, tmp_path, capsys):
+        # Two populations on roads of their own, every cost 1: every
+        # assignment is Nash, so the six starts give six equilibria and
+        # fifteen pairs, each with residual 0 for both populations.
+        path = tmp_path / "flat.json"
+        save_network(Network(
+            junctions=(Junction("a"), Junction("b"), Junction("c"), Junction("d")),
+            roads=(Road("r1", "a", "b"), Road("r2", "a", "b"),
+                   Road("r3", "c", "d"), Road("r4", "c", "d")),
+            populations=tuple(
+                PopulationSpec(name, o, d, (RouteSpec((r,)), RouteSpec((q,))),
+                               {r: Constant(1.0), q: Constant(1.0)})
+                for name, o, d, r, q in [("east", "a", "b", "r1", "r2"),
+                                         ("west", "c", "d", "r3", "r4")]
+            ),
+        ), path)
+        argv = ["uniqueness", str(path), "--pairs", "5", "--starts", "1"]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if line.startswith("equilibrium-pair")] == [
+            f"equilibrium-pair residuals {k}: [0, 0]" for k in range(15)
+        ]
+        assert main([*argv, "--format", "structured"]) == 0
+        assert json.loads(capsys.readouterr().out)["pair_residuals"] == [[0.0, 0.0]] * 15
+
     def test_corridor_reports_case_table(self, files, capsys):
         code = main(["uniqueness", files["congestion_corridor"], "--pairs", "30"])
         out = capsys.readouterr().out
@@ -251,6 +278,32 @@ def test_refused_input_exits_with_one_error_line(argv, code, files, tmp_path, ca
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def _routeless(tmp_path) -> str:
+    """braess_base with its first population's routes emptied."""
+    obj = network_to_obj(nets.braess_base())
+    obj["populations"][0]["routes"] = []
+    return _write(tmp_path, "routeless.json", obj)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(lambda n, f, t: ["solve", n], id="solve"),
+        pytest.param(lambda n, f, t: ["verify", n, _half(t)], id="verify"),
+        pytest.param(lambda n, f, t: ["compare", f["braess_base"], n], id="compare"),
+        pytest.param(lambda n, f, t: ["oracle", n, "--grid", "4"], id="oracle"),
+        pytest.param(lambda n, f, t: ["uniqueness", n], id="uniqueness"),
+        pytest.param(lambda n, f, t: ["routes", n, "--origin", "o", "--destination", "d"],
+                     id="routes"),
+    ],
+)
+def test_population_without_routes_exits_one_with_findings(argv, files, tmp_path, capsys):
+    assert main(argv(_routeless(tmp_path), files, tmp_path)) == 1
+    out, err = capsys.readouterr()
+    assert "ERROR no-routes: population 'trucks' has no routes [trucks]" in out.splitlines()
+    assert err == ""
 
 
 class TestRoutes:

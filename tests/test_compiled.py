@@ -42,12 +42,16 @@ from wardrop.costs import (
 )
 from wardrop.equilibrium import (
     Assignment,
+    EquilibriumReport,
     PredicateVerdict,
     SolveParams,
+    default_eps,
     is_eps_nash,
     is_equilibrium,
+    is_nash,
     route_times,
     solve_fixed_point,
+    verify,
 )
 from wardrop.fileio import ParseError, load_assignment, load_network, network_to_obj
 from wardrop.netcore import (
@@ -302,6 +306,42 @@ def test_batched_eps_nash_equals_a_loop_over_the_shifts(data):
     else:
         with pytest.raises(EVALUATION_ERRORS):
             is_eps_nash(net, theta, eps=eps, ladder=ladder)
+
+
+def predicate_report(net: Network, theta: Assignment, eps: float | None) -> EquilibriumReport:
+    """verify's report, built from the three public predicates."""
+    eq = is_equilibrium(net, theta)
+    nash = is_nash(net, theta)
+    eps_used = default_eps(theta) if eps is None else eps
+    eps_verdict = is_eps_nash(net, theta, eps=eps_used)
+    return EquilibriumReport(
+        is_equilibrium=eq.holds,
+        is_nash=eq.holds and nash.holds,
+        is_eps_nash=eq.holds and nash.holds and eps_verdict.holds,
+        common_times=route_times(net, theta).means,
+        equilibrium_residual=eq.residual,
+        nash_residual=nash.residual,
+        eps_residual=eps_verdict.residual,
+        eps_used=eps_used,
+    )
+
+
+def outcome(fn, *args):
+    """(result, None) or (None, the class of the error raised): evaluation
+    errors, and the ValueError of a non-positive eps."""
+    try:
+        return fn(*args), None
+    except (ValueError, ArithmeticError) as exc:
+        return None, type(exc)
+
+
+@SETTINGS
+@given(st.data())
+def test_verify_equals_the_public_predicates(data):
+    net = data.draw(networks())
+    theta = data.draw(assignments(net))
+    eps = data.draw(st.sampled_from([None, 0.5, 0.1, 1e-3, 0.0, -0.1]))
+    assert outcome(verify, net, theta, 1e-9, 1e-9, eps) == outcome(predicate_report, net, theta, eps)
 
 
 def loop_segment_matrices(net: Network, first: Assignment, second: Assignment, nodes: int):

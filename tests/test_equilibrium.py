@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from wardrop import equilibrium
 from wardrop import fixtures as nets
 from wardrop.compiled import compile_network
 from wardrop.costs import Constant, ExtReal
@@ -230,6 +231,37 @@ class TestEvaluationMemo:
         assert shapes.count((core.pop_count, core.width)) == 1
 
 
+class TestOneEvaluation:
+    """Every query evaluates its assignment afresh and keeps nothing."""
+
+    def test_queries_leave_the_compiled_network_as_built(self):
+        net = nets.congestion_corridor()
+        core = compile_network(net)
+        before = dict(vars(core))
+        theta = Assignment.make([[0.9, 0.1], [0.9, 0.1]])
+        for query in (is_equilibrium, is_nash, is_eps_nash, verify, route_times):
+            query(net, theta)
+        solve_fixed_point(net, theta, SolveParams(max_iters=200))
+        after = vars(core)
+        assert after.keys() == before.keys()
+        assert all(after[name] is value for name, value in before.items())
+
+    def test_verify_calls_no_public_predicate(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("verify called a public predicate")
+
+        for name in ("is_equilibrium", "is_nash", "is_eps_nash"):
+            monkeypatch.setattr(equilibrium, name, refuse)
+        net = nets.congestion_corridor()
+        core = compile_network(net)
+        shapes = []
+        times = core.times
+        monkeypatch.setattr(core, "times", lambda x: shapes.append(x.shape) or times(x))
+        verify(net, Assignment.make([[0.9, 0.1], [0.9, 0.1]]))
+        assert shapes[0] == (core.pop_count, core.width)
+        assert all(len(shape) == 3 for shape in shapes[1:])
+
+
 class TestCompressTime:
     def test_endpoints(self):
         assert compress_time(0.0) == 0.0
@@ -428,7 +460,11 @@ def test_one_iteration_is_a_valid_budget(braess_net):
 @pytest.mark.parametrize("field, value", [
     ("grid_depth", 0),
     ("grid_depth", -1),
+    ("grid_depth", 1.5),
+    ("grid_depth", True),
     ("random_starts", -1),
+    ("random_starts", 2.5),
+    ("random_starts", True),
     ("dedup_tolerance", -1e-9),
     ("dedup_tolerance", math.inf),
     ("dedup_tolerance", math.nan),

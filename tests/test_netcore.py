@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -104,6 +107,14 @@ class TestValidate:
         codes = _codes(validate_network(net), "error")
         assert "missing-cost" in codes
         assert "route-endpoints" in codes
+
+    def test_population_without_routes(self, braess_net):
+        trucks = dataclasses.replace(braess_net.populations[0], routes=())
+        net = dataclasses.replace(braess_net, populations=(trucks, *braess_net.populations[1:]))
+        report = validate_network(net)
+        assert not report.ok
+        expected = Finding("error", "no-routes", "population 'trucks' has no routes", ("trucks",))
+        assert expected in report.findings
 
     def test_dangling_junction_is_warning_only(self):
         net = Network(
@@ -331,6 +342,12 @@ class TestFlows:
             flows_on_roads(incs, [[0.7, 0.5], [0.5, 0.5]])
         with pytest.raises(ValueError):
             flows_on_roads(incs, [[1.2, -0.2], [0.5, 0.5]])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_share_rejected(self, delay_net, bad):
+        incs = [build_incidence(delay_net, p) for p in range(2)]
+        with pytest.raises(ValueError, match="non-finite"):
+            flows_on_roads(incs, [[bad, 1.0], [0.5, 0.5]])
 
     def test_linearity(self, braess5_net):
         rng = np.random.default_rng(3)

@@ -1,7 +1,7 @@
 """`validate_network` against the implementation it replaced.
 
 The reference below is the former validator, kept verbatim apart from its
-names: a colour DFS for cycles and a second degree scan for sources and
+names and the `no-routes` rule added since: a colour DFS for cycles and a second degree scan for sources and
 sinks.  The current one decides both from one set of degree counts, and
 must report the same findings in the same order.
 """
@@ -70,6 +70,8 @@ def reference_validate(net: Network) -> ValidationReport:
             err("unknown-junction", f"population {pop.name!r} has unknown origin", pop.name, pop.origin)
         if pop.destination not in junctions:
             err("unknown-junction", f"population {pop.name!r} has unknown destination", pop.name, pop.destination)
+        if not pop.routes:
+            err("no-routes", f"population {pop.name!r} has no routes", pop.name)
         for ri, route in enumerate(pop.routes):
             label = f"{pop.name}:route{ri}"
             if not route.road_ids:
