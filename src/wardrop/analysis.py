@@ -28,6 +28,7 @@ from .equilibrium import (
     PreconditionError,
     SolveParams,
     _require_int,
+    _require_tolerance,
     is_nash,
     nonmonotone_cost,
     simplex_grid,
@@ -193,8 +194,11 @@ def _block_ranks(q0: np.ndarray, q1: np.ndarray, p0: np.ndarray, p1: np.ndarray)
     relative to the larger side; a negative entry is outside the lemma."""
     zero = ZERO_TOLERANCE
     p_sum = p0 + p1
-    product = 4 * q0 * q1
-    square = _POW(p_sum, 2).astype(float)  # libm pow, as `float ** 2`
+    # Both sides are quadratic: blocks past 2^500 are tested scaled by an exact power of two.
+    largest = np.maximum(np.maximum(abs(q0), abs(q1)), abs(p_sum))
+    shift = np.ldexp(1.0, -np.maximum(np.frexp(largest)[1] - 500, 0))
+    product = 4 * (q0 * shift) * (q1 * shift)
+    square = _POW(p_sum * shift, 2).astype(float)  # libm pow, as `float ** 2`
     disc = product - square
     slack = DISCRIMINANT_TOLERANCE * np.maximum(product, square)
     first, second = q0 > zero, q1 > zero
@@ -429,6 +433,8 @@ def brute_force_equilibria(
     """
     if resolution < 1:
         raise ValueError("resolution must be at least 1")
+    if tol is not None:
+        _require_tolerance("tol", tol, positive=False)
     counts = compile_network(net).route_counts
     sizes = [math.comb(resolution + n - 1, n - 1) for n in counts]
     total = math.prod(sizes)
@@ -587,6 +593,7 @@ def compare_scenarios(
     population's paradox flag is set when its equilibrium travel time in the
     variant exceeds the base time by more than `paradox_tol`.
     """
+    _require_tolerance("paradox_tol", paradox_tol, positive=False)
     base_names = base.population_names()
     if set(base_names) != set(variant.population_names()):
         raise PreconditionError("base and variant must share population names")

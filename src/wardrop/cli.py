@@ -33,7 +33,7 @@ from .analysis import (
     HSampler,
     OracleBudgetError,
 )
-from .costs import CostDomainError, ExtRealGuardError, InfiniteCostError
+from .costs import CostDomainError, ExtRealGuardError
 from .equilibrium import (
     DimensionMismatchError,
     MultistartParams,
@@ -343,15 +343,12 @@ def _solve_lines(net, result) -> list[str]:
 
 def _multistart_residuals(net, args) -> list[tuple[float, ...]]:
     """Duplicate-detector residuals across all pairs of multistart equilibria."""
-    try:
-        results = equilibrium.solve_multistart(
-            net,
-            MultistartParams(
-                random_starts=args.starts, seed=args.seed, solve=SolveParams(verify_tol=args.tol)
-            ),
-        )
-    except NonMonotoneCostError:
-        return []
+    results = equilibrium.solve_multistart(
+        net,
+        MultistartParams(
+            random_starts=args.starts, seed=args.seed, solve=SolveParams(verify_tol=args.tol)
+        ),
+    )
     residuals = []
     for i in range(len(results)):
         for j in range(i + 1, len(results)):
@@ -361,7 +358,7 @@ def _multistart_residuals(net, args) -> list[tuple[float, ...]]:
                         net, results[i].assignment, results[j].assignment
                     )
                 )
-            except (InfiniteCostError, PreconditionError):
+            except PreconditionError:
                 continue
     return residuals
 

@@ -15,6 +15,7 @@ alone, bit for bit.  Every sum runs left to right from 0, as Python's
 from __future__ import annotations
 
 import math
+import sys
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -90,6 +91,7 @@ def flow_gather(incidences: Sequence[IncidenceMatrix], width: int) -> np.ndarray
 
 
 _POW = np.frompyfunc(math.pow, 2, 1)  # libm pow, as `float ** int` in `_value`
+_ROOT_MAX = math.sqrt(sys.float_info.max)  # the largest float whose square is finite
 
 
 class CostProgram:
@@ -212,9 +214,13 @@ class CostProgram:
             cap = _per_row(self._cap, batch)
             room = cap - load
             dload = slopes[a:b]
-            square = _POW(room, 2).astype(float)  # libm pow, as `float ** 2`
-            np.divide(dload * cap, square, out=dload, where=room > 0.0)
+            scaled = dload * cap
+            square = _POW(np.minimum(room, _ROOT_MAX), 2).astype(float)  # libm pow, as `float ** 2`
+            np.divide(scaled, square, out=dload, where=room > 0.0)
             dload[room <= 0.0] = np.inf
+            vast = room > _ROOT_MAX  # where (c - s)^2 passes the float range, divide twice
+            if vast.any():
+                dload[vast] = scaled[vast] / room[vast] / room[vast]
         if m > b:  # sum over factors j of coeff * k_j f_j^(k_j - 1) * the others * tangent_j
             base = flows[self._mono_cols]
             exps = _per_row(self._mono_exps, batch)

@@ -15,10 +15,9 @@ here.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -418,10 +417,6 @@ class CostClassReport:
     samples_used: int
 
 
-def _grid(m: int) -> np.ndarray:
-    return np.linspace(0.0, 1.0, m)
-
-
 def classify_cost(expr: CostExpr, grid: int = 21) -> CostClassReport:
     """Classify a cost expression as monotone / smooth / convex.
 
@@ -429,54 +424,38 @@ def classify_cost(expr: CostExpr, grid: int = 21) -> CostClassReport:
     allows; a sampled check on a `grid`-per-axis lattice confirms the
     structural verdict or decides the undecidable cases.  Sampling is
     advisory: it feeds the report, it never alters evaluation behavior.
+    Each lattice is one `eval_array` batch, so classification raises where
+    `eval_cost` raises, a negative non-monotone value included.
     """
+    if isinstance(grid, bool) or not isinstance(grid, int) or grid < 2:
+        raise ValueError(f"grid must be an int of at least 2, got {grid!r}")
     pops = sorted(expr.populations())
     samples = 0
     monotone = expr.structurally_monotone()
     if pops:
-        # Sampled confirmation along each axis, other flows held on a
-        # coarse companion grid.
-        axis_points = _grid(grid)
-        others_grid = _grid(min(grid, 5))
-        for axis in pops:
-            rest = [p for p in pops if p != axis]
-            for combo in _combinations(rest, others_grid):
-                prev = None
-                for x in axis_points:
-                    flows = dict(combo)
-                    flows[axis] = float(x)
-                    try:
-                        v = expr._value(flows)
-                    except CostDomainError:
-                        # value left the nonnegative range: certainly not
-                        # a class-C cost, and nothing more to compare here
-                        monotone = False
-                        prev = None
-                        continue
-                    samples += 1
-                    if prev is not None and v < prev - 1e-12:
-                        monotone = False
-                    prev = v
+        # Each population's axis (last) against a coarse companion grid of the others.
+        companions = np.linspace(0.0, 1.0, min(grid, 5))
+        rest = _lattice(len(pops) - 1, companions, np.arange(len(companions) ** (len(pops) - 1)))
+        for name in pops:
+            flows = dict(zip([p for p in pops if p != name], rest[..., None]))
+            flows[name] = np.linspace(0.0, 1.0, grid)[None]
+            v = eval_array(expr, flows)
+            samples += v.size
+            monotone = monotone and not (v[:, 1:] < v[:, :-1] - 1e-12).any()  # no np.diff: inf - inf is NaN
     structural_convex = expr.structurally_convex()
     convex = structural_convex if structural_convex is not None else True
     if pops and structural_convex is not False:
-        # Midpoint convexity on finite pairs of lattice points.
-        rng = np.random.default_rng(0)
-        lattice = [dict(c) for c in _combinations(pops, _grid(min(grid, 9)))]
-        for _ in range(min(2000, 4 * len(lattice))):
-            a = lattice[rng.integers(len(lattice))]
-            b = lattice[rng.integers(len(lattice))]
-            mid = {p: 0.5 * (a[p] + b[p]) for p in pops}
-            try:
-                va, vb, vm = expr._value(a), expr._value(b), expr._value(mid)
-            except CostDomainError:
-                continue
-            samples += 3
-            if math.isinf(va) or math.isinf(vb):
-                continue
-            if vm > 0.5 * (va + vb) + 1e-9 * max(1.0, abs(va), abs(vb)):
-                convex = False
-                break
+        # Midpoint convexity on finite pairs of lattice points, up to the first violation.
+        points = np.linspace(0.0, 1.0, min(grid, 9))
+        size = len(points) ** len(pops)
+        draws = np.random.default_rng(0).integers(size, size=(min(2000, 4 * size), 2))
+        ends = _lattice(len(pops), points, draws.T)  # (P, 2, draws)
+        mid = 0.5 * (ends[:, 0] + ends[:, 1])
+        va, vb, vm = eval_array(expr, dict(zip(pops, np.concatenate([ends, mid[:, None]], 1))))
+        bound = 0.5 * (va + vb) + 1e-9 * np.maximum(np.maximum(1.0, abs(va)), abs(vb))
+        bad = np.flatnonzero(vm > bound)  # never where an end is +inf: the bound is +inf
+        samples += 3 * (int(bad[0]) + 1 if bad.size else len(draws))
+        convex = convex and not bad.size
     return CostClassReport(
         monotone=monotone,
         c1_smooth_where_finite=True,
@@ -485,12 +464,12 @@ def classify_cost(expr: CostExpr, grid: int = 21) -> CostClassReport:
     )
 
 
-def _combinations(names: Sequence[str], points: np.ndarray) -> Iterable[dict[str, float]]:
-    """Every assignment of `points` to `names`, the first name fastest;
-    keys run from the last name to the first."""
-    order = list(reversed(names))
-    values = [float(x) for x in points]
-    return (dict(zip(order, combo)) for combo in itertools.product(values, repeat=len(order)))
+def _lattice(count: int, points: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Coordinates (count, *index.shape) of the points numbered `index` of
+    the `count`-fold product of `points`, the first coordinate fastest."""
+    m = len(points)
+    place = m ** np.arange(count).reshape((count,) + (1,) * np.ndim(index))
+    return points[index // place % m]
 
 
 # ---------------------------------------------------------------------------

@@ -126,6 +126,22 @@ def _require_int(record, name: str, least: int) -> None:
         raise ValueError(f"{name} must be an int of at least {least}")
 
 
+def _require_tolerance(name: str, value: float, positive: bool = True, below: float = math.inf) -> None:
+    """Refuse a tolerance unless it lies in (0, below), or [0, below) when
+    not `positive`; NaN lies in neither."""
+    if not ((value > 0 if positive else value >= 0) and value < below):
+        sign = "positive" if positive else "nonnegative"
+        bound = "finite" if below == math.inf else f"below {below:g}"
+        raise ValueError(f"{name} must be {sign} and {bound}, got {value}")
+
+
+def _require_tolerances(tol: float, share_tol: float) -> None:
+    """The predicates' tolerances: a positive finite time tolerance, and a
+    share tolerance in [0, 1) (at 1 or above, no route would be relevant)."""
+    _require_tolerance("tol", tol)
+    _require_tolerance("share_tol", share_tol, positive=False, below=1.0)
+
+
 @dataclass(frozen=True)
 class SolveParams:
     omega: float = 0.5
@@ -139,8 +155,7 @@ class SolveParams:
             raise ValueError("damping must lie in (0, 1]")
         _require_int(self, "max_iters", 1)
         for name in ("residual_tol", "verify_tol"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite")
+            _require_tolerance(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -168,8 +183,7 @@ class MultistartParams:
     def __post_init__(self) -> None:
         _require_int(self, "grid_depth", 1)
         _require_int(self, "random_starts", 0)
-        if not 0 <= self.dedup_tolerance < math.inf:
-            raise ValueError("dedup_tolerance must be nonnegative and finite")
+        _require_tolerance("dedup_tolerance", self.dedup_tolerance, positive=False)
 
 
 _engine = compile_network  # the compiled network's former internal name
@@ -272,6 +286,7 @@ def is_equilibrium(
     Finite pairs compare with relative tolerance `tol`; two infinite times
     count as equal.  Simplex vertices pass trivially.
     """
+    _require_tolerances(tol, share_tol)
     return _predicates(*_evaluate(net, theta), tol, share_tol)[0]
 
 
@@ -282,6 +297,7 @@ def is_nash(
     share_tol: float = DEFAULT_SHARE_TOLERANCE,
 ) -> PredicateVerdict:
     """Equilibrium, and no unused route is faster than the population mean."""
+    _require_tolerances(tol, share_tol)
     return _nash(*_predicates(*_evaluate(net, theta), tol, share_tol))
 
 
@@ -309,10 +325,10 @@ def is_eps_nash(
     before it.  `ladder=True` additionally tests eps/2 and eps/4.  Each
     population's shifts are evaluated as one batch.
     """
+    _require_tolerances(tol, share_tol)
     if eps is None:
         eps = default_eps(theta, share_tol)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    _require_tolerance("eps", eps)
     core, x, t = _evaluate(net, theta)
     eq, _ = _predicates(core, x, t, tol, share_tol)
     return _eps_nash(core, x, t, eq, [eps, eps / 2, eps / 4] if ladder else [eps], tol)
@@ -328,12 +344,12 @@ def verify(
     """Evaluate all three predicates; the report's verdicts are nested so
     eps-Nash implies Nash implies equilibrium by construction.  Route times
     are evaluated once, and shared by the three predicates."""
+    _require_tolerances(tol, share_tol)
     core, x, t = _evaluate(net, theta)
     eq, unused = _predicates(core, x, t, tol, share_tol)
     nash = _nash(eq, unused)
     eps_used = default_eps(theta, share_tol) if eps is None else eps
-    if eps_used <= 0:
-        raise ValueError("eps must be positive")
+    _require_tolerance("eps", eps_used)
     eps_verdict = _eps_nash(core, x, t, eq, [eps_used], tol)
     return EquilibriumReport(
         is_equilibrium=eq.holds,

@@ -678,3 +678,36 @@ def test_random_network_reconstruction_identity():
         lhs0 = np.array(eng.route_times(b.shares)[0]) - np.array(eng.route_times(a.shares)[0])
         rhs0 = g0.T @ np.diag(sm.own[0]) @ g0 @ d0 + g0.T @ np.diag(sm.cross[0]) @ g1 @ d1
         assert np.abs(lhs0 - rhs0).max() < 1e-8
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-9])
+def test_oracle_refuses_a_tolerance_before_scanning(tol, corridor_net, monkeypatch):
+    def variation(net):
+        raise AssertionError("scanned")
+
+    monkeypatch.setattr(analysis, "_estimate_time_variation", variation)
+    with pytest.raises(ValueError, match="tol must be nonnegative and finite"):
+        brute_force_equilibria(corridor_net, 10, tol=tol)
+
+
+def test_oracle_accepts_a_zero_tolerance(delay_net):
+    assert len(brute_force_equilibria(delay_net, 10, tol=0.0).equilibria) == 1
+
+
+@pytest.mark.parametrize("paradox_tol", [math.nan, math.inf, -1.0])
+def test_compare_refuses_a_paradox_tolerance_before_solving(
+    paradox_tol, braess_net, braess5_net, monkeypatch
+):
+    def solve(*args):
+        raise AssertionError("solved")
+
+    monkeypatch.setattr(analysis, "solve_fixed_point", solve)
+    with pytest.raises(ValueError, match="paradox_tol must be nonnegative and finite"):
+        compare_scenarios(braess_net, braess5_net, paradox_tol=paradox_tol)
+
+
+@pytest.mark.parametrize("scale", [1e150, 1e160, 1e300])
+def test_block_classification_holds_past_the_float_range_of_a_square(scale):
+    # Scaling a block changes neither side of 4*q0*q1 >= (p0 + p1)^2 relative to the other.
+    for block in ([1.0, 1.0, 0.5, 0.5], [1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 2.0, 0.5], [1.0, 0.0, 0.5, 0.0]):
+        assert _classify_h_case(*(scale * v for v in block)) == _classify_h_case(*block)

@@ -446,3 +446,45 @@ def test_unknown_junction_error_names_the_kind_of_id(argv, line, files, capsys):
     capsys.readouterr()
     assert main(["routes", files["braess_base"], *argv]) == 2
     assert capsys.readouterr().err == line
+
+
+def test_a_negative_cost_parameter_exits_two_with_one_error_line(tmp_path, capsys):
+    obj = network_to_obj(nets.delay_spillover())
+    obj["populations"][0]["costs"]["r1"] = {"kind": "constant", "value": -1.0}
+    assert main(["solve", _write(tmp_path, "negative.json", obj)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "constant cost must be nonnegative" in err
+
+
+def test_uniqueness_with_a_vast_congestion_capacity_prints_a_verdict(tmp_path, capsys):
+    obj = network_to_obj(nets.delay_spillover())
+    obj["populations"][0]["costs"]["r1"] = {
+        "kind": "congestion", "weights": {"upper": 1}, "capacity": 1e200,
+    }
+    code = main(["uniqueness", _write(tmp_path, "vast.json", obj)])
+    out, err = capsys.readouterr()
+    assert code in (0, 1)
+    assert out.startswith("verdict: ")
+    assert err == ""
+
+
+def test_solve_with_an_omega_flag_verifies(files, capsys):
+    assert main(["solve", files["delay_spillover"], "--omega", "0.7"]) == 0
+    assert "status: verified-nash" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("omega", ["0", "1.5", "nan"])
+def test_an_omega_outside_the_unit_interval_exits_two(omega, files, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["solve", files["delay_spillover"], "--omega", omega])
+    assert err.value.code == 2
+    assert "omega must lie in (0, 1]" in capsys.readouterr().err
+
+
+def test_verify_renders_infinite_times_as_inf(files, tmp_path, capsys):
+    corner = _write(tmp_path, "corner.json", {"upper": [1, 0], "lower": [1, 0]})
+    assert main(["verify", files["congestion_corridor"], corner]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "nash: False (residual inf)" in lines
+    assert "population upper: mean relevant time inf" in lines

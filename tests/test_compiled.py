@@ -531,3 +531,19 @@ def test_flows_refuse_nan():
 def test_assignment_refuses_non_finite_shares(vector):
     with pytest.raises(ValueError, match="non-finite"):
         Assignment.make([vector])
+
+
+def test_root_max_is_the_largest_float_whose_square_is_finite():
+    from wardrop.compiled import _ROOT_MAX
+
+    assert math.isfinite(math.pow(_ROOT_MAX, 2))
+    with pytest.raises(OverflowError):
+        math.pow(math.nextafter(_ROOT_MAX, math.inf), 2)
+
+
+@pytest.mark.parametrize("capacity", [1e155, 1e200, 1e300])
+@pytest.mark.parametrize("flow", [0.0, 0.25, 1.0])
+def test_congestion_slope_where_the_square_of_the_room_overflows(capacity, flow):
+    expr = CongestionRational({"a": 1.0, "b": 2.0}, capacity)
+    room = capacity - (flow + 2.0 * flow)
+    assert eval_partial(expr, {"a": flow, "b": flow}, "b") == 2.0 * capacity / room / room

@@ -7,10 +7,12 @@ import math
 import numpy as np
 import pytest
 
+from wardrop import costs
 from wardrop.costs import (
     Affine,
     CongestionRational,
     Constant,
+    CostClassReport,
     CostDomainError,
     ExtReal,
     ExtRealGuardError,
@@ -20,7 +22,7 @@ from wardrop.costs import (
     Polynomial,
     Scale,
     Sum,
-    _combinations,
+    _lattice,
     classify_cost,
     compile_scalar,
     cost_from_obj,
@@ -195,10 +197,105 @@ def test_combinations_equal_the_recursive_enumeration(count):
     names = ["a", "b", "c"][:count]
     for size in range(1, 10):
         points = np.linspace(0.0, 1.0, size)
-        got, want = list(_combinations(names, points)), list(_recursive_combinations(names, points))
-        assert got == want
-        assert [list(d) for d in got] == [list(d) for d in want]  # key order too
-        assert all(type(v) is float for d in got for v in d.values())
+        coordinates = _lattice(count, points, np.arange(size**count))
+        got = [dict(zip(names, column)) for column in coordinates.T.tolist()]
+        assert got == list(_recursive_combinations(names, points))  # in order too
+
+
+def _classify_point_by_point(expr, grid):
+    """`classify_cost` as a loop over lattice points, one `_value` call each."""
+    pops = sorted(expr.populations())
+    samples, monotone = 0, expr.structurally_monotone()
+    for axis in pops:
+        rest = [p for p in pops if p != axis]
+        for combo in _recursive_combinations(rest, np.linspace(0.0, 1.0, min(grid, 5))):
+            prev = None
+            for x in np.linspace(0.0, 1.0, grid):
+                v = expr._value(dict(combo, **{axis: float(x)}))
+                samples += 1
+                if prev is not None and v < prev - 1e-12:
+                    monotone = False
+                prev = v
+    structural = expr.structurally_convex()
+    convex = True if structural is None else structural
+    if pops and structural is not False:
+        rng = np.random.default_rng(0)
+        lattice = list(_recursive_combinations(pops, np.linspace(0.0, 1.0, min(grid, 9))))
+        for _ in range(min(2000, 4 * len(lattice))):
+            a = lattice[rng.integers(len(lattice))]
+            b = lattice[rng.integers(len(lattice))]
+            mid = {p: 0.5 * (a[p] + b[p]) for p in pops}
+            va, vb, vm = expr._value(a), expr._value(b), expr._value(mid)
+            samples += 3
+            if math.isinf(va) or math.isinf(vb):
+                continue
+            if vm > 0.5 * (va + vb) + 1e-9 * max(1.0, abs(va), abs(vb)):
+                convex = False
+                break
+    return CostClassReport(monotone, True, convex, samples)
+
+
+def test_classification_equals_the_point_by_point_loop():
+    rng = np.random.default_rng(29)
+    names = ["a", "b", "c", "d"]
+    exprs = [random_monotone_expr(rng, names[: 1 + k % 4]) for k in range(300)]
+    cross = Polynomial((MonomialTerm(1.0, {"a": 1, "b": 1}),))
+    exprs += [cross, NonMonotoneAffine(3.0, {"c": -1.0}), Constant(2.0)]
+    # costs that blow up to +inf inside the flow box
+    exprs += [CongestionRational({"a": 1.0, "b": 1.0}, 1.0),
+              Sum((CongestionRational({"a": 1.0, "b": 0.5}, 1.2), cross)),
+              Scale(2.0, Sum((CongestionRational({"c": 1.0}, 0.7),
+                              NonMonotoneAffine(3.0, {"a": -1.0, "c": 1.0}))))]
+    grids = (2, 3, 5, 9, 21, 101)
+    for k, expr in enumerate(exprs):
+        grid = grids[k // 4 % 6]  # every grid for each population count
+        if grid == 101 and len(expr.populations()) > 2:
+            grid = 21
+        assert classify_cost(expr, grid) == _classify_point_by_point(expr, grid), (expr, grid)
+
+
+@pytest.mark.parametrize("count", range(4))
+def test_classification_evaluates_one_batch_per_lattice(count, monkeypatch):
+    calls = []
+
+    def counting(expr, flows):
+        calls.append(flows)
+        return eval_array(expr, flows)
+
+    monkeypatch.setattr(costs, "eval_array", counting)
+    names = ["a", "b", "c"][:count]
+    cross = Polynomial((MonomialTerm(1.0, dict.fromkeys(names, 1)),))  # convexity sampled
+    classify_cost(cross)
+    assert len(calls) == (count + 1 if count else 0)
+
+
+def test_classification_raises_where_a_cost_goes_negative():
+    with pytest.raises(CostDomainError, match="negative"):
+        classify_cost(NonMonotoneAffine(-1.0, {"a": 3.0}))
+
+
+@pytest.mark.parametrize("grid", [0, 1, -3, True, False, 2.5, 21.0, "21", None])
+def test_classification_refuses_a_bad_grid(grid):
+    with pytest.raises(ValueError, match="grid must be an int of at least 2"):
+        classify_cost(Affine(1.0, {"a": 1.0}), grid)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: Constant(-1.0), id="constant"),
+        pytest.param(lambda: Affine(-0.5, {"a": 1.0}), id="affine-constant"),
+        pytest.param(lambda: MonomialTerm(-2.0, {"a": 1}), id="monomial-coefficient"),
+        pytest.param(lambda: Scale(-1.0, Constant(1.0)), id="scale-factor"),
+        pytest.param(lambda: ExtReal.of(1.0).scaled(-0.5), id="extreal-factor"),
+        pytest.param(lambda: CongestionRational({"a": 1.0}, 0.0), id="zero-capacity"),
+        pytest.param(lambda: CongestionRational({"a": 1.0}, -2.0), id="negative-capacity"),
+        pytest.param(lambda: CongestionRational({"a": -1.0}, 2.0), id="negative-weight"),
+    ],
+)
+def test_negative_parameters_are_refused(build):
+    with pytest.raises(ValueError, match="nonnegative|positive"):
+        build()
 
 
 def test_blowup_boundary_values_grow_without_bound():

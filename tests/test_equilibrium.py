@@ -482,3 +482,55 @@ def test_multistart_params_allow_no_random_starts_and_no_dedup_gap(delay_net):
 def test_the_monotonicity_scan_names_the_first_offender(pathological_net, delay_net):
     assert nonmonotone_cost(pathological_net) == ("commuters", "r2")
     assert nonmonotone_cost(delay_net) is None
+
+
+@pytest.mark.parametrize("omega", [0, 1.5, -0.5, math.nan])
+def test_solve_params_refuse_a_damping_outside_the_unit_interval(omega):
+    with pytest.raises(ValueError, match="damping"):
+        SolveParams(omega=omega)
+
+
+CORNER = Assignment.make([[1.0, 0.0], [1.0, 0.0]])  # not Nash on congestion_corridor
+
+
+@pytest.mark.parametrize(
+    "query, match",
+    [
+        pytest.param(lambda net: is_nash(net, CORNER, tol=math.nan), "tol", id="is_nash-tol-nan"),
+        pytest.param(lambda net: is_nash(net, CORNER, tol=math.inf), "tol", id="is_nash-tol-inf"),
+        pytest.param(lambda net: is_nash(net, CORNER, tol=0.0), "tol", id="is_nash-tol-0"),
+        pytest.param(lambda net: verify(net, CORNER, tol=math.nan), "tol", id="verify-tol-nan"),
+        pytest.param(lambda net: is_nash(net, CORNER, share_tol=math.nan), "share_tol",
+                     id="is_nash-share_tol-nan"),
+        pytest.param(lambda net: is_equilibrium(net, CORNER, share_tol=2.0), "share_tol",
+                     id="is_equilibrium-share_tol-2"),
+        pytest.param(lambda net: is_equilibrium(net, CORNER, share_tol=1.0), "share_tol",
+                     id="is_equilibrium-share_tol-1"),
+        pytest.param(lambda net: is_eps_nash(net, CORNER, share_tol=-1e-9), "share_tol",
+                     id="is_eps_nash-share_tol-negative"),
+        pytest.param(lambda net: is_eps_nash(net, CORNER, eps=math.inf), "eps must be positive",
+                     id="is_eps_nash-eps-inf"),
+        pytest.param(lambda net: verify(net, CORNER, eps=math.nan), "eps must be positive",
+                     id="verify-eps-nan"),
+        pytest.param(lambda net: verify(net, CORNER, eps=0.0), "eps must be positive",
+                     id="verify-eps-0"),
+    ],
+)
+def test_predicates_refuse_tolerances_that_would_certify_anything(query, match, corridor_net):
+    assert not verify(corridor_net, CORNER).is_nash
+    with pytest.raises(ValueError, match=match):
+        query(corridor_net)
+
+
+@pytest.mark.parametrize("query", [is_equilibrium, is_nash, is_eps_nash, verify])
+def test_tolerances_are_checked_before_any_evaluation(query, corridor_net, monkeypatch):
+    def evaluate(net, theta):
+        raise AssertionError("evaluated")
+
+    monkeypatch.setattr(equilibrium, "_evaluate", evaluate)
+    with pytest.raises(ValueError, match="tol"):
+        query(corridor_net, CORNER, tol=math.nan)
+
+
+def test_a_zero_share_tolerance_is_accepted(corridor_net):
+    assert not verify(corridor_net, CORNER, share_tol=0.0).is_nash
