@@ -264,6 +264,7 @@ class HSampler:
 
     def __post_init__(self) -> None:
         _require_int(self, "pairs", 0)
+        _require_int(self, "seed", 0)
         _require_int(self, "quadrature_nodes", 1)
 
 
@@ -472,17 +473,22 @@ def _scan_product_grid(
     outer = np.array(list(itertools.product(*(range(len(g)) for g in grids[:last]))), dtype=int)
     inner = len(grids[last])
     per_batch = max(1, core._chunk // inner)  # the working set `core.times` evaluates at once
+    # Every batch reuses one share array and the evaluation's buffers.  The
+    # last population's grid and the padding are the same in every batch.
+    shares = np.zeros((core.pop_count, core.width, per_batch, inner))
+    shares[last, : core.route_counts[last]] = grids[last].T[:, None, :]
+    scratch: dict = {}
     hits: list[tuple[tuple[tuple[float, ...], ...], float]] = []
     for start in range(0, len(outer), per_batch):
-        rows = np.repeat(outer[start : start + per_batch], inner, axis=0)
-        x = np.zeros((core.pop_count, core.width, len(rows)))
+        block = outer[start : start + per_batch]
         for p in range(last):
-            x[p, : core.route_counts[p]] = grids[p][rows[:, p]].T
-        x[last, : core.route_counts[last]] = np.tile(grids[last].T, len(rows) // inner)
-        s = core.spreads(x, core.times(x), share_tol)
-        shortfall = s.shortfall.reshape(-1, len(rows))
+            shares[p, : core.route_counts[p], : len(block)] = grids[p][block[:, p]].T[..., None]
+        x = shares[:, :, : len(block)].reshape(core.pop_count, core.width, -1)
+        s = core.spreads(x, core.times(x, scratch), share_tol)
+        points = x.shape[2]
+        shortfall = s.shortfall.reshape(-1, points)
         ok = np.logical_and.reduce(s.spread <= tolerance * s.scale)
-        undercut = (s.shortfall <= tolerance * s.mean_scale).reshape(-1, len(rows))
+        undercut = (s.shortfall <= tolerance * s.mean_scale).reshape(-1, points)
         ok &= np.logical_and.reduce(undercut)
         worst = np.maximum(s.spread.max(axis=0), shortfall.max(axis=0).clip(0.0))
         for k in np.flatnonzero(ok).tolist():

@@ -73,6 +73,13 @@ def _positive(kind: type, name: str):
     return parse
 
 
+def _seed(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("seed must be a nonnegative integer")
+    return value
+
+
 def _omega(text: str) -> float:
     value = float(text)
     if not 0 < value <= 1:
@@ -137,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_unique.add_argument("--quadrature", type=_positive(int, "quadrature"), default=16)
     p_unique.add_argument("--starts", type=_positive(int, "starts"), default=4,
                           help="random multistart count for the residual check")
-    p_unique.add_argument("--seed", type=int, default=0)
+    p_unique.add_argument("--seed", type=_seed, default=0)
     common(p_unique)
 
     p_routes = sub.add_parser("routes", help="enumerate simple routes between two junctions")

@@ -33,17 +33,48 @@ class NormalizationError(ArithmeticError):
     """Internal invariant violation: normalization denominator not positive."""
 
 
-def _column_total(values: np.ndarray) -> np.ndarray:
-    """Left-to-right sums from 0 down the first axis."""
-    total = values[0] + 0.0
+def _buffer(scratch: dict | None, name: str, shape: tuple[int, ...]) -> np.ndarray | None:
+    """The `out=` of one evaluation step: None without `scratch`, so numpy
+    allocates; else a C-contiguous prefix of the float buffer scratch[name],
+    grown to the largest size asked of it.  A loop that keeps one `scratch`
+    reuses one allocation per name, where a fresh batch-sized array past
+    glibc's mmap threshold pays its page faults on every batch."""
+    if scratch is None:
+        return None
+    size = math.prod(shape)
+    if name not in scratch or scratch[name].size < size:
+        scratch[name] = np.empty(size)
+    return scratch[name][:size].reshape(shape)
+
+
+def _column_total(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Left-to-right sums from 0 down the first axis, into `out` if given."""
+    total = np.add(values[0], 0.0, out=out)
     for k in range(1, len(values)):
         total += values[k]
     return total
 
 
-def _gather_sum(values: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Left-to-right sums from 0 of values[table[k, c]] over k, per c."""
-    return _column_total(values[table])
+def _gather(values: np.ndarray, table: np.ndarray, scratch: dict | None) -> np.ndarray:
+    """values[table], in the one gather buffer of `scratch` if given: each
+    gather is consumed before the next, so one buffer serves them all.
+    Without `scratch`, plain indexing: for one small evaluation numpy's own
+    allocation costs less than `take`.  The indices are in range, so clip
+    mode changes nothing; raise mode would copy through a temporary."""
+    if scratch is None:
+        return values[table]
+    return values.take(table, 0, _buffer(scratch, "gather", table.shape + values.shape[1:]), "clip")
+
+
+def _gather_sum(
+    values: np.ndarray, table: np.ndarray, scratch: dict | None = None, name: str = "sum"
+) -> np.ndarray:
+    """Left-to-right sums from 0 of values[table[k, c]] over k, per c, in
+    scratch[name] if given."""
+    if scratch is None:
+        return _column_total(values[table])
+    gathered = _gather(values, table, scratch)
+    return _column_total(gathered, _buffer(scratch, name, gathered.shape[1:]))
 
 
 def _route_total(values: np.ndarray, keepdims: bool = False) -> np.ndarray:
@@ -144,9 +175,6 @@ class CostProgram:
         def slot(ref: tuple[str, int]) -> int:
             return base[ref[0]] + ref[1]
 
-        linear = [t for _, t, _ in affine] + [t for _, t in congestion]
-        self._lin_cols, self._lin_coeffs = _table(linear, zero)
-        self._c0 = np.array([c for c, _, _ in affine] + [0.0] * len(congestion))  # loads take 0
         self._nonmono = np.array([k for k, (*_, signed) in enumerate(affine) if signed], dtype=int)
         self._cap = np.array([cap for cap, _ in congestion])
         # Monomial padding is zero ** 0 == 1, which leaves a product unchanged.
@@ -159,20 +187,25 @@ class CostProgram:
         self._fold_idx, self._fold_mult = _table(folded, self.zero_slot)
         self._guarded = np.array(sorted({i for t in folded for i, f in t if f == 0.0}), dtype=int)
         self.slot_count = self._bounds[2] + len(folded)
+        # The linear forms' table and constants span every slot, so one column
+        # total allocates them all.  Past the linear forms the table reads the
+        # zero row times 0; loads and the later slots take constant 0.
+        linear = [t for _, t, _ in affine] + [t for _, t in congestion]
+        linear += [[]] * (self.slot_count - b)
+        self._lin_cols, self._lin_coeffs = _table(linear, zero)
+        self._c0 = np.array([c for c, _, _ in affine] + [0.0] * (self.slot_count - a))
         extra = iter(range(self._bounds[2], self.slot_count))
         self.roots = np.array([slot(t[0][1]) if p else next(extra) for t, p in zip(terms, plain)])
 
-    def values(self, flows: np.ndarray) -> np.ndarray:
-        """Every slot at each flow point: (flow rows, ...) -> (slots, ...)."""
+    def values(self, flows: np.ndarray, scratch: dict | None = None) -> np.ndarray:
+        """Every slot at each flow point: (flow rows, ...) -> (slots, ...).
+        With `scratch`, intermediates and result live in its buffers."""
         batch = flows.shape[1:]
         a, b, m = self._bounds
-        acc = _column_total(flows[self._lin_cols] * _per_row(self._lin_coeffs, batch))
-        if self.slot_count == b:  # linear forms only
-            slots = acc
-            slots += _per_row(self._c0, batch)
-        else:
-            slots = np.empty((self.slot_count,) + batch)
-            np.add(acc, _per_row(self._c0, batch), out=slots[:b])
+        linear = _gather(flows, self._lin_cols, scratch)
+        linear *= _per_row(self._lin_coeffs, batch)
+        slots = _column_total(linear, _buffer(scratch, "slots", (self.slot_count,) + batch))
+        slots += _per_row(self._c0, batch)
         if self._nonmono.size:
             signed = slots[self._nonmono]
             if (signed < 0.0).any():
@@ -181,7 +214,8 @@ class CostProgram:
                 )
         if b > a:
             load = slots[a:b]
-            room = _per_row(self._cap, batch) - load
+            room = _buffer(scratch, "room", load.shape)
+            room = np.subtract(_per_row(self._cap, batch), load, out=room)
             if room.min(initial=np.inf) > 0.0:  # no road at capacity
                 np.divide(load, room, out=load)
             else:  # s >= capacity exactly where capacity - s <= 0
@@ -196,7 +230,9 @@ class CostProgram:
         if self.slot_count > m:
             if self._guarded.size and np.isinf(slots[self._guarded]).any():
                 raise ExtRealGuardError("0 * inf is not defined")
-            slots[m:] = _column_total(slots[self._fold_idx] * _per_row(self._fold_mult, batch))
+            folded = _gather(slots, self._fold_idx, scratch)
+            folded *= _per_row(self._fold_mult, batch)
+            _column_total(folded, slots[m:])
         return slots
 
     def slopes(self, flows: np.ndarray, tangent: np.ndarray) -> np.ndarray:
@@ -207,20 +243,24 @@ class CostProgram:
         batch = flows.shape[1:]
         a, b, m = self._bounds
         coeffs = _per_row(self._lin_coeffs, batch)
-        slopes = np.empty((self.slot_count,) + batch)
-        slopes[:b] = _column_total(tangent[self._lin_cols] * coeffs)
+        slopes = _column_total(tangent[self._lin_cols] * coeffs)
         if b > a:  # d(s / (c - s)) = ds * c / (c - s)^2
             load = _column_total(flows[self._lin_cols[:, a:b]] * coeffs[:, a:b])
             cap = _per_row(self._cap, batch)
             room = cap - load
             dload = slopes[a:b]
-            scaled = dload * cap
+            with np.errstate(over="ignore"):  # where ds * c overflows, divide first
+                scaled = dload * cap
+                over = np.isinf(scaled) & (room > 0.0)
+                stretch = np.broadcast_to(cap, room.shape)[over] / room[over]  # c / (c - s) >= 1
+                split = dload[over] / room[over] * stretch
             square = _POW(np.minimum(room, _ROOT_MAX), 2).astype(float)  # libm pow, as `float ** 2`
             np.divide(scaled, square, out=dload, where=room > 0.0)
             dload[room <= 0.0] = np.inf
             vast = room > _ROOT_MAX  # where (c - s)^2 passes the float range, divide twice
             if vast.any():
                 dload[vast] = scaled[vast] / room[vast] / room[vast]
+            dload[over] = split
         if m > b:  # sum over factors j of coeff * k_j f_j^(k_j - 1) * the others * tangent_j
             base = flows[self._mono_cols]
             exps = _per_row(self._mono_exps, batch)
@@ -326,20 +366,28 @@ class CompiledNetwork:
         """Nested per-population lists of one padded (P, W) array."""
         return [row[:n].tolist() for row, n in zip(x, self.route_counts)]
 
-    def _flows(self, shares: np.ndarray) -> np.ndarray:
+    def _flows(self, shares: np.ndarray, scratch: dict | None = None) -> np.ndarray:
         """Road flows (P*N + 1, ...) of flat shares (P*W, ...), population q's
         on road h in row q*N + h, 0 in the last.  Shares on their simplices
         give flows in [0, 1] up to rounding, clamped away as `eval_cost` does."""
-        return np.minimum(_gather_sum(shares, self._flow_gather), 1.0)
+        flows = _gather_sum(shares, self._flow_gather, scratch, "flows")
+        return np.minimum(flows, 1.0, out=flows)
 
-    def times(self, x: np.ndarray) -> np.ndarray:
-        """Route times (P, W, ...), np.inf at blow-ups, 0 past the routes."""
+    def times(self, x: np.ndarray, scratch: dict | None = None) -> np.ndarray:
+        """Route times (P, W, ...), np.inf at blow-ups, 0 past the routes.
+
+        With `scratch`, a dict the caller keeps across a loop of evaluations,
+        every intermediate and the result live in its buffers: the result
+        holds until the next evaluation with the same `scratch`."""
         if x.ndim == 3 and x.shape[2] > self._chunk:  # bound the working memory
-            starts = range(0, x.shape[2], self._chunk)
-            return np.concatenate([self.times(x[..., k : k + self._chunk]) for k in starts], axis=2)
+            scratch = {} if scratch is None else scratch  # one set of buffers for every chunk
+            out = _buffer(scratch, "chunked times", x.shape)
+            for k in range(0, x.shape[2], self._chunk):
+                out[..., k : k + self._chunk] = self.times(x[..., k : k + self._chunk], scratch)
+            return out
         flat = x.reshape((self.pop_count * self.width,) + x.shape[2:])
-        values = self.program.values(self._flows(flat))
-        return _gather_sum(values, self._route_gather).reshape(x.shape)
+        values = self.program.values(self._flows(flat, scratch), scratch)
+        return _gather_sum(values, self._route_gather, scratch, "times").reshape(x.shape)
 
     def map_step(self, x: np.ndarray, t: np.ndarray) -> np.ndarray:
         """One application of the equilibrium self-map (clip-and-rescale).

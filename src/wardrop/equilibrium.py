@@ -183,6 +183,7 @@ class MultistartParams:
     def __post_init__(self) -> None:
         _require_int(self, "grid_depth", 1)
         _require_int(self, "random_starts", 0)
+        _require_int(self, "seed", 0)
         _require_tolerance("dedup_tolerance", self.dedup_tolerance, positive=False)
 
 

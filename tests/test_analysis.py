@@ -711,3 +711,65 @@ def test_block_classification_holds_past_the_float_range_of_a_square(scale):
     # Scaling a block changes neither side of 4*q0*q1 >= (p0 + p1)^2 relative to the other.
     for block in ([1.0, 1.0, 0.5, 0.5], [1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 2.0, 0.5], [1.0, 0.0, 0.5, 0.0]):
         assert _classify_h_case(*(scale * v for v in block)) == _classify_h_case(*block)
+
+
+def allocating_scan(net, grids, tolerance, share_tol):
+    """The product-grid scan with fresh arrays for every batch and every
+    evaluation, in the grid product's order."""
+    core = _engine(net)
+    last = len(grids) - 1
+    outer = np.array(list(itertools.product(*(range(len(g)) for g in grids[:last]))), dtype=int)
+    inner = len(grids[last])
+    per_batch = max(1, core._chunk // inner)
+    hits = []
+    for start in range(0, len(outer), per_batch):
+        rows = np.repeat(outer[start : start + per_batch], inner, axis=0)
+        x = np.zeros((core.pop_count, core.width, len(rows)))
+        for p in range(last):
+            x[p, : core.route_counts[p]] = grids[p][rows[:, p]].T
+        x[last, : core.route_counts[last]] = np.tile(grids[last].T, len(rows) // inner)
+        t = np.concatenate(
+            [core.times(x[..., k : k + core._chunk]) for k in range(0, x.shape[2], core._chunk)],
+            axis=2,
+        )
+        s = core.spreads(x, t, share_tol)
+        ok = np.logical_and.reduce(s.spread <= tolerance * s.scale)
+        ok &= np.logical_and.reduce((s.shortfall <= tolerance * s.mean_scale).reshape(-1, len(rows)))
+        shortfall = s.shortfall.reshape(-1, len(rows)).max(axis=0).clip(0.0)
+        worst = np.maximum(s.spread.max(axis=0), shortfall)
+        for k in np.flatnonzero(ok).tolist():
+            point = tuple(tuple(x[p, :n, k].tolist()) for p, n in enumerate(core.route_counts))
+            hits.append((point, float(worst[k])))
+    return hits
+
+
+@pytest.mark.parametrize("name, resolution", [
+    ("braess_base", 50),
+    ("braess_augmented", 10),
+    ("congestion_corridor", 50),
+    ("delay_spillover", 50),
+    ("merge_base", 50),
+    ("merge_linked", 20),
+    ("nonmonotone_pair", 10_000),
+])
+def test_oracle_equals_a_scan_that_allocates_per_batch(name, resolution, monkeypatch):
+    net = nets.BUILDERS[name]()
+    core = _engine(net)
+    sizes = [math.comb(resolution + n - 1, n - 1) for n in core.route_counts]
+    per_batch = max(1, core._chunk // sizes[-1])
+    # a short last batch of whole last-population grids, or (one population)
+    # a short last chunk inside the one batch
+    assert math.prod(sizes[:-1]) % per_batch or sizes[-1] % core._chunk
+    result = brute_force_equilibria(net, resolution)
+    grids = [np.array(list(simplex_grid(n, resolution)), dtype=float) for n in core.route_counts]
+    hits = analysis._scan_product_grid(net, grids, result.tolerance, 1e-12)
+    assert hits and hits == allocating_scan(net, grids, result.tolerance, 1e-12)
+    monkeypatch.setattr(analysis, "_scan_product_grid", allocating_scan)
+    assert brute_force_equilibria(net, resolution) == result
+
+
+def test_sampler_refuses_a_negative_bool_or_fractional_seed():
+    for seed in (-1, True, 1.5):
+        with pytest.raises(ValueError, match="seed"):
+            HSampler(seed=seed)
+    HSampler(seed=0)

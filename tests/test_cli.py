@@ -488,3 +488,12 @@ def test_verify_renders_infinite_times_as_inf(files, tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert "nash: False (residual inf)" in lines
     assert "population upper: mean relevant time inf" in lines
+
+
+@pytest.mark.parametrize("seed", ["-1", "1.5"])
+def test_a_negative_or_fractional_seed_exits_two(seed, files, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["uniqueness", files["delay_spillover"], "--seed", seed])
+    assert err.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "--seed" in errors[0]

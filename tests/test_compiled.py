@@ -547,3 +547,34 @@ def test_congestion_slope_where_the_square_of_the_room_overflows(capacity, flow)
     expr = CongestionRational({"a": 1.0, "b": 2.0}, capacity)
     room = capacity - (flow + 2.0 * flow)
     assert eval_partial(expr, {"a": flow, "b": flow}, "b") == 2.0 * capacity / room / room
+
+
+@SETTINGS
+@given(st.data())
+def test_chunked_batch_equals_each_column_alone(data):
+    # Wider than one chunk, with a short last chunk: the chunks share one
+    # set of buffers, and each must still equal its columns evaluated alone.
+    net = data.draw(networks())
+    core = compile_network(net)
+    thetas = [core.pack(data.draw(assignments(net))) for _ in range(data.draw(st.integers(1, 3)))]
+    width = 2 * core._chunk + data.draw(st.integers(1, max(1, core._chunk - 1)))
+    batch = np.stack([thetas[k % len(thetas)] for k in range(width)], axis=-1)
+    alone = [raised(core.times, x) for x in thetas]
+    errors = {error for _, error in alone if error}
+    if errors:
+        with pytest.raises(tuple(errors)):
+            core.times(batch)
+        return
+    times = core.times(batch)
+    for k in range(width):
+        assert times[..., k].tobytes() == alone[k % len(thetas)][0].tobytes()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("flow", [0.0, 1.0])
+def test_congestion_slope_where_weight_times_capacity_overflows(flow):
+    # d(s / (c - s)) = w * c / (c - s)^2 with s = w * flow, where w * c passes
+    # the float range; c - s rounds to c, so the closed form is w / c.
+    weight, capacity = 1e10, 1e300
+    slope = eval_partial(CongestionRational({"a": weight}, capacity), {"a": flow}, "a")
+    assert slope == weight / capacity

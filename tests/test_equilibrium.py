@@ -534,3 +534,10 @@ def test_tolerances_are_checked_before_any_evaluation(query, corridor_net, monke
 
 def test_a_zero_share_tolerance_is_accepted(corridor_net):
     assert not verify(corridor_net, CORNER, share_tol=0.0).is_nash
+
+
+def test_multistart_params_refuse_a_negative_bool_or_fractional_seed():
+    for seed in (-1, True, 1.5):
+        with pytest.raises(ValueError, match="seed"):
+            MultistartParams(seed=seed)
+    MultistartParams(seed=0)
