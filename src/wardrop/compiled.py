@@ -71,8 +71,6 @@ def _gather_sum(
 ) -> np.ndarray:
     """Left-to-right sums from 0 of values[table[k, c]] over k, per c, in
     scratch[name] if given."""
-    if scratch is None:
-        return _column_total(values[table])
     gathered = _gather(values, table, scratch)
     return _column_total(gathered, _buffer(scratch, name, gathered.shape[1:]))
 
@@ -175,6 +173,9 @@ class CostProgram:
         def slot(ref: tuple[str, int]) -> int:
             return base[ref[0]] + ref[1]
 
+        linear = [t for _, t, _ in affine] + [t for _, t in congestion]
+        self._lin_cols, self._lin_coeffs = _table(linear, zero)
+        self._c0 = np.array([c for c, _, _ in affine] + [0.0] * len(congestion))  # loads take 0
         self._nonmono = np.array([k for k, (*_, signed) in enumerate(affine) if signed], dtype=int)
         self._cap = np.array([cap for cap, _ in congestion])
         # Monomial padding is zero ** 0 == 1, which leaves a product unchanged.
@@ -187,13 +188,6 @@ class CostProgram:
         self._fold_idx, self._fold_mult = _table(folded, self.zero_slot)
         self._guarded = np.array(sorted({i for t in folded for i, f in t if f == 0.0}), dtype=int)
         self.slot_count = self._bounds[2] + len(folded)
-        # The linear forms' table and constants span every slot, so one column
-        # total allocates them all.  Past the linear forms the table reads the
-        # zero row times 0; loads and the later slots take constant 0.
-        linear = [t for _, t, _ in affine] + [t for _, t in congestion]
-        linear += [[]] * (self.slot_count - b)
-        self._lin_cols, self._lin_coeffs = _table(linear, zero)
-        self._c0 = np.array([c for c, _, _ in affine] + [0.0] * (self.slot_count - a))
         extra = iter(range(self._bounds[2], self.slot_count))
         self.roots = np.array([slot(t[0][1]) if p else next(extra) for t, p in zip(terms, plain)])
 
@@ -204,8 +198,13 @@ class CostProgram:
         a, b, m = self._bounds
         linear = _gather(flows, self._lin_cols, scratch)
         linear *= _per_row(self._lin_coeffs, batch)
-        slots = _column_total(linear, _buffer(scratch, "slots", (self.slot_count,) + batch))
-        slots += _per_row(self._c0, batch)
+        shape = (self.slot_count,) + batch
+        if self.slot_count == b:  # linear forms only: their totals are the slots
+            slots = total = _column_total(linear, _buffer(scratch, "slots", shape))
+        else:
+            slots = np.empty(shape) if scratch is None else _buffer(scratch, "slots", shape)
+            total = _column_total(linear, slots[:b])
+        total += _per_row(self._c0, batch)
         if self._nonmono.size:
             signed = slots[self._nonmono]
             if (signed < 0.0).any():
@@ -214,8 +213,8 @@ class CostProgram:
                 )
         if b > a:
             load = slots[a:b]
-            room = _buffer(scratch, "room", load.shape)
-            room = np.subtract(_per_row(self._cap, batch), load, out=room)
+            cap = _per_row(self._cap, batch)
+            room = np.subtract(cap, load, out=_buffer(scratch, "room", load.shape))
             if room.min(initial=np.inf) > 0.0:  # no road at capacity
                 np.divide(load, room, out=load)
             else:  # s >= capacity exactly where capacity - s <= 0
@@ -243,7 +242,8 @@ class CostProgram:
         batch = flows.shape[1:]
         a, b, m = self._bounds
         coeffs = _per_row(self._lin_coeffs, batch)
-        slopes = _column_total(tangent[self._lin_cols] * coeffs)
+        slopes = np.empty((self.slot_count,) + batch)
+        slopes[:b] = _column_total(tangent[self._lin_cols] * coeffs)
         if b > a:  # d(s / (c - s)) = ds * c / (c - s)^2
             load = _column_total(flows[self._lin_cols[:, a:b]] * coeffs[:, a:b])
             cap = _per_row(self._cap, batch)
