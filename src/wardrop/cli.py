@@ -3,7 +3,8 @@
 Exit codes are a total function of the outcome class:
 
 * 0 - success / requested predicate holds
-* 1 - validation errors, predicate fails, or uniqueness hypothesis fails
+* 1 - validation errors, predicate fails, uniqueness hypothesis fails, or
+  uniqueness finds several distinct verified equilibria
 * 2 - unreadable or malformed input, dimension mismatch, bad flag value,
   unknown junction, a cost undefined at reachable flows (0 * inf), or a
   network the command is not defined for (uniqueness needs two populations)
@@ -23,6 +24,7 @@ import argparse
 import functools
 import math
 import sys
+from dataclasses import replace
 from typing import Sequence
 
 from . import analysis, equilibrium, fileio
@@ -293,9 +295,7 @@ def _dispatch(args) -> int:
     if args.command == "uniqueness":
         net = _load_net(args.network)
         sampler = HSampler(pairs=args.pairs, seed=args.seed, quadrature_nodes=args.quadrature)
-        report = analysis.check_hypothesis_coupling(net, sampler)
-        residuals = _multistart_residuals(net, args)
-        report = _with_residuals(report, residuals)
+        report = _with_multistart(net, args, analysis.check_hypothesis_coupling(net, sampler))
         lines = [f"verdict: {report.verdict}"]
         lines.append(
             f"pairs sampled: {report.pairs_sampled} "
@@ -309,7 +309,7 @@ def _dispatch(args) -> int:
             rendered = ", ".join(_fmt(r) for r in res)
             lines.append(f"equilibrium-pair residuals {pair_idx}: [{rendered}]")
         _emit(args, report, lines)
-        return EXIT_OK if report.hypothesis_satisfied else EXIT_FAIL
+        return EXIT_OK if report.verdict.startswith("at-most-one") else EXIT_FAIL
 
     if args.command == "routes":
         net = _load_net(args.network)
@@ -348,8 +348,9 @@ def _solve_lines(net, result) -> list[str]:
     return lines
 
 
-def _multistart_residuals(net, args) -> list[tuple[float, ...]]:
-    """Duplicate-detector residuals across all pairs of multistart equilibria."""
+def _with_multistart(net, args, report):
+    """The report with the duplicate-detector residuals of every pair of
+    multistart equilibria; several distinct ones refute at-most-one."""
     results = equilibrium.solve_multistart(
         net,
         MultistartParams(
@@ -367,13 +368,8 @@ def _multistart_residuals(net, args) -> list[tuple[float, ...]]:
                 )
             except PreconditionError:
                 continue
-    return residuals
-
-
-def _with_residuals(report, residuals):
-    from dataclasses import replace
-
-    return replace(report, pair_residuals=tuple(tuple(r) for r in residuals))
+    verdict = f"several equilibria ({len(results)} found)" if len(results) > 1 else report.verdict
+    return replace(report, pair_residuals=tuple(residuals), verdict=verdict)
 
 
 def entrypoint() -> None:

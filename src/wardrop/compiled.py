@@ -14,6 +14,7 @@ alone, bit for bit.  Every sum runs left to right from 0, as Python's
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from typing import Callable, NamedTuple, Sequence
@@ -92,13 +93,11 @@ def _per_row(coefficients: np.ndarray, batch: tuple[int, ...]) -> np.ndarray:
     return coefficients.reshape(coefficients.shape + (1,) * len(batch)) if batch else coefficients
 
 
-def _table(columns: Sequence[Sequence[tuple[int, float]]], pad: int) -> tuple[np.ndarray, ...]:
-    """(indices, values), one column per entry, padded with (pad, 0.0)."""
-    depth = max([1] + [len(c) for c in columns])
-    flat = [entry for c in columns for entry in [*c, *[(pad, 0.0)] * (depth - len(c))]]
-    index = np.array([i for i, _ in flat], dtype=int).reshape(len(columns), depth)
-    value = np.array([v for _, v in flat], dtype=float).reshape(len(columns), depth)
-    return np.ascontiguousarray(index.T), np.ascontiguousarray(value.T)
+def _padded(rows: Sequence[Sequence], pad: int | float, dtype: type = int) -> np.ndarray:
+    """(depth, len(rows)) table whose column c is rows[c] padded with `pad`;
+    depth is the longest row's length, at least 1."""
+    levels = list(itertools.zip_longest(*rows, fillvalue=pad)) or [(pad,) * len(rows)]
+    return np.array(levels, dtype)
 
 
 def share_mean(x: np.ndarray, t: np.ndarray, share_tol: float) -> np.ndarray:
@@ -111,12 +110,12 @@ def flow_gather(incidences: Sequence[IncidenceMatrix], width: int) -> np.ndarray
     """Gather table of the road flows from flat padded shares (route j of
     population p at p*width + j): column p*N + h lists p's routes through
     road h in route order; a last column of padding gives a zero flow."""
-    columns = [
-        [(p * width + j, 0.0) for j, used in enumerate(row) if used]
-        for p, inc in enumerate(incidences)
-        for row in inc.entries.tolist()
-    ]
-    return _table(columns + [[]], width - 1)[0]
+    roads = len(incidences[0].entries) if incidences else 0
+    columns = [[] for _ in range(len(incidences) * roads + 1)]
+    for p, inc in enumerate(incidences):
+        for h, j in zip(*(a.tolist() for a in inc.entries.nonzero())):  # by road, then route
+            columns[p * roads + h].append(p * width + j)
+    return _padded(columns, width - 1)
 
 
 _POW = np.frompyfunc(math.pow, 2, 1)  # libm pow, as `float ** int` in `_value`
@@ -143,53 +142,56 @@ class CostProgram:
     """
 
     def __init__(self, exprs: Sequence[CostExpr], column: Callable[[int, str], int], zero: int):
-        leaves: dict[str, list] = {"affine": [], "congestion": [], "monomial": []}
-
-        def lower(leaf, i: int) -> tuple[str, int]:
-            if isinstance(leaf, MonomialTerm):
-                factors = [(column(i, n), k) for n, k in leaf.exponents.items()]
-                kind, entry = "monomial", (leaf.coeff, factors)
-            elif isinstance(leaf, CongestionRational):
-                load = [(column(i, n), w) for n, w in leaf.weights.items()]
-                kind, entry = "congestion", (leaf.capacity, load)
-            elif isinstance(leaf, Constant):
-                kind, entry = "affine", (leaf.value, [], False)
-            elif isinstance(leaf, (Affine, NonMonotoneAffine)):
-                terms = [(column(i, n), c) for n, c in leaf.coeffs.items()]
-                kind, entry = "affine", (leaf.constant, terms, isinstance(leaf, NonMonotoneAffine))
-            else:
-                raise TypeError(f"unknown cost expression {type(leaf).__name__}")
-            leaves[kind].append(entry)
-            return kind, len(leaves[kind]) - 1
-
-        terms = [[(f, lower(leaf, i)) for f, leaf in expr._terms()] for i, expr in enumerate(exprs)]
-        affine, congestion, monomials = leaves["affine"], leaves["congestion"], leaves["monomial"]
-        affine.append((0.0, [], False))  # the zero slot
-        a, b = len(affine), len(affine) + len(congestion)
-        self._bounds = (a, b, b + len(monomials))
+        # Per kind (linear forms, loads, monomials), in order of appearance: each leaf's
+        # flow rows, their coefficients (exponents) and its constant (capacity for loads).
+        rows, coeffs, consts = ([], [], []), ([], [], []), ([], [], [])
+        nonmono, terms = [], []  # terms: per expression, (multiplier, kind, index in the kind)
+        for i, expr in enumerate(exprs):
+            refs = []
+            for f, leaf in expr._terms():
+                if isinstance(leaf, MonomialTerm):
+                    kind, factors, const = 2, leaf.exponents, leaf.coeff
+                elif isinstance(leaf, CongestionRational):
+                    kind, factors, const = 1, leaf.weights, leaf.capacity
+                elif isinstance(leaf, Constant):
+                    kind, factors, const = 0, {}, leaf.value
+                elif isinstance(leaf, (Affine, NonMonotoneAffine)):
+                    kind, factors, const = 0, leaf.coeffs, leaf.constant
+                    if isinstance(leaf, NonMonotoneAffine):
+                        nonmono.append(len(consts[0]))
+                else:
+                    raise TypeError(f"unknown cost expression {type(leaf).__name__}")
+                refs.append((f, kind, len(consts[kind])))
+                rows[kind].append([column(i, n) for n in factors])
+                coeffs[kind].append(list(factors.values()))
+                consts[kind].append(const)
+            terms.append(refs)
+        a = len(consts[0]) + 1  # the zero slot closes the linear forms
+        b = a + len(consts[1])
+        m = b + len(consts[2])
+        self._bounds = (a, b, m)
         self.zero_slot = a - 1
-        base = {"affine": 0, "congestion": a, "monomial": b}
-
-        def slot(ref: tuple[str, int]) -> int:
-            return base[ref[0]] + ref[1]
-
-        linear = [t for _, t, _ in affine] + [t for _, t in congestion]
-        self._lin_cols, self._lin_coeffs = _table(linear, zero)
-        self._c0 = np.array([c for c, _, _ in affine] + [0.0] * len(congestion))  # loads take 0
-        self._nonmono = np.array([k for k, (*_, signed) in enumerate(affine) if signed], dtype=int)
-        self._cap = np.array([cap for cap, _ in congestion])
+        self._lin_cols = _padded(rows[0] + [[]] + rows[1], zero)
+        self._lin_coeffs = _padded(coeffs[0] + [[]] + coeffs[1], 0.0, float)
+        self._c0 = np.array(consts[0] + [0.0] * (b - a + 1))  # loads take 0
+        self._nonmono = np.array(nonmono, dtype=int)
+        self._cap = np.array(consts[1])
         # Monomial padding is zero ** 0 == 1, which leaves a product unchanged.
-        self._mono_cols, exps = _table([f for _, f in monomials], zero)
-        self._mono_exps = exps.astype(int)
-        self._mono_coeff = np.array([c for c, _ in monomials])
+        self._mono_cols = _padded(rows[2], zero)
+        self._mono_exps = _padded(coeffs[2], 0)
+        self._mono_coeff = np.array(consts[2])
         # A lone unscaled leaf is its own expression; the rest are folded.
+        base = (0, a, b)
         plain = [len(t) == 1 and t[0][0] == 1.0 for t in terms]
-        folded = [[(slot(ref), f) for f, ref in t] for t, p in zip(terms, plain) if not p]
-        self._fold_idx, self._fold_mult = _table(folded, self.zero_slot)
-        self._guarded = np.array(sorted({i for t in folded for i, f in t if f == 0.0}), dtype=int)
-        self.slot_count = self._bounds[2] + len(folded)
-        extra = iter(range(self._bounds[2], self.slot_count))
-        self.roots = np.array([slot(t[0][1]) if p else next(extra) for t, p in zip(terms, plain)])
+        folded = [t for t, lone in zip(terms, plain) if not lone]
+        self._fold_idx = _padded([[base[kind] + k for _, kind, k in t] for t in folded], a - 1)
+        self._fold_mult = _padded([[f for f, _, _ in t] for t in folded], 0.0, float)
+        guarded = {base[kind] + k for t in folded for f, kind, k in t if f == 0.0}
+        self._guarded = np.array(sorted(guarded), dtype=int)
+        self.slot_count = m + len(folded)
+        extra = iter(range(m, self.slot_count))
+        self.roots = np.array([base[t[0][1]] + t[0][2] if lone else next(extra)
+                               for t, lone in zip(terms, plain)])
 
     def values(self, flows: np.ndarray, scratch: dict | None = None) -> np.ndarray:
         """Every slot at each flow point: (flow rows, ...) -> (slots, ...).
@@ -303,7 +305,8 @@ class CompiledNetwork:
             raise DimensionMismatchError("network has no populations")
         self.route_counts = [len(pop.routes) for pop in net.populations]
         self.width = max(self.route_counts) + 1
-        self.valid = np.arange(self.width) < np.array(self.route_counts)[:, None]
+        counts = np.array(self.route_counts)
+        self.valid = np.arange(self.width) < counts[:, None]
         self.incidences = [build_incidence(net, p) for p in range(self.pop_count)]
         self.inc_float = [inc.entries.astype(float) for inc in self.incidences]
         # Shared step size: half the reciprocal of the largest route count.
@@ -323,16 +326,15 @@ class CompiledNetwork:
             zero=self.pop_count * self.road_count,
         )
         # The slot of population p's cost on road h; the zero slot if p does not use h.
-        self.cost_slots = np.full((self.pop_count, self.road_count), self.program.zero_slot)
+        slot = [[self.program.zero_slot] * self.road_count for _ in range(self.pop_count)]
         for (p, h, _), root in zip(costed, self.program.roots.tolist()):
-            self.cost_slots[p, h] = root
-        slot = self.cost_slots.tolist()
+            slot[p][h] = root
+        self.cost_slots = np.array(slot, dtype=int)
         routes = [[] for _ in range(self.pop_count * self.width)]
         for p, pop in enumerate(net.populations):
             for j, route in enumerate(pop.routes):
-                roads = route.road_ids
-                routes[p * self.width + j] = [(slot[p][road_index[rid]], 0.0) for rid in roads]
-        self._route_gather = _table(routes, self.program.zero_slot)[0]
+                routes[p * self.width + j] = [slot[p][road_index[rid]] for rid in route.road_ids]
+        self._route_gather = _padded(routes, self.program.zero_slot)
         # Batches of more assignments than this are evaluated in pieces.
         per_assignment = self._flow_gather.size + 2 * self.program._lin_cols.size
         per_assignment += self.program.slot_count + self._route_gather.size
@@ -340,11 +342,10 @@ class CompiledNetwork:
         # Past the routes, squashed times of 2 push the map's raw step below 0.
         self._pad_phi = np.where(self.valid, 0.0, 2.0)
         # (population, from route, to route) of every mass shift, in order
-        self._shifts = np.concatenate(
-            [[np.full(n * (n - 1), p), *np.nonzero(~np.eye(n, dtype=bool))]
-             for p, n in enumerate(self.route_counts)],
-            axis=1,
-        )
+        index = np.arange(self.width - 1)
+        i, j = np.nonzero(index[:, None] != index)
+        p, k = np.nonzero(np.maximum(i, j) < counts[:, None])
+        self._shifts = np.array([p, i[k], j[k]])
 
     def pack(self, shares) -> np.ndarray:
         """Padded (P, W) share array of an assignment or nested share lists."""
@@ -410,12 +411,13 @@ class CompiledNetwork:
         """Routes whose share exceeds `share_tol` are relevant, others unused."""
         valid = _per_row(self.valid, x.shape[2:])
         relevant = (x > share_tol) & valid
-        hi = np.where(relevant, t, 0.0).max(axis=1)  # times are >= 0
+        kept = np.where(relevant, t, 0.0)
+        hi = kept.max(axis=1)  # times are >= 0
         lo = np.minimum(np.where(relevant, t, np.inf).min(axis=1), hi)
         # lo == inf: every relevant time is infinite, so they agree
         spread = np.subtract(hi, lo, out=np.zeros(hi.shape), where=lo < np.inf)
         scale = np.where(hi < np.inf, np.maximum(1.0, hi), 1.0)
-        mean = _route_total(x * np.where(relevant, t, 0.0), keepdims=True)
+        mean = _route_total(x * kept, keepdims=True)
         unused = valid ^ relevant
         unused &= t < np.inf
         shortfall = np.subtract(mean, t, out=np.full(t.shape, -np.inf), where=unused)
@@ -434,10 +436,12 @@ class CompiledNetwork:
         from an infinite route, -inf (never a gain) into a route that turns
         infinite.
         """
-        p, i, j = np.repeat(self._shifts, len(eps_values), axis=1)
-        e = np.tile(np.asarray(eps_values, dtype=float), len(p) // len(eps_values))
+        eps = np.asarray(eps_values, dtype=float)
+        k = np.arange(self._shifts.shape[1] * eps.size)
+        p, i, j = shifts = self._shifts[:, k // eps.size]
+        e = eps[k % eps.size]
         keep = x[p, i] >= e - slack
-        p, i, j, e = p[keep], i[keep], j[keep], e[keep]
+        (p, i, j), e = shifts[:, keep], e[keep]
         rows = np.arange(len(e))
         batch = np.repeat(x[..., None], len(e), axis=-1)
         batch[p, i, rows] = np.maximum(x[p, i] - e, 0.0)

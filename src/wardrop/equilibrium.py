@@ -66,16 +66,16 @@ class Assignment:
             arr = [float(x) for x in vec]
             if not arr:
                 raise DimensionMismatchError("empty share vector")
-            if not all(math.isfinite(x) for x in arr):
+            if not all(map(math.isfinite, arr)):
                 raise ValueError(f"share vector has a non-finite component in {arr}")
             total = sum(arr)
             if abs(total - 1.0) > tolerance:
                 raise ValueError(f"share vector sums to {total}, not 1")
-            if any(x < -tolerance for x in arr):
+            if min(arr) < -tolerance:
                 raise ValueError(f"share vector has negative component in {arr}")
             clamped = [max(0.0, x) for x in arr]
             s = sum(clamped)
-            cleaned.append(tuple(x / s for x in clamped))
+            cleaned.append(tuple([x / s for x in clamped]))
         return Assignment(tuple(cleaned))
 
 
@@ -264,7 +264,7 @@ def _eps_nash(
     """The eps-Nash verdict from the gains of every feasible shift."""
     p, i, j, e, gain = core.eps_gains(x, t, eps_values, INPUT_TOLERANCE)
     paying = gain > tol
-    shifts = zip(*(a[paying].tolist() for a in (p, i, j, e, gain)))
+    shifts = zip(*(a[paying].tolist() for a in (p, i, j, e, gain))) if paying.any() else ()
     detail = [
         f"{core.names[q]}: moving {mass:g} from route {a} to route {b} gains {g:.3e}"
         for q, a, b, mass, g in shifts

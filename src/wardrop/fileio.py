@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Mapping, Sequence
 from dataclasses import fields, is_dataclass
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any
 
 from .costs import ExtReal, cost_from_obj, cost_to_obj
 from .equilibrium import Assignment
@@ -35,7 +36,9 @@ def _finite_float(text: str) -> float:
 
 def _load_json(path: str | Path) -> Any:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, "rb", buffering=0) as file:  # a text-mode file costs more than the read
+            text = file.read().decode("utf-8")
+        text = text.replace("\r\n", "\n").replace("\r", "\n")  # newlines as text mode reads them
         return json.loads(text, parse_constant=_reject_constant, parse_float=_finite_float)
     except json.JSONDecodeError as exc:
         raise ParseError(
@@ -47,15 +50,13 @@ def _load_json(path: str | Path) -> Any:
 
 def network_from_obj(obj: Mapping) -> Network:
     try:
-        junctions = tuple(Junction(str(j)) for j in obj["junctions"])
+        junctions = tuple([Junction(str(j)) for j in obj["junctions"]])
         roads = tuple(
-            Road(str(r["id"]), str(r["tail"]), str(r["head"])) for r in obj["roads"]
+            [Road(str(r["id"]), str(r["tail"]), str(r["head"])) for r in obj["roads"]]
         )
         populations = []
         for pop in obj["populations"]:
-            routes = tuple(
-                RouteSpec(tuple(str(r) for r in route)) for route in pop["routes"]
-            )
+            routes = tuple([RouteSpec(tuple(map(str, route))) for route in pop["routes"]])
             costs = {
                 str(rid): cost_from_obj(cobj)
                 for rid, cobj in dict(pop.get("costs", {})).items()

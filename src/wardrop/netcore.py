@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -137,19 +137,17 @@ def validate_network(net: Network) -> ValidationReport:
     def warn(code: str, message: str, *witnesses: str) -> None:
         findings.append(Finding("warning", code, message, tuple(witnesses)))
 
-    junction_ids = [j.id for j in net.junctions]
-    seen: set[str] = set()
-    for jid in junction_ids:
-        if jid in seen:
-            err("duplicate-id", f"junction id {jid!r} repeats", jid)
-        seen.add(jid)
-    junctions = set(junction_ids)
+    junctions: set[str] = set()
+    for junction in net.junctions:
+        if junction.id in junctions:
+            err("duplicate-id", f"junction id {junction.id!r} repeats", junction.id)
+        junctions.add(junction.id)
 
-    road_ids: set[str] = set()
+    roads_by_id: dict[str, Road] = {}
     for road in net.roads:
-        if road.id in road_ids:
+        if road.id in roads_by_id:
             err("duplicate-id", f"road id {road.id!r} repeats", road.id)
-        road_ids.add(road.id)
+        roads_by_id[road.id] = road
         for endpoint in (road.tail, road.head):
             if endpoint not in junctions:
                 err(
@@ -160,12 +158,11 @@ def validate_network(net: Network) -> ValidationReport:
                 )
         if road.tail == road.head:
             err("self-loop", f"road {road.id!r} is a self-loop", road.id)
-    roads_by_id = {r.id: r for r in net.roads}
 
-    pop_names = [p.name for p in net.populations]
-    for name in pop_names:
-        if pop_names.count(name) > 1:
-            err("duplicate-id", f"population name {name!r} repeats", name)
+    pop_names = Counter(p.name for p in net.populations)
+    for pop in net.populations:
+        if pop_names[pop.name] > 1:
+            err("duplicate-id", f"population name {pop.name!r} repeats", pop.name)
 
     for pop in net.populations:
         if pop.origin not in junctions:
@@ -174,79 +171,75 @@ def validate_network(net: Network) -> ValidationReport:
             err("unknown-junction", f"population {pop.name!r} has unknown destination", pop.name, pop.destination)
         if not pop.routes:
             err("no-routes", f"population {pop.name!r} has no routes", pop.name)
+        used: dict[str, Road | None] = {}  # the roads of the routes, None if unknown
         for ri, route in enumerate(pop.routes):
+            ids = route.road_ids
+            roads = [roads_by_id.get(rid) for rid in ids]
+            used.update(zip(ids, roads))
             label = f"{pop.name}:route{ri}"
-            if not route.road_ids:
+            if not ids:
                 err("route-empty", f"route {label} is empty", label)
                 continue
-            missing = [r for r in route.road_ids if r not in roads_by_id]
-            if missing:
+            if not all(roads):
+                missing = [rid for rid, road in zip(ids, roads) if road is None]
                 err("unknown-road", f"route {label} uses unknown roads {missing}", label, *missing)
                 continue
-            if len(set(route.road_ids)) != len(route.road_ids):
+            if len(set(ids)) != len(ids):
                 err("route-duplicate-road", f"route {label} repeats a road", label)
-            for a, b in zip(route.road_ids, route.road_ids[1:]):
-                if roads_by_id[a].head != roads_by_id[b].tail:
+            for a, b in zip(roads, roads[1:]):
+                if a.head != b.tail:
                     err(
                         "route-adjacency",
-                        f"route {label}: head of {a!r} is not tail of {b!r}",
-                        label, a, b,
+                        f"route {label}: head of {a.id!r} is not tail of {b.id!r}",
+                        label, a.id, b.id,
                     )
-            if roads_by_id[route.road_ids[0]].tail != pop.origin:
+            if roads[0].tail != pop.origin:
                 err("route-endpoints", f"route {label} does not start at the origin", label)
-            if roads_by_id[route.road_ids[-1]].head != pop.destination:
+            if roads[-1].head != pop.destination:
                 err("route-endpoints", f"route {label} does not end at the destination", label)
-        used = {r for route in pop.routes for r in route.road_ids if r in roads_by_id}
-        for rid in sorted(used):
-            if rid not in pop.costs:
-                err("missing-cost", f"population {pop.name!r} has no cost for road {rid!r}", pop.name, rid)
-        for rid in sorted(set(pop.costs) - used):
+        known = {rid: road for rid, road in used.items() if road is not None}
+        for rid in sorted(known.keys() - pop.costs.keys()):
+            err("missing-cost", f"population {pop.name!r} has no cost for road {rid!r}", pop.name, rid)
+        for rid in sorted(pop.costs.keys() - known.keys()):
             warn("unused-cost", f"population {pop.name!r} defines a cost for unused road {rid!r}", pop.name, rid)
-        for rid, expr in sorted(pop.costs.items()):
-            unknown = sorted(expr.populations() - set(pop_names))
-            if unknown:
-                err(
-                    "unknown-cost-population",
-                    f"cost for road {rid!r} of {pop.name!r} references unknown populations {unknown}",
-                    pop.name, rid, *unknown,
-                )
-        _check_subnetwork(pop, roads_by_id, err)
+        strangers = [(rid, e.populations() - pop_names.keys()) for rid, e in pop.costs.items()]
+        for rid, unknown in sorted((rid, sorted(names)) for rid, names in strangers if names):
+            err(
+                "unknown-cost-population",
+                f"cost for road {rid!r} of {pop.name!r} references unknown populations {unknown}",
+                pop.name, rid, *unknown,
+            )
+        _check_subnetwork(pop, known.values(), err)
 
     # Union-network degree rule: every junction should have at least one
     # entering and one exiting road, except on the side where it serves as
     # some population's origin (entering) or destination (exiting).
-    in_deg = Counter(road.head for road in net.roads)
-    out_deg = Counter(road.tail for road in net.roads)
+    heads = {road.head for road in net.roads}
+    tails = {road.tail for road in net.roads}
     origins = {p.origin for p in net.populations}
     destinations = {p.destination for p in net.populations}
     for jid in sorted(junctions):
-        if in_deg[jid] == 0 and out_deg[jid] == 0:
+        if jid not in heads and jid not in tails:
             warn("isolated-junction", f"junction {jid!r} touches no road", jid)
             continue
-        if in_deg[jid] == 0 and jid not in origins:
+        if jid not in heads and jid not in origins:
             warn("junction-degree", f"junction {jid!r} has no entering road", jid)
-        if out_deg[jid] == 0 and jid not in destinations:
+        if jid not in tails and jid not in destinations:
             warn("junction-degree", f"junction {jid!r} has no exiting road", jid)
 
     ok = not any(f.severity == "error" for f in findings)
     return ValidationReport(ok=ok, findings=tuple(findings))
 
 
-def _check_subnetwork(
-    pop: PopulationSpec, roads_by_id: Mapping[str, Road], err: Callable[..., None]
-) -> None:
-    """Connected-DAG / unique-source / unique-sink checks for one population."""
-    used = {r: roads_by_id[r] for route in pop.routes for r in route.road_ids if r in roads_by_id}
+def _check_subnetwork(pop: PopulationSpec, used: Iterable[Road], err: Callable[..., None]) -> None:
+    """Connected-DAG / unique-source / unique-sink checks for one population
+    on the known roads its routes use."""
     successors: dict[str, list[str]] = {}
-    neighbours: dict[str, set[str]] = {}
     entering: dict[str, int] = {}  # roads entering each junction
-    for road in used.values():
-        tail, head = road.tail, road.head
-        successors.setdefault(tail, []).append(head)
-        successors.setdefault(head, [])
-        neighbours.setdefault(tail, set()).add(head)
-        neighbours.setdefault(head, set()).add(tail)
-        entering[head] = entering.get(head, 0) + 1
+    for road in used:
+        successors.setdefault(road.tail, []).append(road.head)
+        successors.setdefault(road.head, [])
+        entering[road.head] = entering.get(road.head, 0) + 1
     if not successors:
         return
     sources = sorted(n for n in successors if n not in entering)
@@ -266,12 +259,17 @@ def _check_subnetwork(
         err("not-acyclic", f"subnetwork of {pop.name!r} contains a cycle", pop.name)
 
     # Weak connectivity.
+    neighbours = {n: list(heads) for n, heads in successors.items()}
+    for n, heads in successors.items():
+        for head in heads:
+            neighbours[head].append(n)
     reached = {min(successors)}
     frontier = list(reached)
     while frontier:
-        for m in neighbours[frontier.pop()] - reached:
-            reached.add(m)
-            frontier.append(m)
+        for m in neighbours[frontier.pop()]:
+            if m not in reached:
+                reached.add(m)
+                frontier.append(m)
     if len(reached) != len(successors):
         err("not-connected", f"subnetwork of {pop.name!r} is disconnected", pop.name)
 

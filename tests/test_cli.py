@@ -191,13 +191,16 @@ class TestUniqueness:
             ),
         ), path)
         argv = ["uniqueness", str(path), "--pairs", "5", "--starts", "1"]
-        assert main(argv) == 0
+        assert main(argv) == 1
         lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "verdict: several equilibria (6 found)"
         assert [line for line in lines if line.startswith("equilibrium-pair")] == [
             f"equilibrium-pair residuals {k}: [0, 0]" for k in range(15)
         ]
-        assert main([*argv, "--format", "structured"]) == 0
-        assert json.loads(capsys.readouterr().out)["pair_residuals"] == [[0.0, 0.0]] * 15
+        assert main([*argv, "--format", "structured"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["verdict"] == "several equilibria (6 found)"
+        assert report["pair_residuals"] == [[0.0, 0.0]] * 15
 
     def test_corridor_reports_case_table(self, files, capsys):
         code = main(["uniqueness", files["congestion_corridor"], "--pairs", "30"])

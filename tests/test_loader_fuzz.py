@@ -1,0 +1,138 @@
+"""Mutated network and assignment documents end in a documented exit.
+
+Each example takes a shipped fixture and its barycenter assignment, damages
+one of the two documents (a wrong type, a deleted key, a NaN, huge or
+infinite literal, a duplicated entry or key, or truncated text), and runs
+`validate` and `verify` on the result.  Every run must return 0, 1 or the
+exit code of a refusal in `cli._REFUSALS`, never raise, and print exactly
+one `error:` line whenever it exits 2 or more.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from wardrop import cli
+
+FIXTURES = sorted((Path(__file__).resolve().parents[1] / "fixtures").glob("*.json"))
+EXITS = {cli.EXIT_OK, cli.EXIT_FAIL} | {code for _, code in cli._REFUSALS}
+
+
+class Raw(str):
+    """A JSON literal written as is (NaN, Infinity, 1e999, ...)."""
+
+
+class Pairs(list):
+    """An object as its (key, value) pairs, so that a key may repeat."""
+
+
+def render(node) -> str:
+    if isinstance(node, Raw):
+        return str(node)
+    if isinstance(node, Pairs):
+        return "{" + ", ".join(f"{json.dumps(k)}: {render(v)}" for k, v in node) + "}"
+    if isinstance(node, dict):
+        return render(Pairs(node.items()))
+    if isinstance(node, list):
+        return "[" + ", ".join(render(v) for v in node) + "]"
+    return json.dumps(node)
+
+
+def paths(node, prefix=()):
+    """Every position in the tree, the root first."""
+    yield prefix
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from paths(child, (*prefix, key))
+
+
+def numbers(node) -> list[tuple]:
+    """The positions of the numbers in the tree."""
+    found = []
+    for path in paths(node):
+        leaf = node
+        for step in path:
+            leaf = leaf[step]
+        if isinstance(leaf, (int, float)) and not isinstance(leaf, bool):
+            found.append(path)
+    return found
+
+
+LITERALS = [
+    Raw("NaN"), Raw("Infinity"), Raw("-Infinity"), Raw("1e999"), Raw("-1e999"),
+    Raw("1e308"), Raw("1.7976931348623157e308"), Raw("123456789" * 40), Raw("-1e-400"),
+]
+WRONG_TYPES = [None, True, False, 0, -1, 2.5, "", "x", [], {}, [[]], {"kind": "x"}]
+
+
+@st.composite
+def damaged(draw, doc):
+    """The text of `doc` with one mutation."""
+    kind = draw(st.sampled_from(["replace", "delete", "duplicate", "truncate"]))
+    if kind == "truncate":
+        text = render(doc)
+        return text[: draw(st.integers(0, len(text) - 1))]
+    doc = json.loads(json.dumps(doc))  # a copy to damage
+    where = draw(st.sampled_from(numbers(doc) if draw(st.booleans()) else list(paths(doc))))
+    if not where:
+        return render(draw(st.sampled_from(WRONG_TYPES + LITERALS)))
+    *up, key = where
+    parent = doc
+    for step in up:
+        parent = parent[step]
+    if kind == "replace":
+        parent[key] = draw(st.sampled_from(WRONG_TYPES + LITERALS))
+    elif kind == "delete":
+        del parent[key]
+    elif isinstance(parent, list):
+        parent.insert(key, parent[key])
+    else:  # the key twice, the second time with a drawn value
+        again = draw(st.sampled_from(WRONG_TYPES + LITERALS + [parent[key]]))
+        pairs = Pairs([*parent.items(), (key, again)])
+        if not up:
+            return render(pairs)
+        holder = doc
+        for step in up[:-1]:
+            holder = holder[step]
+        holder[up[-1]] = pairs
+    return render(doc)
+
+
+@st.composite
+def cases(draw):
+    """(network text, assignment text) with one of them damaged."""
+    network = json.loads(draw(st.sampled_from(FIXTURES)).read_text(encoding="utf-8"))
+    shares = {p["name"]: [1 / len(p["routes"])] * len(p["routes"]) for p in network["populations"]}
+    if draw(st.booleans()):
+        return draw(damaged(network)), render(shares)
+    return render(network), draw(damaged(shares))
+
+
+def run(argv: list[str]) -> tuple[int, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue() + err.getvalue()
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(cases())
+def test_damaged_documents_end_in_a_documented_exit(case):
+    network, shares = case
+    with tempfile.TemporaryDirectory() as tmp:
+        net_path, shares_path = Path(tmp, "network.json"), Path(tmp, "shares.json")
+        net_path.write_text(network, encoding="utf-8")
+        shares_path.write_text(shares, encoding="utf-8")
+        for argv in (["validate", str(net_path)], ["verify", str(net_path), str(shares_path)]):
+            code, printed = run(argv)
+            assert code in EXITS, (argv[0], code, printed)
+            errors = [line for line in printed.splitlines() if line.startswith("error:")]
+            assert len(errors) == (1 if code >= 2 else 0), (argv[0], code, printed)
