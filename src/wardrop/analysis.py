@@ -96,7 +96,7 @@ def segment_matrices(
     Requires a two-population network and smooth costs that stay finite on
     the whole segment; an infinite evaluation raises `InfiniteCostError`
     naming the first such (population, road), and a cost undefined on the
-    segment raises as `eval_cost` does.  Costs on roads a population does
+    segment raises as `eval_array` does.  Costs on roads a population does
     not use are left out, as in route times.  With these matrices,
     route-time differences between the endpoints factor exactly through
     the incidence matrices:

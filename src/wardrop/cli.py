@@ -13,6 +13,10 @@ Exit codes are a total function of the outcome class:
   non-monotone cost that evaluates negative
 * 5 - oracle grid exceeds the enumeration budget
 
+Every exit of 2 or more that `main` returns prints exactly one `error:`
+line on stderr, a solve that ends in 3 after its report; a bad flag value
+exits 2 through argparse's usage message.
+
 Structured output (--format structured) is deterministic JSON: identical
 inputs and seed give byte-identical bytes.  Text output rounds to 9
 significant digits; the structured form keeps full precision.
@@ -231,9 +235,15 @@ def _dispatch(args) -> int:
     if args.command == "solve":
         net = _load_net(args.network)
         result = equilibrium.solve_fixed_point(net, None, _solve_params(args))
-        lines = _solve_lines(net, result)
-        _emit(args, result, lines)
-        return EXIT_OK if result.success else EXIT_SOLVER
+        _emit(args, result, _solve_lines(net, result))
+        if result.success:
+            return EXIT_OK
+        if result.converged:
+            print("error: the solver's fixed point failed verification", file=sys.stderr)
+        else:
+            print(f"error: no convergence in {result.iterations} iterations "
+                  f"(residual {_fmt(result.residual)})", file=sys.stderr)
+        return EXIT_SOLVER
 
     if args.command == "verify":
         net = _load_net(args.network)

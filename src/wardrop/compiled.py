@@ -9,7 +9,8 @@ x[p, :n_p], the rest is 0 (W exceeds every route count, so each row ends
 in a zero the gathers pad with).  Trailing axes batch assignments, so each
 gather copies whole rows, and a batch entry equals its assignment evaluated
 alone, bit for bit.  Every sum runs left to right from 0, as Python's
-`sum` and `eval_cost` do: another order changes the last bits.
+`sum` and the scalar reference in `tests/conftest.py` do: another order
+changes the last bits.
 """
 
 from __future__ import annotations
@@ -118,7 +119,7 @@ def flow_gather(incidences: Sequence[IncidenceMatrix], width: int) -> np.ndarray
     return _padded(columns, width - 1)
 
 
-_POW = np.frompyfunc(math.pow, 2, 1)  # libm pow, as `float ** int` in `_value`
+_POW = np.frompyfunc(math.pow, 2, 1)  # libm pow, as the scalar reference's `float ** int`
 _ROOT_MAX = math.sqrt(sys.float_info.max)  # the largest float whose square is finite
 
 
@@ -133,9 +134,12 @@ class CostProgram:
 
     `values(flows)` evaluates every slot at any number of flow points, batch
     axes last; expression i sits in slot `roots[i]`, and slot `zero_slot`
-    holds 0.  Values equal `eval_cost` bit for bit, and raise where it raises
+    holds 0.  Values equal the scalar tree walk `reference_cost` of
+    `tests/conftest.py` bit for bit, and raise where it raises
     (`CostDomainError` for a negative non-monotone value, `ExtRealGuardError`
-    for 0 * inf).  Flows are used as given: callers validate them.
+    for 0 * inf), except that every sign is checked first: where both
+    occur, `CostDomainError`.  Flows are used as given: callers validate
+    them (`costs._lowered` states the rule).
 
     `slopes(flows, tangent)` is the forward-mode view of the same slots:
     each one's directional derivative along `tangent` over the flow rows.
@@ -370,7 +374,7 @@ class CompiledNetwork:
     def _flows(self, shares: np.ndarray, scratch: dict | None = None) -> np.ndarray:
         """Road flows (P*N + 1, ...) of flat shares (P*W, ...), population q's
         on road h in row q*N + h, 0 in the last.  Shares on their simplices
-        give flows in [0, 1] up to rounding, clamped away as `eval_cost` does."""
+        give flows in [0, 1] up to rounding, clamped away as `_lowered` does."""
         flows = _gather_sum(shares, self._flow_gather, scratch, "flows")
         return np.minimum(flows, 1.0, out=flows)
 

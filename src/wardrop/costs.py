@@ -60,6 +60,11 @@ class ExtReal:
     def infinity() -> "ExtReal":
         return _INFINITY
 
+    @staticmethod
+    def from_float(value: float) -> "ExtReal":
+        """The extended real of an IEEE value, math.inf as +infinity."""
+        return _INFINITY if math.isinf(value) else ExtReal.of(value)
+
     @property
     def is_infinite(self) -> bool:
         return self.finite is None
@@ -109,20 +114,6 @@ def _finite(value: float, what: str) -> None:
         raise ValueError(f"{what} must be finite, got {value}")
 
 
-def _check_flows(expr: "CostExpr", flows: Mapping[str, float]) -> dict[str, float]:
-    """Validate and clamp the flow arguments an expression references."""
-    clean: dict[str, float] = {}
-    for name in expr.populations():
-        try:
-            value = float(flows[name])
-        except KeyError:
-            raise CostDomainError(f"no flow supplied for population {name!r}") from None
-        if not -FLOW_TOLERANCE <= value <= 1 + FLOW_TOLERANCE:  # NaN included
-            raise CostDomainError(f"flow {value} for {name!r} outside [0, 1]")
-        clean[name] = min(1.0, max(0.0, value))
-    return clean
-
-
 @dataclass(frozen=True)
 class CostExpr:
     """Base class of the cost-expression forms; use the concrete subclasses."""
@@ -130,23 +121,10 @@ class CostExpr:
     def populations(self) -> frozenset[str]:
         raise NotImplementedError
 
-    def _value(self, flows: Mapping[str, float]) -> float:
-        """Evaluate as IEEE float (math.inf allowed); flows pre-validated."""
-        raise NotImplementedError
-
     def _terms(self) -> Iterator[tuple[float, "CostExpr | MonomialTerm"]]:
         """(multiplier, leaf) pairs; `Sum`, `Polynomial` and `Scale` are the
         left-to-right sum of multiplier * leaf value over their terms."""
         yield 1.0, self
-
-    def _folded_value(self, flows: Mapping[str, float]) -> float:
-        total = 0.0
-        for factor, leaf in self._terms():
-            v = leaf._value(flows)
-            if factor == 0 and math.isinf(v):
-                raise ExtRealGuardError("0 * inf is not defined")
-            total += factor * v
-        return total
 
     def structurally_monotone(self) -> bool:
         return True
@@ -167,9 +145,6 @@ class Constant(CostExpr):
 
     def populations(self) -> frozenset[str]:
         return frozenset()
-
-    def _value(self, flows: Mapping[str, float]) -> float:
-        return self.value
 
     def structurally_convex(self) -> bool:
         return True
@@ -198,9 +173,6 @@ class Affine(CostExpr):
     def populations(self) -> frozenset[str]:
         return frozenset(self.coeffs)
 
-    def _value(self, flows: Mapping[str, float]) -> float:
-        return self.constant + sum(c * flows[n] for n, c in self.coeffs.items())
-
     def structurally_convex(self) -> bool:
         return True
 
@@ -223,12 +195,6 @@ class MonomialTerm:
             self, "exponents", {n: int(k) for n, k in self.exponents.items() if k != 0}
         )
 
-    def _value(self, flows: Mapping[str, float]) -> float:
-        prod = self.coeff
-        for n, k in self.exponents.items():
-            prod *= flows[n] ** k
-        return prod
-
 
 @dataclass(frozen=True)
 class Polynomial(CostExpr):
@@ -242,8 +208,6 @@ class Polynomial(CostExpr):
 
     def _terms(self) -> Iterator[tuple[float, MonomialTerm]]:
         return ((1.0, t) for t in self.terms)
-
-    _value = CostExpr._folded_value
 
     def structurally_convex(self) -> bool | None:
         # A sum of single-population powers is convex; cross-population
@@ -273,15 +237,6 @@ class CongestionRational(CostExpr):
     def populations(self) -> frozenset[str]:
         return frozenset(self.weights)
 
-    def _load(self, flows: Mapping[str, float]) -> float:
-        return sum(w * flows[n] for n, w in self.weights.items())
-
-    def _value(self, flows: Mapping[str, float]) -> float:
-        s = self._load(flows)
-        if s >= self.capacity:
-            return math.inf
-        return s / (self.capacity - s)
-
     def structurally_convex(self) -> bool:
         # Convex increasing function of a nonnegative linear form.
         return True
@@ -300,8 +255,6 @@ class Sum(CostExpr):
     def _terms(self) -> Iterator[tuple[float, CostExpr | MonomialTerm]]:
         for t in self.terms:
             yield from t._terms()
-
-    _value = CostExpr._folded_value
 
     def structurally_monotone(self) -> bool:
         return all(t.structurally_monotone() for t in self.terms)
@@ -331,8 +284,6 @@ class Scale(CostExpr):
     def _terms(self) -> Iterator[tuple[float, CostExpr | MonomialTerm]]:
         for factor, leaf in self.inner._terms():
             yield self.factor * factor, leaf
-
-    _value = CostExpr._folded_value
 
     def structurally_monotone(self) -> bool:
         return self.inner.structurally_monotone()
@@ -364,12 +315,6 @@ class NonMonotoneAffine(CostExpr):
     def populations(self) -> frozenset[str]:
         return frozenset(self.coeffs)
 
-    def _value(self, flows: Mapping[str, float]) -> float:
-        v = self.constant + sum(c * flows[n] for n, c in self.coeffs.items())
-        if v < 0:
-            raise CostDomainError(f"non-monotone affine cost evaluated negative ({v})")
-        return v
-
     def structurally_monotone(self) -> bool:
         return all(c >= 0 for c in self.coeffs.values())
 
@@ -380,24 +325,20 @@ class NonMonotoneAffine(CostExpr):
 def eval_cost(expr: CostExpr, flows: Mapping[str, float]) -> ExtReal:
     """Evaluate a cost expression at the given per-population flows.
 
-    Flows must lie in [0, 1] within 1e-12 per population; they are clamped
-    before evaluation.  Returns a tagged extended real; congestion forms
-    return +infinity exactly when the weighted load reaches capacity.
+    A view of `eval_array` at one point, as a tagged extended real:
+    congestion forms give +infinity exactly when the weighted load reaches
+    capacity.  Flows follow `_lowered`'s rule.
     """
-    clean = _check_flows(expr, flows)
-    v = expr._value(clean)
-    if math.isinf(v):
-        return ExtReal.infinity()
-    return ExtReal.of(v)
+    return ExtReal.from_float(float(eval_array(expr, flows)))
 
 
 def eval_partial(expr: CostExpr, flows: Mapping[str, float], population: str) -> float:
     """Partial derivative with respect to one population's flow.
 
-    A view of `CostProgram.slopes`, with flows validated and clamped as
-    `eval_cost`'s.  Only defined where the expression is finite; raises
-    `InfiniteCostError` at a blow-up point (the theory only demands
-    derivatives at points of finite value), and where `eval_cost` raises.
+    A view of `CostProgram.slopes`, flows under `_lowered`'s rule.  Only
+    defined where the expression is finite; raises `InfiniteCostError` at a
+    blow-up point (the theory only demands derivatives at points of finite
+    value), and where `eval_array` raises.
     """
     program, read, rows = _lowered(expr, flows)
     tangent = np.zeros_like(rows)
@@ -425,7 +366,7 @@ def classify_cost(expr: CostExpr, grid: int = 21) -> CostClassReport:
     structural verdict or decides the undecidable cases.  Sampling is
     advisory: it feeds the report, it never alters evaluation behavior.
     Each lattice is one `eval_array` batch, so classification raises where
-    `eval_cost` raises, a negative non-monotone value included.
+    evaluation raises, a negative non-monotone value included.
     """
     if isinstance(grid, bool) or not isinstance(grid, int) or grid < 2:
         raise ValueError(f"grid must be an int of at least 2, got {grid!r}")
@@ -480,7 +421,7 @@ def compile_scalar(
     expr: CostExpr, population_order: Sequence[str]
 ) -> Callable[[Sequence[float]], float]:
     """A float function of per-population flows given in `population_order`
-    (math.inf at blow-ups): a view of `eval_array`, so it equals `eval_cost`."""
+    (math.inf at blow-ups): a view of `eval_array`."""
     order = list(population_order)
     return lambda flows: float(eval_array(expr, dict(zip(order, flows))))
 
@@ -488,8 +429,8 @@ def compile_scalar(
 def eval_array(expr: CostExpr, flows: Mapping[str, object]) -> np.ndarray:
     """Evaluation over numpy arrays of flows (np.inf at blow-ups).
 
-    A view of `CostProgram`: the flows broadcast against each other, are
-    validated and clamped like `eval_cost`'s, and give its values.
+    A view of `CostProgram`: the flows, under `_lowered`'s rule, broadcast
+    against each other and give its values.
     """
     program, _, rows = _lowered(expr, flows)
     return program.values(rows)[program.roots[0]]
@@ -497,8 +438,11 @@ def eval_array(expr: CostExpr, flows: Mapping[str, object]) -> np.ndarray:
 
 def _lowered(expr: CostExpr, flows: Mapping[str, object]):
     """(program, population names, flow rows) of one expression: the names it
-    reads, sorted, one row each, validated and clamped like `eval_cost`'s
-    flows and broadcast together, then the program's zero row."""
+    reads, sorted, one row each, broadcast together, then the program's zero
+    row.  The flow rule of every evaluation here: each name read must have
+    flows, in [0, 1] within FLOW_TOLERANCE, else `CostDomainError`; they are
+    clamped into [0, 1].  `reference_cost` in `tests/conftest.py` is the
+    scalar tree walk that the program equals bit for bit."""
     read = sorted(expr.populations())
     columns = []
     for name in read:
@@ -553,7 +497,27 @@ def cost_to_obj(expr: CostExpr) -> dict:
 
 
 def cost_from_obj(obj: Mapping) -> CostExpr:
-    """Parse a kind-discriminated cost object; raises ValueError on bad input."""
+    """Parse a kind-discriminated cost object; raises ValueError on bad input,
+    and on a cost whose values on the flow box can leave the float range."""
+    expr = _parse_cost(obj)
+    bound = 0.0  # of |value|: each leaf's bound at flows in [0, 1], times its multiplier
+    for factor, leaf in expr._terms():
+        if isinstance(leaf, MonomialTerm):
+            bound += factor * leaf.coeff
+        elif isinstance(leaf, CongestionRational):  # its load, and its largest finite value
+            load = sum(leaf.weights.values())
+            top = load / (leaf.capacity - load) if load < leaf.capacity else 2.0**54
+            bound += factor * max(load, top)
+        elif isinstance(leaf, Constant):
+            bound += factor * leaf.value
+        else:  # a linear form, signed or not
+            bound += factor * (abs(leaf.constant) + sum(map(abs, leaf.coeffs.values())))
+    if not math.isfinite(bound):
+        raise ValueError(f"cost {obj.get('kind')!r} can take values past the float range")
+    return expr
+
+
+def _parse_cost(obj: Mapping) -> CostExpr:
     if not isinstance(obj, Mapping) or "kind" not in obj:
         raise ValueError("cost object must be a mapping with a 'kind' field")
     kind = obj["kind"]
@@ -581,9 +545,9 @@ def cost_from_obj(obj: Mapping) -> CostExpr:
                 float(obj["capacity"]),
             )
         if kind == "sum":
-            return Sum(tuple(cost_from_obj(t) for t in obj["terms"]))
+            return Sum(tuple(_parse_cost(t) for t in obj["terms"]))
         if kind == "scale":
-            return Scale(float(obj["factor"]), cost_from_obj(obj["expr"]))
+            return Scale(float(obj["factor"]), _parse_cost(obj["expr"]))
         if kind == "nonmonotone_affine":
             return NonMonotoneAffine(
                 float(obj.get("constant", 0.0)),

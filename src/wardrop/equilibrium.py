@@ -196,10 +196,6 @@ def _evaluate(net: Network, theta: Assignment) -> tuple[CompiledNetwork, np.ndar
     return core, x, core.times(x)
 
 
-def _to_extreal(x: float) -> ExtReal:
-    return ExtReal.infinity() if math.isinf(x) else ExtReal.of(x)
-
-
 # ---------------------------------------------------------------------------
 # Public operations
 # ---------------------------------------------------------------------------
@@ -212,8 +208,8 @@ def route_times(net: Network, theta: Assignment) -> RouteTimes:
     convention (a route with zero share and infinite time contributes 0).
     """
     core, x, t = _evaluate(net, theta)
-    times = tuple(tuple(_to_extreal(v) for v in row) for row in core.unpack(t))
-    means = tuple(_to_extreal(m) for m in share_mean(x, t, 0.0).tolist())
+    times = tuple(tuple(ExtReal.from_float(v) for v in row) for row in core.unpack(t))
+    means = tuple(ExtReal.from_float(m) for m in share_mean(x, t, 0.0).tolist())
     return RouteTimes(times=times, means=means)
 
 
@@ -224,7 +220,7 @@ def mean_times(theta: Assignment, times: Sequence[Sequence[ExtReal]]) -> tuple[E
         if len(vec) != len(pop_times):
             raise DimensionMismatchError("share vector and time vector differ in length")
         t = np.array([[x.as_float() for x in pop_times]])
-        out.append(_to_extreal(float(share_mean(np.array([vec], dtype=float), t, 0.0)[0])))
+        out.append(ExtReal.from_float(float(share_mean(np.array([vec], dtype=float), t, 0.0)[0])))
     return tuple(out)
 
 
@@ -356,7 +352,7 @@ def verify(
         is_equilibrium=eq.holds,
         is_nash=nash.holds,
         is_eps_nash=nash.holds and eps_verdict.holds,
-        common_times=tuple(_to_extreal(m) for m in share_mean(x, t, 0.0).tolist()),
+        common_times=tuple(ExtReal.from_float(m) for m in share_mean(x, t, 0.0).tolist()),
         equilibrium_residual=eq.residual,
         nash_residual=nash.residual,
         eps_residual=eps_verdict.residual,

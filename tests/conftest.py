@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -13,8 +14,12 @@ from wardrop.costs import (
     Affine,
     CongestionRational,
     Constant,
+    CostDomainError,
     CostExpr,
+    ExtRealGuardError,
+    FLOW_TOLERANCE,
     MonomialTerm,
+    NonMonotoneAffine,
     Polynomial,
     Scale,
     Sum,
@@ -55,6 +60,42 @@ def merge6_net() -> Network:
 @pytest.fixture(scope="session")
 def pathological_net() -> Network:
     return nets.nonmonotone_pair()
+
+
+def reference_cost(expr: CostExpr, flows) -> float:
+    """The scalar tree walk that `CostProgram` equals bit for bit (math.inf
+    at blow-ups).  Flows outside [0, 1] by more than FLOW_TOLERANCE, or
+    missing, raise `CostDomainError`, the rest are clamped into it; then the
+    left-to-right sum from 0 of multiplier * leaf value over `_terms()`,
+    raising at the first leaf that fails: a negative non-monotone value, or
+    a zero multiplier of an infinite one (`ExtRealGuardError`)."""
+    clean = {}
+    for name in expr.populations():
+        if name not in flows:
+            raise CostDomainError(f"no flow supplied for population {name!r}")
+        value = float(flows[name])
+        if not -FLOW_TOLERANCE <= value <= 1 + FLOW_TOLERANCE:  # NaN included
+            raise CostDomainError(f"flow {value} for {name!r} outside [0, 1]")
+        clean[name] = min(1.0, max(0.0, value))
+    total = 0.0
+    for factor, leaf in expr._terms():
+        if isinstance(leaf, MonomialTerm):
+            v = leaf.coeff
+            for n, k in leaf.exponents.items():
+                v *= clean[n] ** k
+        elif isinstance(leaf, CongestionRational):
+            s = sum(w * clean[n] for n, w in leaf.weights.items())
+            v = math.inf if s >= leaf.capacity else s / (leaf.capacity - s)
+        elif isinstance(leaf, Constant):
+            v = leaf.value
+        else:  # Affine or NonMonotoneAffine
+            v = leaf.constant + sum(c * clean[n] for n, c in leaf.coeffs.items())
+            if isinstance(leaf, NonMonotoneAffine) and v < 0:
+                raise CostDomainError(f"non-monotone affine cost evaluated negative ({v})")
+        if factor == 0 and math.isinf(v):
+            raise ExtRealGuardError("0 * inf is not defined")
+        total += factor * v
+    return total
 
 
 def rational_rank(matrix: np.ndarray) -> int:

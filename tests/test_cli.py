@@ -98,7 +98,9 @@ class TestSolve:
 
     def test_non_convergence_exits_three(self, files, capsys):
         assert main(["solve", files["merge_linked"], "--max-iters", "3"]) == 3
-        assert "not-converged" in capsys.readouterr().out
+        out, err = capsys.readouterr()
+        assert "not-converged" in out
+        assert err.startswith("error: no convergence in 3 iterations") and err.count("\n") == 1
 
 
 class TestVerify:
@@ -458,6 +460,30 @@ def test_a_negative_cost_parameter_exits_two_with_one_error_line(tmp_path, capsy
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "constant cost must be nonnegative" in err
+
+
+PAST_THE_FLOAT_RANGE = {
+    "affine-sum": {"kind": "affine", "constant": 1.7e308, "coeffs": {"trucks": 1.7e308}},
+    "scale-of-scale": {"kind": "scale", "factor": 1e200, "expr": {
+        "kind": "scale", "factor": 1e200, "expr": {"kind": "constant", "value": 0}}},
+    "scaled-congestion": {"kind": "scale", "factor": 1e303, "expr": {  # 1e7 below capacity
+        "kind": "congestion", "weights": {"trucks": 1.0}, "capacity": 1.0000001}},
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "solve", "verify"])
+@pytest.mark.parametrize("cost", list(PAST_THE_FLOAT_RANGE))
+def test_a_cost_that_can_pass_the_float_range_is_refused_at_load(cost, command, tmp_path, capsys):
+    obj = network_to_obj(nets.braess_base())
+    obj["populations"][0]["costs"]["r1"] = PAST_THE_FLOAT_RANGE[cost]
+    argv = [command, _write(tmp_path, "vast.json", obj)]
+    if command == "verify":
+        argv.append(_write(tmp_path, "shares.json", {"trucks": [0.5, 0.5], "cars": [0.5, 0.5]}))
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "float range" in err and "Traceback" not in err
 
 
 def test_uniqueness_with_a_vast_congestion_capacity_prints_a_verdict(tmp_path, capsys):

@@ -1,9 +1,11 @@
 """The compiled network: equal to the reference semantics, bit for bit.
 
-`eval_cost` is the reference.  Route times are sums of its values at flows
-summed in route order; a batch of assignments evaluates row by row as each
-assignment would alone; the batched eps-Nash check equals a loop over the
-shifts.  Non-finite numbers are refused wherever they enter.
+`reference_cost` (conftest), the scalar tree walk over a cost's terms, is
+the reference, and `eval_cost` is a view of the program.  Route times are
+sums of the reference's values at flows summed in route order; a batch of
+assignments evaluates row by row as each assignment would alone; the
+batched eps-Nash check equals a loop over the shifts.  Non-finite numbers
+are refused wherever they enter.
 """
 
 from __future__ import annotations
@@ -63,6 +65,7 @@ from wardrop.netcore import (
     enumerate_routes,
     flows_on_roads,
 )
+from conftest import reference_cost
 
 EVALUATION_ERRORS = (CostDomainError, ExtRealGuardError)
 SETTINGS = settings(
@@ -161,7 +164,7 @@ def reference_flows(net: Network, shares) -> dict[tuple[int, str], float]:
 
 
 def reference_times(net: Network, shares) -> list[list[float]]:
-    """Route times as sums of `eval_cost` values; raises what it raises."""
+    """Route times as sums of `reference_cost` values; raises what it raises."""
     flows = reference_flows(net, shares)
     names = net.population_names()
     times = []
@@ -169,7 +172,7 @@ def reference_times(net: Network, shares) -> list[list[float]]:
         cost = {}
         for rid in sorted(pop.road_ids()):
             point = {n: flows[q, rid] for q, n in enumerate(names)}
-            cost[rid] = eval_cost(pop.costs[rid], point).as_float()
+            cost[rid] = reference_cost(pop.costs[rid], point)
         times.append([sum(cost[rid] for rid in route.road_ids) for route in pop.routes])
     return times
 
@@ -183,14 +186,14 @@ def raised(fn, *args):
 
 
 def reference_errors(net: Network, shares) -> set[type]:
-    """Every error `eval_cost` raises on some road used at these shares."""
+    """Every error `reference_cost` raises on some road used at these shares."""
     flows = reference_flows(net, shares)
     names = net.population_names()
     errors = set()
     for pop in net.populations:
         for rid in pop.road_ids():
             point = {n: flows[q, rid] for q, n in enumerate(names)}
-            _, error = raised(eval_cost, pop.costs[rid], point)
+            _, error = raised(reference_cost, pop.costs[rid], point)
             if error:
                 errors.add(error)
     return errors
@@ -228,18 +231,18 @@ def test_views_equal_the_reference(data):
     expr = data.draw(cost_exprs(tuple(names)))
     points = [data.draw(st.lists(st.floats(0.0, 1.0), min_size=len(names), max_size=len(names)))
               for _ in range(4)]
-    outcomes = [raised(eval_cost, expr, dict(zip(names, point))) for point in points]
+    outcomes = [raised(reference_cost, expr, dict(zip(names, point))) for point in points]
     fn = compile_scalar(expr, names)
     for point, (value, error) in zip(points, outcomes):
         if error is None:
-            assert fn(point) == value.as_float()
+            assert fn(point) == value
         else:
             with pytest.raises(error):
                 fn(point)
     columns = {n: np.array([point[k] for point in points]) for k, n in enumerate(names)}
     if all(error is None for _, error in outcomes):
         values = np.broadcast_to(eval_array(expr, columns), (len(points),))
-        assert values.tolist() == [v.as_float() for v, _ in outcomes]
+        assert values.tolist() == [v for v, _ in outcomes]
     else:
         with pytest.raises(tuple({error for _, error in outcomes if error})):
             eval_array(expr, columns)
@@ -354,7 +357,7 @@ def loop_segment_matrices(net: Network, first: Assignment, second: Assignment, n
     flows = [reference_flows(net, theta.shares) for theta in (first, second)]
 
     def at(end: int, q: int, rid: str) -> float:
-        return min(1.0, flows[end][q, rid])  # clamped at 1, as eval_cost does
+        return min(1.0, flows[end][q, rid])  # clamped at 1, as the reference does
 
     own = [np.zeros(len(net.roads)) for _ in range(2)]
     cross = [np.zeros(len(net.roads)) for _ in range(2)]
@@ -403,6 +406,39 @@ def test_segment_matrices_equal_a_loop_of_eval_partial(data):
     else:
         sm = segment_matrices(net, first, second, nodes)
         assert [m.tolist() for m in (*sm.own, *sm.cross)] == [m.tolist() for m in expected]
+
+
+def program_error(expr, point, error: type) -> type:
+    """The reference's error as the program raises it: the program checks
+    every non-monotone sign before any 0 * inf."""
+    signs = [raised(reference_cost, leaf, point)[1]
+             for _, leaf in expr._terms() if isinstance(leaf, NonMonotoneAffine)]
+    return CostDomainError if CostDomainError in signs else error
+
+
+@SETTINGS
+@given(st.data())
+def test_eval_cost_is_a_view_of_the_reference(data):
+    names = NAMES[: data.draw(st.integers(1, 3))]
+    expr = data.draw(cost_exprs(names))
+    point = dict(zip(names, data.draw(st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3))))
+    value, error = raised(reference_cost, expr, point)
+    if error is None:
+        assert eval_cost(expr, point).as_float().hex() == value.hex()
+    else:
+        with pytest.raises(program_error(expr, point, error)):
+            eval_cost(expr, point)
+
+
+def test_every_evaluation_checks_signs_before_zero_times_infinity():
+    # The one order the scalar walk and the program differ in: the walk meets
+    # the 0 * inf of the first term, the program the negative second term.
+    expr = Sum((Scale(0.0, CongestionRational({"a": 1.0}, 1.0)), SIGNED))
+    with pytest.raises(ExtRealGuardError):
+        reference_cost(expr, {"a": 1.0})
+    for evaluate in (eval_cost, eval_array, lambda e, f: compile_scalar(e, ["a"])([f["a"]])):
+        with pytest.raises(CostDomainError):
+            evaluate(expr, {"a": 1.0})
 
 
 @SETTINGS

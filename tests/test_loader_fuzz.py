@@ -3,7 +3,7 @@
 Each example takes a shipped fixture and its barycenter assignment, damages
 one of the two documents (a wrong type, a deleted key, a NaN, huge or
 infinite literal, a duplicated entry or key, or truncated text), and runs
-`validate` and `verify` on the result.  Every run must return 0, 1 or the
+`validate`, `solve --max-iters 50` and `verify` on the result.  Every run must return 0, 1 or the
 exit code of a refusal in `cli._REFUSALS`, never raise, and print exactly
 one `error:` line whenever it exits 2 or more.
 """
@@ -131,7 +131,8 @@ def test_damaged_documents_end_in_a_documented_exit(case):
         net_path, shares_path = Path(tmp, "network.json"), Path(tmp, "shares.json")
         net_path.write_text(network, encoding="utf-8")
         shares_path.write_text(shares, encoding="utf-8")
-        for argv in (["validate", str(net_path)], ["verify", str(net_path), str(shares_path)]):
+        for argv in (["validate", str(net_path)], ["solve", str(net_path), "--max-iters", "50"],
+                     ["verify", str(net_path), str(shares_path)]):
             code, printed = run(argv)
             assert code in EXITS, (argv[0], code, printed)
             errors = [line for line in printed.splitlines() if line.startswith("error:")]
