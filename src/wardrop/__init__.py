@@ -16,6 +16,7 @@ from .analysis import (
     check_defpos,
     check_hypothesis_coupling,
     check_pair_orthogonality,
+    check_uniqueness,
     compare_scenarios,
     segment_matrices,
 )

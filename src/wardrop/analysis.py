@@ -17,14 +17,16 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .compiled import _POW, CompiledNetwork, compile_network
+from . import equilibrium
+from .compiled import _POW, CompiledNetwork, _route_total, compile_network
 from .costs import InfiniteCostError
 from .equilibrium import (
     Assignment,
+    MultistartParams,
     PreconditionError,
     SolveParams,
     _require_int,
@@ -252,8 +254,9 @@ class UniquenessReport:
     pairs_sampled: int
     pairs_skipped_infinite: int
     verdict: str
-    pair_residuals: tuple[tuple[float, ...], ...] = ()
-    """Duplicate-detector residuals for pairs of independently found equilibria."""
+    pair_residuals: tuple[tuple[float | None, ...], ...] = ()
+    """`check_pair_orthogonality` of every pair of the distinct multistart
+    equilibria, in pair order; None where a route time is infinite."""
 
 
 @dataclass(frozen=True)
@@ -345,33 +348,48 @@ def _sample_pairs(net: Network, core: CompiledNetwork, sampler: HSampler) -> np.
     return np.moveaxis(np.fromiter(([core.pack(a), core.pack(b)] for a, b in pairs), pair), 0, -1)
 
 
-def check_pair_orthogonality(net: Network, first: Assignment, second: Assignment) -> tuple[float, ...]:
-    """Per-population residual (d_shares)' (d_times) between two Nash points.
+def check_uniqueness(
+    net: Network, sampler: HSampler = HSampler(), multistart: MultistartParams = MultistartParams()
+) -> UniquenessReport:
+    """The sampled verdict of `check_hypothesis_coupling`, unless
+    `solve_multistart` finds k >= 2 distinct verified equilibria: then the
+    verdict is "several equilibria (k found)", with every pair's residuals."""
+    report = check_hypothesis_coupling(net, sampler)
+    found = [r.assignment for r in equilibrium.solve_multistart(net, multistart)]
+    if len(found) < 2:
+        return report
+    verdict = f"several equilibria ({len(found)} found)"
+    return replace(report, verdict=verdict, pair_residuals=_pair_residuals(net, found))
 
-    Vanishes for genuine Nash equilibria, so a clearly nonzero value flags a
-    false positive from the solver; also the duplicate detector for
-    multistart results.  Both inputs must verify as Nash.
+
+def _pair_residuals(net: Network, points: list[Assignment]) -> tuple[tuple[float | None, ...], ...]:
+    """Per-population (b - a)' (t(b) - t(a)) of the pairs (a, b) of
+    `itertools.combinations(points, 2)`, None where a route time is infinite,
+    from one batch of times: each column is its solo evaluation, bit for bit."""
+    core = compile_network(net)
+    x = np.stack([core.pack(a) for a in points], axis=-1)  # (P, W, K)
+    t = core.times(x)
+    finite = (t < math.inf).all(axis=1)  # (P, K)
+    t = np.where(finite[:, None], t, 0.0)
+    i, j = np.nonzero(np.arange(len(points))[:, None] < np.arange(len(points)))  # i < j, by i
+    residuals = _route_total((x[..., j] - x[..., i]) * (t[..., j] - t[..., i]))
+    return tuple(map(tuple, np.where(finite[:, i] & finite[:, j], residuals, None).T.tolist()))
+
+
+def check_pair_orthogonality(net: Network, first: Assignment, second: Assignment) -> tuple[float, ...]:
+    """Per-population residual (d_shares)' (d_times) between two Nash points:
+    at most 0 up to the tolerance, since a' t(a) = min t(a) <= b' t(a) and
+    b' t(b) <= a' t(b).  A clearly positive value flags a false positive
+    from the solver, a clearly negative one two distinct equilibria.  Both
+    inputs must verify as Nash, and every route time must be finite.
     """
     for label, theta in (("first", first), ("second", second)):
         if not is_nash(net, theta).holds:
             raise PreconditionError(f"{label} assignment is not a Nash equilibrium")
-    core = compile_network(net)
-    times_first = core.route_times(first)
-    times_second = core.route_times(second)
-    residuals = []
-    for p in range(core.pop_count):
-        for times in (times_first[p], times_second[p]):
-            if any(math.isinf(t) for t in times):
-                raise PreconditionError("infinite route time in uniqueness residual")
-        residuals.append(
-            sum(
-                (b - a) * (tb - ta)
-                for a, b, ta, tb in zip(
-                    first.shares[p], second.shares[p], times_first[p], times_second[p]
-                )
-            )
-        )
-    return tuple(residuals)
+    residuals = _pair_residuals(net, [first, second])[0]
+    if None in residuals:
+        raise PreconditionError("infinite route time in uniqueness residual")
+    return residuals
 
 
 @dataclass(frozen=True)
@@ -411,7 +429,8 @@ def _estimate_time_variation(net: Network, samples: int = 64, seed: int = 0) -> 
         times = core.times(np.stack(pairs, axis=-1))[core.valid]
         before, after = times[:, 0::2], times[:, 1::2]
         finite = (before < math.inf) & (after < math.inf)
-        ratios += (np.abs(after[finite] - before[finite]) / step).tolist()
+        with np.errstate(over="ignore"):  # a ratio past the float range is +inf, the steepest
+            ratios += (np.abs(after[finite] - before[finite]) / step).tolist()
     ratios.sort()
     return ratios[int(0.75 * (len(ratios) - 1))]
 
@@ -487,8 +506,9 @@ def _scan_product_grid(
         s = core.spreads(x, core.times(x, scratch), share_tol)
         points = x.shape[2]
         shortfall = s.shortfall.reshape(-1, points)
-        ok = np.logical_and.reduce(s.spread <= tolerance * s.scale)
-        undercut = (s.shortfall <= tolerance * s.mean_scale).reshape(-1, points)
+        with np.errstate(over="ignore"):  # a bound past the float range is +inf, met by all
+            ok = np.logical_and.reduce(s.spread <= tolerance * s.scale)
+            undercut = (s.shortfall <= tolerance * s.mean_scale).reshape(-1, points)
         ok &= np.logical_and.reduce(undercut)
         worst = np.maximum(s.spread.max(axis=0), shortfall.max(axis=0).clip(0.0))
         for k in np.flatnonzero(ok).tolist():

@@ -28,7 +28,6 @@ import argparse
 import functools
 import math
 import sys
-from dataclasses import replace
 from typing import Sequence
 
 from . import analysis, equilibrium, fileio
@@ -305,19 +304,20 @@ def _dispatch(args) -> int:
     if args.command == "uniqueness":
         net = _load_net(args.network)
         sampler = HSampler(pairs=args.pairs, seed=args.seed, quadrature_nodes=args.quadrature)
-        report = _with_multistart(net, args, analysis.check_hypothesis_coupling(net, sampler))
-        lines = [f"verdict: {report.verdict}"]
-        lines.append(
+        solve = SolveParams(verify_tol=args.tol)
+        starts = MultistartParams(random_starts=args.starts, seed=args.seed, solve=solve)
+        report = analysis.check_uniqueness(net, sampler, starts)
+        lines = [
+            f"verdict: {report.verdict}",
             f"pairs sampled: {report.pairs_sampled} "
-            f"(skipped for infinite costs: {report.pairs_skipped_infinite})"
-        )
-        lines.append(f"worst exceptional shared-road count: {report.exceptional_roads}")
-        lines.append("per-road worst case:")
-        for rid, case in report.road_cases:
-            lines.append(f"  {rid}: {case} - {CASE_LEGEND[case]}")
-        for pair_idx, res in enumerate(report.pair_residuals):
-            rendered = ", ".join(_fmt(r) for r in res)
-            lines.append(f"equilibrium-pair residuals {pair_idx}: [{rendered}]")
+            f"(skipped for infinite costs: {report.pairs_skipped_infinite})",
+            f"worst exceptional shared-road count: {report.exceptional_roads}",
+            "per-road worst case:",
+            *(f"  {rid}: {case} - {CASE_LEGEND[case]}" for rid, case in report.road_cases),
+        ]
+        for k, pair in enumerate(report.pair_residuals):
+            rendered = ", ".join("n/a" if r is None else _fmt(r) for r in pair)
+            lines.append(f"equilibrium-pair residuals {k}: [{rendered}]")
         _emit(args, report, lines)
         return EXIT_OK if report.verdict.startswith("at-most-one") else EXIT_FAIL
 
@@ -356,30 +356,6 @@ def _solve_lines(net, result) -> list[str]:
         shares = ", ".join(_fmt(x) for x in vec)
         lines.append(f"population {name}: shares [{shares}] time {_fmt(t)}")
     return lines
-
-
-def _with_multistart(net, args, report):
-    """The report with the duplicate-detector residuals of every pair of
-    multistart equilibria; several distinct ones refute at-most-one."""
-    results = equilibrium.solve_multistart(
-        net,
-        MultistartParams(
-            random_starts=args.starts, seed=args.seed, solve=SolveParams(verify_tol=args.tol)
-        ),
-    )
-    residuals = []
-    for i in range(len(results)):
-        for j in range(i + 1, len(results)):
-            try:
-                residuals.append(
-                    analysis.check_pair_orthogonality(
-                        net, results[i].assignment, results[j].assignment
-                    )
-                )
-            except PreconditionError:
-                continue
-    verdict = f"several equilibria ({len(results)} found)" if len(results) > 1 else report.verdict
-    return replace(report, pair_residuals=tuple(residuals), verdict=verdict)
 
 
 def entrypoint() -> None:

@@ -6,11 +6,11 @@ are built from a small closed set of expression forms; every form with
 nonnegative coefficients is continuous and weakly increasing in each flow
 argument, which is what the equilibrium theory requires.
 
-The +infinity value is a dedicated tagged object (`ExtReal`), not an IEEE
-float, so that an accidental 0*inf is a loud programming error instead of a
-silent NaN.  The "a route with zero share contributes nothing to the mean
-time" convention lives in the equilibrium layer, never in the arithmetic
-here.
+Costs are evaluated in floats by `compiled.CostProgram`, +infinity as IEEE
+inf; the program raises `ExtRealGuardError` on 0 * inf instead of a silent
+NaN.  `ExtReal`, the tagged extended real, only carries reported values
+(no evaluation uses its `+` or `scaled`).  The convention that a zero-share
+route adds nothing to the mean time lives in the equilibrium layer.
 """
 
 from __future__ import annotations

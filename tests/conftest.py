@@ -62,6 +62,38 @@ def pathological_net() -> Network:
     return nets.nonmonotone_pair()
 
 
+def flat_network() -> Network:
+    """Two populations on roads of their own, every cost 1: every assignment
+    is Nash."""
+    return Network(
+        junctions=(Junction("a"), Junction("b"), Junction("c"), Junction("d")),
+        roads=(Road("r1", "a", "b"), Road("r2", "a", "b"),
+               Road("r3", "c", "d"), Road("r4", "c", "d")),
+        populations=tuple(
+            PopulationSpec(name, o, d, (RouteSpec((r,)), RouteSpec((q,))),
+                           {r: Constant(1.0), q: Constant(1.0)})
+            for name, o, d, r, q in [("east", "a", "b", "r1", "r2"),
+                                     ("west", "c", "d", "r3", "r4")]
+        ),
+    )
+
+
+def blocking_network() -> Network:
+    """A takes r1 or r2, each at cost 1; B takes r1, at A's load / (1 - A's
+    load), or r3 at cost 1.  Every split of A is Nash for A, and where A is
+    all on r1, B's time on r1 is infinite."""
+    return Network(
+        junctions=(Junction("a"), Junction("b")),
+        roads=(Road("r1", "a", "b"), Road("r2", "a", "b"), Road("r3", "a", "b")),
+        populations=(
+            PopulationSpec("A", "a", "b", (RouteSpec(("r1",)), RouteSpec(("r2",))),
+                           {"r1": Constant(1.0), "r2": Constant(1.0)}),
+            PopulationSpec("B", "a", "b", (RouteSpec(("r1",)), RouteSpec(("r3",))),
+                           {"r1": CongestionRational({"A": 1.0}, 1.0), "r3": Constant(1.0)}),
+        ),
+    )
+
+
 def reference_cost(expr: CostExpr, flows) -> float:
     """The scalar tree walk that `CostProgram` equals bit for bit (math.inf
     at blow-ups).  Flows outside [0, 1] by more than FLOW_TOLERANCE, or

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wardrop import analysis
+from wardrop import analysis, equilibrium
 from wardrop import fixtures as nets
 from wardrop.analysis import (
     GammaConditionError,
@@ -23,6 +23,7 @@ from wardrop.analysis import (
     check_defpos,
     check_hypothesis_coupling,
     check_pair_orthogonality,
+    check_uniqueness,
     compare_scenarios,
     gauss_legendre_unit,
     _cluster_hits,
@@ -30,8 +31,11 @@ from wardrop.analysis import (
 )
 from wardrop.costs import InfiniteCostError
 from wardrop.equilibrium import (
+    DEFAULT_SHARE_TOLERANCE,
     Assignment,
+    MultistartParams,
     PreconditionError,
+    SolveParams,
     _engine,
     simplex_grid,
     solve_fixed_point,
@@ -40,7 +44,7 @@ from wardrop.equilibrium import (
 )
 from wardrop.netcore import Network, PopulationSpec
 
-from conftest import random_cost_network
+from conftest import blocking_network, flat_network, random_cost_network
 
 
 def _manual_matrices(own0, cross0, own1, cross1) -> SegmentMatrices:
@@ -460,6 +464,56 @@ class TestUnique0:
         good = solve_fixed_point(merge_net).assignment
         with pytest.raises(PreconditionError):
             check_pair_orthogonality(merge_net, good, Assignment.make([[1.0, 0.0], [1.0, 0.0]]))
+
+
+class TestCheckUniqueness:
+    def test_the_flat_network_has_several_equilibria(self):
+        report = check_uniqueness(flat_network(), HSampler(pairs=5), MultistartParams(random_starts=1))
+        assert report.verdict == "several equilibria (6 found)"
+        assert report.pair_residuals == ((0.0, 0.0),) * 15
+
+    def test_one_equilibrium_keeps_the_sampled_verdict(self, merge_net):
+        sampler = HSampler(pairs=5)
+        report = check_uniqueness(merge_net, sampler, MultistartParams(random_starts=1))
+        assert report == check_hypothesis_coupling(merge_net, sampler)
+        assert report.pair_residuals == ()
+
+    @pytest.mark.parametrize("builder", [flat_network, blocking_network])
+    @pytest.mark.parametrize("tol", [1e-9, 1e-6])
+    def test_residuals_of_verified_equilibria_are_at_most_a_tolerance(self, builder, tol):
+        # At Nash points a and b, a't(a) <= b't(a) + tol * scale and
+        # b't(b) <= a't(b) + tol * scale, and routes whose share is at most
+        # the share tolerance count as unused; the residual is the sum of
+        # the two gaps.
+        net = builder()
+        params = MultistartParams(random_starts=3, seed=1, solve=SolveParams(verify_tol=tol))
+        found = equilibrium.solve_multistart(net, params)
+        core = _engine(net)
+        times = np.stack([core.times(core.pack(r.assignment)) for r in found])
+        largest = max(1.0, times[times < math.inf].max())
+        bound = 2 * (tol + core.width * DEFAULT_SHARE_TOLERANCE) * largest
+        report = check_uniqueness(net, HSampler(pairs=3), params)
+        assert len(report.pair_residuals) == math.comb(len(found), 2) > 0
+        finite = [r for pair in report.pair_residuals for r in pair if r is not None]
+        assert finite and max(finite) <= bound
+
+    @pytest.mark.parametrize("builder", [flat_network, blocking_network])
+    def test_pair_k_is_the_kth_pair_of_the_equilibria(self, builder):
+        net = builder()
+        params = MultistartParams(random_starts=3, seed=1)
+        found = [r.assignment for r in equilibrium.solve_multistart(net, params)]
+        report = check_uniqueness(net, HSampler(pairs=3), params)
+        pairs = list(itertools.combinations(found, 2))
+        assert len(pairs) == len(report.pair_residuals)
+        for (a, b), residuals in zip(pairs, report.pair_residuals):
+            if None in residuals:
+                with pytest.raises(PreconditionError, match="infinite route time"):
+                    check_pair_orthogonality(net, a, b)
+            else:
+                assert check_pair_orthogonality(net, a, b) == residuals
+        assert any(None in residuals for residuals in report.pair_residuals) == (
+            builder is blocking_network
+        )
 
 
 class TestOracle:

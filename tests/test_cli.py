@@ -8,11 +8,12 @@ import pytest
 
 from wardrop import equilibrium
 from wardrop import fixtures as nets
+from wardrop.analysis import HSampler, check_uniqueness
 from wardrop.cli import build_parser, main
-from wardrop.costs import Constant
-from wardrop.equilibrium import SolveParams
+from wardrop.equilibrium import MultistartParams, SolveParams
 from wardrop.fileio import dumps_structured, network_to_obj, save_network
-from wardrop.netcore import Junction, Network, PopulationSpec, Road, RouteSpec
+
+from conftest import blocking_network, flat_network
 
 
 @pytest.fixture()
@@ -152,6 +153,18 @@ class TestOracle:
         assert "clusters: 1" in out
         assert "[0.5, 0.5]" in out
 
+    @pytest.mark.parametrize("road, cost", [
+        ("r1", {"kind": "constant", "value": 1e308}),
+        ("r2", {"kind": "affine", "constant": 0.0, "coeffs": {"trucks": 1.7976931348623157e308}}),
+    ])
+    def test_times_near_the_float_range_scan_without_overflow(self, tmp_path, road, cost, capsys):
+        # The sampled variation and the scan's bounds pass the float range:
+        # they are +inf, and no RuntimeWarning escapes.
+        obj = json.loads(dumps_structured(network_to_obj(nets.braess_augmented())))
+        obj["populations"][0]["costs"][road] = cost
+        assert main(["oracle", _write(tmp_path, "steep.json", obj), "--grid", "3"]) == 0
+        assert "clusters: 1" in capsys.readouterr().out
+
     def test_budget_overflow_exits_five(self, files, capsys):
         assert main(["oracle", files["braess_augmented"], "--grid", "400"]) == 5
 
@@ -177,21 +190,11 @@ class TestUniqueness:
         assert err.count("\n") == 1
 
     def test_every_pair_of_multistart_equilibria_has_its_residuals(self, tmp_path, capsys):
-        # Two populations on roads of their own, every cost 1: every
-        # assignment is Nash, so the six starts give six equilibria and
-        # fifteen pairs, each with residual 0 for both populations.
+        # Every assignment of the flat network is Nash, so the six starts
+        # give six equilibria and fifteen pairs, each with residual 0 for
+        # both populations.
         path = tmp_path / "flat.json"
-        save_network(Network(
-            junctions=(Junction("a"), Junction("b"), Junction("c"), Junction("d")),
-            roads=(Road("r1", "a", "b"), Road("r2", "a", "b"),
-                   Road("r3", "c", "d"), Road("r4", "c", "d")),
-            populations=tuple(
-                PopulationSpec(name, o, d, (RouteSpec((r,)), RouteSpec((q,))),
-                               {r: Constant(1.0), q: Constant(1.0)})
-                for name, o, d, r, q in [("east", "a", "b", "r1", "r2"),
-                                         ("west", "c", "d", "r3", "r4")]
-            ),
-        ), path)
+        save_network(flat_network(), path)
         argv = ["uniqueness", str(path), "--pairs", "5", "--starts", "1"]
         assert main(argv) == 1
         lines = capsys.readouterr().out.splitlines()
@@ -203,6 +206,41 @@ class TestUniqueness:
         report = json.loads(capsys.readouterr().out)
         assert report["verdict"] == "several equilibria (6 found)"
         assert report["pair_residuals"] == [[0.0, 0.0]] * 15
+
+    def test_a_pair_with_an_infinite_time_keeps_its_slot(self, tmp_path, capsys):
+        # Where A is all on r1, B's r1 time is infinite: B's residual of
+        # every pair with such a point is n/a (null), and no pair is dropped.
+        path = tmp_path / "blocking.json"
+        save_network(blocking_network(), path)
+        argv = ["uniqueness", str(path), "--pairs", "3", "--starts", "1"]
+        assert main(argv) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "verdict: several equilibria (4 found)"
+        assert [line for line in lines if line.startswith("equilibrium-pair")] == [
+            "equilibrium-pair residuals 0: [0, 0]",
+            "equilibrium-pair residuals 1: [0, -0.5]",
+            "equilibrium-pair residuals 2: [0, n/a]",
+            "equilibrium-pair residuals 3: [0, -0.166568342]",
+            "equilibrium-pair residuals 4: [0, n/a]",
+            "equilibrium-pair residuals 5: [0, n/a]",
+        ]
+        assert main([*argv, "--format", "structured"]) == 1
+        residuals = json.loads(capsys.readouterr().out)["pair_residuals"]
+        assert len(residuals) == 6
+        assert [b is None for _, b in residuals] == [False, False, True, False, True, True]
+
+    @pytest.mark.parametrize("name", [name for name, builder in nets.BUILDERS.items()
+                                      if len(builder().populations) == 2])
+    def test_structured_output_is_the_library_report(self, files, name, capsys):
+        argv = ["uniqueness", files[name], "--pairs", "5", "--starts", "1", "--seed", "3",
+                "--format", "structured"]
+        code = main(argv)
+        report = check_uniqueness(
+            nets.BUILDERS[name](), HSampler(pairs=5, seed=3),
+            MultistartParams(random_starts=1, seed=3),
+        )
+        assert capsys.readouterr().out == dumps_structured(report) + "\n"
+        assert code == (0 if report.verdict.startswith("at-most-one") else 1)
 
     def test_corridor_reports_case_table(self, files, capsys):
         code = main(["uniqueness", files["congestion_corridor"], "--pairs", "30"])

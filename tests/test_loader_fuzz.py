@@ -3,9 +3,13 @@
 Each example takes a shipped fixture and its barycenter assignment, damages
 one of the two documents (a wrong type, a deleted key, a NaN, huge or
 infinite literal, a duplicated entry or key, or truncated text), and runs
-`validate`, `solve --max-iters 50` and `verify` on the result.  Every run must return 0, 1 or the
-exit code of a refusal in `cli._REFUSALS`, never raise, and print exactly
-one `error:` line whenever it exits 2 or more.
+`validate`, `solve --max-iters 50`, `verify`, `oracle --grid 3`, `compare
+--max-iters 50` (the intact fixture against the damaged network) and
+`routes` on the result; fewer examples, each with a damaged network, run
+`uniqueness --pairs 2 --starts 1`, which has no iteration cap.  Every run
+must return 0, 1 or the exit code of a refusal in `cli._REFUSALS`, never
+raise, and print exactly one `error:` line whenever it exits 2 or more, and
+none when it exits 0 or 1, except the one of a `uniqueness` refused with 1.
 """
 
 from __future__ import annotations
@@ -106,13 +110,15 @@ def damaged(draw, doc):
 
 
 @st.composite
-def cases(draw):
-    """(network text, assignment text) with one of them damaged."""
-    network = json.loads(draw(st.sampled_from(FIXTURES)).read_text(encoding="utf-8"))
+def cases(draw, shares_too: bool = True):
+    """(fixture, network text, assignment text) with one of the two texts
+    damaged, or the network text alone without `shares_too`."""
+    fixture = draw(st.sampled_from(FIXTURES))
+    network = json.loads(fixture.read_text(encoding="utf-8"))
     shares = {p["name"]: [1 / len(p["routes"])] * len(p["routes"]) for p in network["populations"]}
-    if draw(st.booleans()):
-        return draw(damaged(network)), render(shares)
-    return render(network), draw(damaged(shares))
+    if not shares_too or draw(st.booleans()):
+        return fixture, draw(damaged(network)), render(shares)
+    return fixture, render(network), draw(damaged(shares))
 
 
 def run(argv: list[str]) -> tuple[int, str]:
@@ -122,18 +128,48 @@ def run(argv: list[str]) -> tuple[int, str]:
     return code, out.getvalue() + err.getvalue()
 
 
-@settings(max_examples=400, deadline=None, derandomize=True, database=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(cases())
-def test_damaged_documents_end_in_a_documented_exit(case):
-    network, shares = case
+def check(case, commands) -> None:
+    """Run each command of `commands(fixture, network path, shares path)` on
+    the case's documents, and check its exit and its error lines."""
+    fixture, network, shares = case
     with tempfile.TemporaryDirectory() as tmp:
         net_path, shares_path = Path(tmp, "network.json"), Path(tmp, "shares.json")
         net_path.write_text(network, encoding="utf-8")
         shares_path.write_text(shares, encoding="utf-8")
-        for argv in (["validate", str(net_path)], ["solve", str(net_path), "--max-iters", "50"],
-                     ["verify", str(net_path), str(shares_path)]):
+        for argv in commands(str(fixture), str(net_path), str(shares_path)):
             code, printed = run(argv)
             assert code in EXITS, (argv[0], code, printed)
+            assert "Traceback" not in printed, (argv[0], code, printed)
             errors = [line for line in printed.splitlines() if line.startswith("error:")]
-            assert len(errors) == (1 if code >= 2 else 0), (argv[0], code, printed)
+            if argv[0] == "uniqueness" and code == cli.EXIT_FAIL:
+                # a population without a road of its own is refused with exit 1
+                assert len(errors) <= 1, (argv[0], code, printed)
+            else:
+                assert len(errors) == (1 if code >= 2 else 0), (argv[0], code, printed)
+
+
+def _ends(fixture: str) -> list[str]:
+    population = json.loads(Path(fixture).read_text(encoding="utf-8"))["populations"][0]
+    return ["--origin", population["origin"], "--destination", population["destination"]]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(cases())
+def test_damaged_documents_end_in_a_documented_exit(case):
+    check(case, lambda fixture, net, shares: [
+        ["validate", net],
+        ["solve", net, "--max-iters", "50"],
+        ["verify", net, shares],
+        ["oracle", net, "--grid", "3"],
+        ["compare", fixture, net, "--max-iters", "50"],
+        ["routes", net, *_ends(fixture)],
+    ])
+
+
+# Each intact two-population network runs the whole multistart.
+@settings(max_examples=40, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(cases(shares_too=False))
+def test_damaged_networks_end_uniqueness_in_a_documented_exit(case):
+    check(case, lambda fixture, net, shares: [["uniqueness", net, "--pairs", "2", "--starts", "1"]])
