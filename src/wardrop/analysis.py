@@ -42,6 +42,7 @@ from .netcore import Network, check_condition_gamma
 
 ZERO_TOLERANCE = 1e-12
 DISCRIMINANT_TOLERANCE = 1e-9
+DEFAULT_ORACLE_BUDGET = 2_000_000  # grid points `brute_force_equilibria` scans at most
 
 
 class OracleBudgetError(ValueError):
@@ -439,17 +440,17 @@ def brute_force_equilibria(
     net: Network,
     resolution: int,
     tol: float | None = None,
-    budget: int = 2_000_000,
+    budget: int = DEFAULT_ORACLE_BUDGET,
     share_tol: float = 1e-12,
 ) -> OracleResult:
     """Enumerate product simplex grids and keep the Nash points.
 
     The Nash tolerance is max(tol, variation/resolution) with an empirically
     sampled variation bound, so coarse grids do not miss equilibria and fine
-    grids do not sprout spurious ones.  Adjacent hits (within 2/resolution
-    in the max norm) merge into one cluster represented by the hit with the
-    smallest residual.  Raises `OracleBudgetError` when the grid would
-    exceed `budget` points.
+    grids do not sprout spurious ones.  Adjacent hits (no share more than
+    two grid steps apart, counted in whole steps) merge into one cluster
+    represented by the hit with the smallest residual.  Raises
+    `OracleBudgetError` when the grid would exceed `budget` points.
     """
     if resolution < 1:
         raise ValueError("resolution must be at least 1")
@@ -525,12 +526,14 @@ def _cluster_hits(
 ) -> list[tuple[Assignment, float]]:
     """Connected components of the hits under "max-norm gap <= radius", each
     represented by its member with the smallest (residual, point), in point
-    order."""
+    order.  Hits lie on a grid of step radius / 2 (the oracle's radius is
+    2/resolution), and gaps are counted in whole steps, so rounding cannot
+    split two hits exactly two steps apart."""
     hits = sorted(hits)
     if not hits:
         return []
     points = np.array([[x for vec in point for x in vec] for point, _ in hits])
-    first, second = _neighbour_pairs(points, radius)
+    first, second = _neighbour_pairs(np.rint(points * (2.0 / radius)).astype(np.int64))
     label = _components(len(hits), first, second)
     order = np.lexsort((np.arange(len(hits)), np.array([r for _, r in hits]), label))
     heads = order[np.flatnonzero(np.diff(label[order], prepend=-1))]
@@ -540,19 +543,17 @@ def _cluster_hits(
     ]
 
 
-def _neighbour_pairs(points: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
-    """(i, j) arrays, i < j, of the rows of `points` whose largest coordinate
-    gap is at most radius.  Rows are sorted, so column 0 never decreases and
-    the candidates j of row i form the window i < j < end[i]; the window
-    reaches 2 * radius past row i's column 0 so that rounding in the gap
-    cannot drop a pair at the radius.  Gaps are computed one coordinate at a
-    time, in blocks of about CLUSTER_BLOCK candidates (one whole row at
-    least)."""
-    count = len(points)
-    lead = points[:, 0]
-    widths = np.searchsorted(lead, lead + 2 * radius, side="right") - np.arange(1, count + 1)
+def _neighbour_pairs(steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(i, j) arrays, i < j, of the rows of the integer grid coordinates
+    `steps` whose largest coordinate gap is at most 2.  Rows are sorted, so
+    column 0 never decreases and the candidates j of row i form the window
+    i < j < end[i].  Gaps are computed one coordinate at a time, in blocks
+    of about CLUSTER_BLOCK candidates (one whole row at least)."""
+    count = len(steps)
+    lead = steps[:, 0]
+    widths = np.searchsorted(lead, lead + 2, side="right") - np.arange(1, count + 1)
     offsets = np.concatenate(([0], np.cumsum(widths)))
-    columns = np.ascontiguousarray(points.T)
+    columns = np.ascontiguousarray(steps.T)
     found: list[tuple[np.ndarray, np.ndarray]] = []
     start = 0
     while start < count:
@@ -565,7 +566,7 @@ def _neighbour_pairs(points: np.ndarray, radius: float) -> tuple[np.ndarray, np.
         gap = np.abs(columns[0, i] - columns[0, j])
         for column in columns[1:]:
             np.maximum(gap, np.abs(column[i] - column[j]), out=gap)
-        near = gap <= radius
+        near = gap <= 2
         found.append((i[near], j[near]))
         start = stop
     return np.concatenate([i for i, _ in found]), np.concatenate([j for _, j in found])
@@ -629,14 +630,8 @@ def compare_scenarios(
         if not result.success:
             raise CompareError(f"{label} network did not solve to a verified equilibrium")
         results[label] = result
-    base_times = {
-        name: t.as_float()
-        for name, t in zip(base_names, results["base"].verified.common_times)
-    }
-    variant_times = {
-        name: t.as_float()
-        for name, t in zip(variant.population_names(), results["variant"].verified.common_times)
-    }
+    base_times = dict(zip(base_names, results["base"].verified.common_times))
+    variant_times = dict(zip(variant.population_names(), results["variant"].verified.common_times))
     before = tuple(base_times[n] for n in base_names)
     after = tuple(variant_times[n] for n in base_names)
     deltas = tuple(a - b for a, b in zip(after, before))

@@ -33,6 +33,7 @@ from typing import Sequence
 from . import analysis, equilibrium, fileio
 from .analysis import (
     CASE_LEGEND,
+    DEFAULT_ORACLE_BUDGET,
     CompareError,
     GammaConditionError,
     HSampler,
@@ -40,6 +41,7 @@ from .analysis import (
 )
 from .costs import CostDomainError, ExtRealGuardError
 from .equilibrium import (
+    DEFAULT_TIME_TOLERANCE,
     DimensionMismatchError,
     MultistartParams,
     NonMonotoneCostError,
@@ -59,10 +61,6 @@ EXIT_BUDGET = 5
 
 def _fmt(x) -> str:
     """9-significant-digit text rendering; infinities become the token inf."""
-    if hasattr(x, "is_infinite"):
-        if x.is_infinite:
-            return "inf"
-        x = x.finite
     if isinstance(x, float) and math.isinf(x):
         return "inf"
     return format(x, ".9g")
@@ -106,12 +104,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", default=None, metavar="PATH",
                        help="write the report here instead of standard output")
         if tol:
-            p.add_argument("--tol", type=_positive(float, "tol"), default=1e-9,
+            p.add_argument("--tol", type=_positive(float, "tol"), default=DEFAULT_TIME_TOLERANCE,
                            help="time-equality tolerance (relative)")
         if solver:
-            p.add_argument("--omega", type=_omega, default=0.5, help="damping in (0, 1]")
-            p.add_argument("--max-iters", type=_positive(int, "max-iters"), default=100_000)
-            p.add_argument("--residual-tol", type=_positive(float, "residual-tol"), default=1e-12)
+            p.add_argument("--omega", type=_omega, default=SolveParams.omega,
+                           help="damping in (0, 1]")
+            p.add_argument("--max-iters", type=_positive(int, "max-iters"),
+                           default=SolveParams.max_iters)
+            p.add_argument("--residual-tol", type=_positive(float, "residual-tol"),
+                           default=SolveParams.residual_tol)
             p.add_argument("--allow-nonmonotone", action="store_true")
 
     p_validate = sub.add_parser("validate", help="structural checks on a network file")
@@ -140,16 +141,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("network")
     p_oracle.add_argument("--grid", type=_positive(int, "grid"), default=200,
                           help="simplex grid resolution")
-    p_oracle.add_argument("--budget", type=_positive(int, "budget"), default=2_000_000)
+    p_oracle.add_argument("--budget", type=_positive(int, "budget"), default=DEFAULT_ORACLE_BUDGET)
     common(p_oracle)
 
     p_unique = sub.add_parser("uniqueness", help="sampled at-most-one-equilibrium diagnostic")
     p_unique.add_argument("network")
-    p_unique.add_argument("--pairs", type=_positive(int, "pairs"), default=100)
-    p_unique.add_argument("--quadrature", type=_positive(int, "quadrature"), default=16)
-    p_unique.add_argument("--starts", type=_positive(int, "starts"), default=4,
+    p_unique.add_argument("--pairs", type=_positive(int, "pairs"), default=HSampler.pairs)
+    p_unique.add_argument("--quadrature", type=_positive(int, "quadrature"),
+                          default=HSampler.quadrature_nodes)
+    p_unique.add_argument("--starts", type=_positive(int, "starts"),
+                          default=MultistartParams.random_starts,
                           help="random multistart count for the residual check")
-    p_unique.add_argument("--seed", type=_seed, default=0)
+    p_unique.add_argument("--seed", type=_seed, default=HSampler.seed)
     common(p_unique)
 
     p_routes = sub.add_parser("routes", help="enumerate simple routes between two junctions")

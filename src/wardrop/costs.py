@@ -8,9 +8,10 @@ argument, which is what the equilibrium theory requires.
 
 Costs are evaluated in floats by `compiled.CostProgram`, +infinity as IEEE
 inf; the program raises `ExtRealGuardError` on 0 * inf instead of a silent
-NaN.  `ExtReal`, the tagged extended real, only carries reported values
-(no evaluation uses its `+` or `scaled`).  The convention that a zero-share
-route adds nothing to the mean time lives in the equilibrium layer.
+NaN.  Reported times are `ExtReal`, a float subclass that refuses negative
+and NaN values and names +infinity (no evaluation uses its `+` or
+`scaled`).  The convention that a zero-share route adds nothing to the mean
+time lives in the equilibrium layer.
 """
 
 from __future__ import annotations
@@ -36,17 +37,17 @@ class InfiniteCostError(ValueError):
     """A derivative was requested at a point where the cost is +infinity."""
 
 
-@dataclass(frozen=True, slots=True)
-class ExtReal:
-    """A nonnegative real number extended with +infinity.
+class ExtReal(float):
+    """A nonnegative real number extended with +infinity, as an IEEE float.
 
-    `finite` is None exactly when the value is +infinity.  Addition and
-    positive scaling propagate infinity; scaling infinity by zero raises
-    `ExtRealGuardError` because no reachable computation should do it.
-    Comparisons are total with infinity maximal.
+    +infinity is `math.inf`, so comparisons, hashing, formatting and JSON
+    are the float's.  `finite` is None exactly when the value is +infinity.
+    Addition and positive scaling propagate infinity; scaling infinity by
+    zero raises `ExtRealGuardError` because no reachable computation should
+    do it.
     """
 
-    finite: float | None
+    __slots__ = ()
 
     @staticmethod
     def of(value: float) -> "ExtReal":
@@ -54,7 +55,7 @@ class ExtReal:
             raise ValueError("use ExtReal.infinity() for non-finite values")
         if value < 0:
             raise ValueError(f"extended reals are nonnegative, got {value}")
-        return ExtReal(float(value))
+        return ExtReal(value)
 
     @staticmethod
     def infinity() -> "ExtReal":
@@ -66,47 +67,28 @@ class ExtReal:
         return _INFINITY if math.isinf(value) else ExtReal.of(value)
 
     @property
+    def finite(self) -> float | None:
+        return None if self.is_infinite else float(self)
+
+    @property
     def is_infinite(self) -> bool:
-        return self.finite is None
+        return self == math.inf
 
     def as_float(self) -> float:
-        """IEEE view of the value (math.inf for +infinity); display only."""
-        return math.inf if self.finite is None else self.finite
+        return float(self)
 
-    def __add__(self, other: "ExtReal") -> "ExtReal":
-        if self.finite is None or other.finite is None:
-            return _INFINITY
-        return ExtReal(self.finite + other.finite)
+    def __add__(self, other: float) -> "ExtReal":
+        return ExtReal(float(self) + other)
 
     def scaled(self, factor: float) -> "ExtReal":
         if factor < 0:
             raise ValueError("extended reals only scale by nonnegative factors")
-        if self.finite is None:
-            if factor == 0:
-                raise ExtRealGuardError("0 * inf is not defined")
-            return _INFINITY
-        return ExtReal(factor * self.finite)
-
-    def _key(self) -> float:
-        return math.inf if self.finite is None else self.finite
-
-    def __lt__(self, other: "ExtReal") -> bool:
-        return self._key() < other._key()
-
-    def __le__(self, other: "ExtReal") -> bool:
-        return self._key() <= other._key()
-
-    def __gt__(self, other: "ExtReal") -> bool:
-        return self._key() > other._key()
-
-    def __ge__(self, other: "ExtReal") -> bool:
-        return self._key() >= other._key()
-
-    def __str__(self) -> str:
-        return "inf" if self.finite is None else repr(self.finite)
+        if factor == 0 and self.is_infinite:
+            raise ExtRealGuardError("0 * inf is not defined")
+        return ExtReal(factor * float(self))
 
 
-_INFINITY = ExtReal(None)
+_INFINITY = ExtReal(math.inf)
 
 
 def _finite(value: float, what: str) -> None:
@@ -325,7 +307,7 @@ class NonMonotoneAffine(CostExpr):
 def eval_cost(expr: CostExpr, flows: Mapping[str, float]) -> ExtReal:
     """Evaluate a cost expression at the given per-population flows.
 
-    A view of `eval_array` at one point, as a tagged extended real:
+    A view of `eval_array` at one point, as an `ExtReal`:
     congestion forms give +infinity exactly when the weighted load reaches
     capacity.  Flows follow `_lowered`'s rule.
     """

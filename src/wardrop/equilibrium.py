@@ -219,7 +219,7 @@ def mean_times(theta: Assignment, times: Sequence[Sequence[ExtReal]]) -> tuple[E
     for vec, pop_times in zip(theta.shares, times):
         if len(vec) != len(pop_times):
             raise DimensionMismatchError("share vector and time vector differ in length")
-        t = np.array([[x.as_float() for x in pop_times]])
+        t = np.array([pop_times], dtype=float)
         out.append(ExtReal.from_float(float(share_mean(np.array([vec], dtype=float), t, 0.0)[0])))
     return tuple(out)
 
@@ -360,14 +360,12 @@ def verify(
     )
 
 
-def compress_time(x: ExtReal | float) -> float:
+def compress_time(x: float) -> float:
     """Squash a nonnegative extended-real time into [0, 1].
 
     Finite x maps to x/(1+x); +infinity maps to 1.  Strictly increasing and
     continuous, which is exactly what the fixed-point construction needs.
     """
-    if isinstance(x, ExtReal):
-        x = x.as_float()
     if x < 0:
         raise ValueError("times are nonnegative")
     if math.isinf(x):

@@ -14,7 +14,7 @@ from dataclasses import fields, is_dataclass
 from pathlib import Path
 from typing import Any
 
-from .costs import ExtReal, cost_from_obj, cost_to_obj
+from .costs import cost_from_obj, cost_to_obj
 from .equilibrium import Assignment
 from .netcore import Junction, Network, PopulationSpec, Road, RouteSpec
 
@@ -138,11 +138,10 @@ def assignment_to_obj(theta: Assignment, net: Network) -> dict:
 def jsonable(value: Any) -> Any:
     """Recursively convert package values into JSON-encodable data.
 
-    ExtReal infinity becomes the token "inf"; dataclasses become dicts;
-    numpy scalars and arrays become plain floats and lists.
+    Float infinity (`ExtReal`'s included) becomes the token "inf";
+    dataclasses become dicts; numpy scalars and arrays become plain floats
+    and lists.
     """
-    if isinstance(value, ExtReal):
-        return "inf" if value.is_infinite else value.finite
     if isinstance(value, float):
         return "inf" if math.isinf(value) else value
     if is_dataclass(value) and not isinstance(value, type):

@@ -585,8 +585,10 @@ class TestOracle:
 
 def loop_clusters(hits, radius):
     """The oracle's clustering as a loop over every pair of hits: union-find
-    on "largest share gap <= radius", each component represented by its
-    member with the smallest (residual, point), in point order."""
+    on "largest share gap <= radius", the gap counted in whole grid steps of
+    radius / 2, each component represented by its member with the smallest
+    (residual, point), in point order."""
+    resolution = 2 / radius
     representatives = []
     hits = sorted(hits)
     parent = list(range(len(hits)))
@@ -600,8 +602,11 @@ def loop_clusters(hits, radius):
     for i, (pa, _) in enumerate(hits):
         for j in range(i + 1, len(hits)):
             pb = hits[j][0]
-            gap = max(abs(a - b) for va, vb in zip(pa, pb) for a, b in zip(va, vb))
-            if gap <= radius:
+            gap = max(
+                abs(round(a * resolution) - round(b * resolution))
+                for va, vb in zip(pa, pb) for a, b in zip(va, vb)
+            )
+            if gap <= 2:
                 parent[find(j)] = find(i)
     groups = {}
     for i in range(len(hits)):
@@ -655,7 +660,7 @@ def grid_hits(draw):
     point = st.tuples(*(st.sampled_from(g).map(tuple) for g in grids))
     residual = st.sampled_from([0.0, 0.0, 1e-3, 0.25, 0.5])
     hits = draw(st.lists(st.tuples(point, residual), max_size=60))
-    return hits, draw(st.sampled_from([0.5, 1.0, 2.0, 3.0])) / resolution
+    return hits, 2.0 / resolution
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -666,20 +671,24 @@ def test_clusters_equal_the_pairwise_loop_on_grid_hits(drawn):
 
 
 @pytest.mark.parametrize("moved", [0, 1])
-def test_a_gap_exactly_at_the_radius_joins_and_one_ulp_less_splits(moved):
-    # The pair differs in one population: in 0, the gap is in the sweep's sort
-    # column, where adding the gap back to 2/6 falls one ulp short of 5/6.
-    near, far, rest = (2 / 6, 2 / 6, 2 / 6), (5 / 6, 0.0, 1 / 6), (0.5, 0.2, 0.3)
-    gap = abs(2 / 6 - 5 / 6)
-    assert gap > 2 / 6 and 2 / 6 + gap < 5 / 6
-    first = (((near, rest) if moved == 0 else (rest, near)), 0.25)
-    second = (((far, rest) if moved == 0 else (rest, far)), 0.25)
-    for radius, clusters in [
-        (math.nextafter(gap, 0.0), 2), (gap, 1), (math.nextafter(gap, 1.0), 1),
-    ]:
-        found = _cluster_hits([second, first], radius)
-        assert len(found) == clusters
-        assert_same_clusters(found, loop_clusters([second, first], radius))
+@pytest.mark.parametrize(
+    "resolution, near, far, clusters",
+    [
+        # The first pair's float gaps are 0.6666666666666666 and
+        # 0.6666666666666667, the second one ulp above the float 2/3.
+        pytest.param(3, (0.0, 1.0), (2 / 3, 1 / 3), 1, id="3-two-steps"),
+        pytest.param(3, (0.0, 1.0), (1.0, 0.0), 2, id="3-three-steps"),
+        pytest.param(6, (2 / 6, 2 / 6, 2 / 6), (4 / 6, 0.0, 2 / 6), 1, id="6-two-steps"),
+        pytest.param(6, (2 / 6, 2 / 6, 2 / 6), (5 / 6, 0.0, 1 / 6), 2, id="6-three-steps"),
+    ],
+)
+def test_hits_two_grid_steps_apart_join_and_three_apart_split(moved, resolution, near, far, clusters):
+    # The pair differs in one population: in 0, the sweep's sort column.
+    first = ((near, near), 0.25)
+    second = (((far, near) if moved == 0 else (near, far)), 0.25)
+    found = _cluster_hits([second, first], 2.0 / resolution)
+    assert len(found) == clusters
+    assert_same_clusters(found, loop_clusters([second, first], 2.0 / resolution))
 
 
 def test_every_point_of_a_fine_grid_is_one_cluster():

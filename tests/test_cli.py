@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import inspect
 import json
+import math
 
 import pytest
 
-from wardrop import equilibrium
+from wardrop import analysis, equilibrium
 from wardrop import fixtures as nets
 from wardrop.analysis import HSampler, check_uniqueness
-from wardrop.cli import build_parser, main
+from wardrop.cli import _fmt, build_parser, main
+from wardrop.costs import ExtReal
 from wardrop.equilibrium import MultistartParams, SolveParams
 from wardrop.fileio import dumps_structured, network_to_obj, save_network
 
@@ -555,6 +558,38 @@ def test_verify_renders_infinite_times_as_inf(files, tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert "nash: False (residual inf)" in lines
     assert "population upper: mean relevant time inf" in lines
+
+
+def test_structured_verify_renders_infinite_times_as_the_inf_token(files, tmp_path, capsys):
+    corner = _write(tmp_path, "corner.json", {"upper": [1, 0], "lower": [1, 0]})
+    argv = ["verify", files["congestion_corridor"], corner, "--format", "structured"]
+    assert main(argv) == 1
+    assert json.loads(capsys.readouterr().out)["common_times"] == ["inf", "inf"]
+
+
+@pytest.mark.parametrize("value", [0.0, 2.5, 1 / 3, 123456789.123, 1.7976931348623157e308, math.inf])
+def test_extended_reals_render_as_their_floats(value):
+    assert _fmt(ExtReal.from_float(value)) == _fmt(value)
+
+
+def test_parsed_defaults_are_the_library_defaults():
+    parser = build_parser()
+    solve = parser.parse_args(["solve", "net.json"])
+    assert (solve.tol, solve.omega, solve.max_iters, solve.residual_tol) == (
+        equilibrium.DEFAULT_TIME_TOLERANCE, SolveParams().omega, SolveParams().max_iters,
+        SolveParams().residual_tol,
+    )
+    oracle = parser.parse_args(["oracle", "net.json"])
+    assert oracle.budget == analysis.DEFAULT_ORACLE_BUDGET
+    budget = inspect.signature(analysis.brute_force_equilibria).parameters["budget"]
+    assert budget.default == analysis.DEFAULT_ORACLE_BUDGET
+    unique = parser.parse_args(["uniqueness", "net.json"])
+    sampler, starts = HSampler(), MultistartParams()
+    assert (unique.pairs, unique.quadrature, unique.seed) == (
+        sampler.pairs, sampler.quadrature_nodes, sampler.seed,
+    )
+    assert (unique.starts, unique.seed) == (starts.random_starts, starts.seed)
+    assert unique.tol == starts.solve.verify_tol == equilibrium.DEFAULT_TIME_TOLERANCE
 
 
 @pytest.mark.parametrize("seed", ["-1", "1.5"])

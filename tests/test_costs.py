@@ -58,6 +58,18 @@ class TestExtReal:
         with pytest.raises(ValueError):
             ExtReal.of(math.inf)
 
+    def test_an_extended_real_is_its_float(self):
+        assert isinstance(ExtReal.of(2.5), float)
+        assert ExtReal.of(2.5) == 2.5
+        assert ExtReal.infinity() == math.inf
+        assert ExtReal.from_float(math.inf) is ExtReal.infinity()
+        assert ExtReal.of(2.5).finite == 2.5 and ExtReal.infinity().finite is None
+        assert type(ExtReal.of(1.5) + ExtReal.of(2.0)) is ExtReal
+        assert type(ExtReal.of(1.5).scaled(2.0)) is ExtReal
+        assert sorted([ExtReal.infinity(), ExtReal.of(3.0), 1.0]) == [1.0, 3.0, math.inf]
+        with pytest.raises(ValueError):
+            ExtReal.of(math.nan)
+
 
 SHARED_AFFINE = Affine(1.0, {"upper": 1.0, "lower": 1.0})
 CORRIDOR = CongestionRational({"upper": 1.0, "lower": 1.0}, 1.0)

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import pytest
 
 from wardrop import fixtures as nets
+from wardrop.costs import ExtReal
 from wardrop.fixtures import write_fixture_files
 from wardrop.equilibrium import Assignment, solve_fixed_point, verify
 from wardrop.fileio import (
@@ -116,6 +118,14 @@ def test_infinity_renders_as_token(corridor_net):
     text = dumps_structured(report)
     payload = json.loads(text)
     assert payload["common_times"][0] == "inf"
+
+
+@pytest.mark.parametrize("value", [0.0, 2.5, 1 / 3, 5e-324, 1.7976931348623157e308, math.inf])
+def test_extended_reals_render_as_their_floats(value):
+    extended = ExtReal.from_float(value)
+    assert dumps_structured({"t": [extended, (extended,)]}) == dumps_structured(
+        {"t": [value, (value,)]}
+    )
 
 
 def test_structured_output_is_deterministic_and_full_precision(merge_net):
