@@ -31,9 +31,8 @@ from .equilibrium import (
     SolveParams,
     _require_int,
     _require_tolerance,
-    is_nash,
+    compositions,
     nonmonotone_cost,
-    simplex_grid,
     solve_fixed_point,
     uniform_assignment,
     vertex_assignment,
@@ -43,6 +42,7 @@ from .netcore import Network, check_condition_gamma
 ZERO_TOLERANCE = 1e-12
 DISCRIMINANT_TOLERANCE = 1e-9
 DEFAULT_ORACLE_BUDGET = 2_000_000  # grid points `brute_force_equilibria` scans at most
+MAX_QUADRATURE_NODES = 1000  # per segment: an n-node rule solves an n x n eigenproblem
 
 
 class OracleBudgetError(ValueError):
@@ -270,6 +270,8 @@ class HSampler:
         _require_int(self, "pairs", 0)
         _require_int(self, "seed", 0)
         _require_int(self, "quadrature_nodes", 1)
+        if self.quadrature_nodes > MAX_QUADRATURE_NODES:
+            raise ValueError(f"quadrature_nodes must be at most {MAX_QUADRATURE_NODES}")
 
 
 def check_hypothesis_coupling(net: Network, sampler: HSampler = HSampler()) -> UniquenessReport:
@@ -360,19 +362,18 @@ def check_uniqueness(
     if len(found) < 2:
         return report
     verdict = f"several equilibria ({len(found)} found)"
-    return replace(report, verdict=verdict, pair_residuals=_pair_residuals(net, found))
-
-
-def _pair_residuals(net: Network, points: list[Assignment]) -> tuple[tuple[float | None, ...], ...]:
-    """Per-population (b - a)' (t(b) - t(a)) of the pairs (a, b) of
-    `itertools.combinations(points, 2)`, None where a route time is infinite,
-    from one batch of times: each column is its solo evaluation, bit for bit."""
     core = compile_network(net)
-    x = np.stack([core.pack(a) for a in points], axis=-1)  # (P, W, K)
-    t = core.times(x)
+    x = np.stack([core.pack(a) for a in found], axis=-1)
+    return replace(report, verdict=verdict, pair_residuals=_pair_residuals(x, core.times(x)))
+
+
+def _pair_residuals(x: np.ndarray, t: np.ndarray) -> tuple[tuple[float | None, ...], ...]:
+    """Per-population (b - a)' (t(b) - t(a)) of the pairs (a, b) of the
+    `itertools.combinations` of the columns of padded shares x (P, W, K) and
+    their batched times t, None where a route time is infinite."""
     finite = (t < math.inf).all(axis=1)  # (P, K)
     t = np.where(finite[:, None], t, 0.0)
-    i, j = np.nonzero(np.arange(len(points))[:, None] < np.arange(len(points)))  # i < j, by i
+    i, j = np.triu_indices(x.shape[-1], 1)  # i < j, by i
     residuals = _route_total((x[..., j] - x[..., i]) * (t[..., j] - t[..., i]))
     return tuple(map(tuple, np.where(finite[:, i] & finite[:, j], residuals, None).T.tolist()))
 
@@ -382,12 +383,18 @@ def check_pair_orthogonality(net: Network, first: Assignment, second: Assignment
     at most 0 up to the tolerance, since a' t(a) = min t(a) <= b' t(a) and
     b' t(b) <= a' t(b).  A clearly positive value flags a false positive
     from the solver, a clearly negative one two distinct equilibria.  Both
-    inputs must verify as Nash, and every route time must be finite.
+    inputs must verify as Nash at `is_nash`'s default tolerances, and every
+    route time must be finite.  Both points are evaluated in one batch.
     """
-    for label, theta in (("first", first), ("second", second)):
-        if not is_nash(net, theta).holds:
+    core = compile_network(net)
+    x = np.stack([core.pack(first), core.pack(second)], axis=-1)
+    t = core.times(x)
+    tolerances = equilibrium.DEFAULT_TIME_TOLERANCE, equilibrium.DEFAULT_SHARE_TOLERANCE
+    for k, label in enumerate(("first", "second")):
+        verdicts = equilibrium._predicates(core, x[..., k], t[..., k], *tolerances)
+        if not equilibrium._nash(*verdicts).holds:
             raise PreconditionError(f"{label} assignment is not a Nash equilibrium")
-    residuals = _pair_residuals(net, [first, second])[0]
+    residuals = _pair_residuals(x, t)[0]
     if None in residuals:
         raise PreconditionError("infinite route time in uniqueness residual")
     return residuals
@@ -401,8 +408,8 @@ class OracleResult:
     points_scanned: int
 
 
-def _estimate_time_variation(net: Network, samples: int = 64, seed: int = 0) -> float:
-    """Sampled route-time variation per unit share change.
+def _estimate_time_variation(net: Network) -> float:
+    """Route-time variation per unit share change, sampled at 64 seeded points.
 
     A high percentile of the finite sampled ratios, not the maximum:
     unbounded costs make the true Lipschitz constant infinite near their
@@ -410,10 +417,10 @@ def _estimate_time_variation(net: Network, samples: int = 64, seed: int = 0) -> 
     false hits.
     """
     core = compile_network(net)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     step = 1e-3
     pairs = []
-    for _ in range(samples):
+    for _ in range(64):
         base = [rng.dirichlet(np.ones(n)) for n in core.route_counts]
         for p in range(core.pop_count):
             if core.route_counts[p] < 2:
@@ -441,16 +448,19 @@ def brute_force_equilibria(
     resolution: int,
     tol: float | None = None,
     budget: int = DEFAULT_ORACLE_BUDGET,
-    share_tol: float = 1e-12,
 ) -> OracleResult:
     """Enumerate product simplex grids and keep the Nash points.
 
     The Nash tolerance is max(tol, variation/resolution) with an empirically
     sampled variation bound, so coarse grids do not miss equilibria and fine
-    grids do not sprout spurious ones.  Adjacent hits (no share more than
-    two grid steps apart, counted in whole steps) merge into one cluster
-    represented by the hit with the smallest residual.  Raises
-    `OracleBudgetError` when the grid would exceed `budget` points.
+    grids do not sprout spurious ones.  A route is relevant when its share
+    is positive: every grid share is 0 or at least 1/resolution.  A
+    tolerance of 1 or more passes every grid point whose relevant times are
+    finite, since a spread is at most its scale and a shortfall at most its
+    mean scale.  Adjacent hits (no share more than two grid steps apart)
+    merge into one cluster represented by the hit with the smallest
+    residual.  Raises `OracleBudgetError` when the grid would exceed
+    `budget` points.
     """
     if resolution < 1:
         raise ValueError("resolution must be at least 1")
@@ -466,28 +476,31 @@ def brute_force_equilibria(
     variation = _estimate_time_variation(net)
     tolerance = max(tol or 0.0, variation / resolution)
 
-    grids = [np.array(list(simplex_grid(n, resolution)), dtype=float) for n in counts]
-    hits = _scan_product_grid(net, grids, tolerance, share_tol)
-    clusters = _cluster_hits(hits, radius=2.0 / resolution)
+    grids = [compositions(n, resolution) for n in counts]
+    steps, residuals = _scan_product_grid(net, grids, resolution, tolerance)
+    populations = np.cumsum(counts)[:-1]  # where each population's columns start
     return OracleResult(
         resolution=resolution,
-        equilibria=tuple(clusters),
+        equilibria=tuple(
+            (Assignment.make(np.split(steps[k] / resolution, populations), tolerance=1e-9),
+             float(residuals[k]))
+            for k in _cluster_hits(steps, residuals).tolist()
+        ),
         tolerance=tolerance,
         points_scanned=total,
     )
 
 
 def _scan_product_grid(
-    net: Network,
-    grids: list[np.ndarray],
-    tolerance: float,
-    share_tol: float,
-) -> list[tuple[tuple[tuple[float, ...], ...], float]]:
-    """Nash scan of the product grid in batches of whole last-population
-    grids, in the grid product's order.  A point is a hit when every
-    population's relevant times spread by at most tolerance * scale and no
-    unused route undercuts the mean by more than tolerance * mean scale; its
-    residual is the largest absolute spread or shortfall."""
+    net: Network, grids: list[np.ndarray], resolution: int, tolerance: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Nash scan of the product of the populations' composition grids, in
+    batches of whole last-population grids, in the grid product's order.
+    A point is a hit when every population's relevant times spread by at
+    most tolerance * scale and no unused route undercuts the mean by more
+    than tolerance * mean scale; its residual is the largest absolute spread
+    or shortfall.  Returns each hit's compositions side by side as one int
+    row, in scan order, which is lexicographic, and the hits' residuals."""
     core = compile_network(net)
     last = len(grids) - 1
     outer = np.array(list(itertools.product(*(range(len(g)) for g in grids[:last]))), dtype=int)
@@ -496,15 +509,16 @@ def _scan_product_grid(
     # Every batch reuses one share array and the evaluation's buffers.  The
     # last population's grid and the padding are the same in every batch.
     shares = np.zeros((core.pop_count, core.width, per_batch, inner))
-    shares[last, : core.route_counts[last]] = grids[last].T[:, None, :]
+    shares[last, : core.route_counts[last]] = (grids[last] / resolution).T[:, None, :]
     scratch: dict = {}
-    hits: list[tuple[tuple[tuple[float, ...], ...], float]] = []
+    found, residuals = [], []  # per batch: the hits' indices into the grid product, their residuals
     for start in range(0, len(outer), per_batch):
         block = outer[start : start + per_batch]
         for p in range(last):
-            shares[p, : core.route_counts[p], : len(block)] = grids[p][block[:, p]].T[..., None]
+            rows = grids[p][block[:, p]] / resolution
+            shares[p, : core.route_counts[p], : len(block)] = rows.T[..., None]
         x = shares[:, :, : len(block)].reshape(core.pop_count, core.width, -1)
-        s = core.spreads(x, core.times(x, scratch), share_tol)
+        s = core.spreads(x, core.times(x, scratch), 0.0)
         points = x.shape[2]
         shortfall = s.shortfall.reshape(-1, points)
         with np.errstate(over="ignore"):  # a bound past the float range is +inf, met by all
@@ -512,35 +526,23 @@ def _scan_product_grid(
             undercut = (s.shortfall <= tolerance * s.mean_scale).reshape(-1, points)
         ok &= np.logical_and.reduce(undercut)
         worst = np.maximum(s.spread.max(axis=0), shortfall.max(axis=0).clip(0.0))
-        for k in np.flatnonzero(ok).tolist():
-            point = tuple(tuple(x[p, :n, k].tolist()) for p, n in enumerate(core.route_counts))
-            hits.append((point, float(worst[k])))
-    return hits
+        found.append(start * inner + np.flatnonzero(ok))
+        residuals.append(worst[ok])
+    row, column = np.divmod(np.concatenate(found), inner)
+    steps = [grids[p][outer[row, p]] for p in range(last)] + [grids[last][column]]
+    return np.concatenate(steps, axis=1), np.concatenate(residuals)
 
 
 CLUSTER_BLOCK = 1 << 12  # candidate pairs whose gaps one block of the sweep holds
 
 
-def _cluster_hits(
-    hits: list[tuple[tuple[tuple[float, ...], ...], float]], radius: float
-) -> list[tuple[Assignment, float]]:
-    """Connected components of the hits under "max-norm gap <= radius", each
-    represented by its member with the smallest (residual, point), in point
-    order.  Hits lie on a grid of step radius / 2 (the oracle's radius is
-    2/resolution), and gaps are counted in whole steps, so rounding cannot
-    split two hits exactly two steps apart."""
-    hits = sorted(hits)
-    if not hits:
-        return []
-    points = np.array([[x for vec in point for x in vec] for point, _ in hits])
-    first, second = _neighbour_pairs(np.rint(points * (2.0 / radius)).astype(np.int64))
-    label = _components(len(hits), first, second)
-    order = np.lexsort((np.arange(len(hits)), np.array([r for _, r in hits]), label))
-    heads = order[np.flatnonzero(np.diff(label[order], prepend=-1))]
-    return [
-        (Assignment.make([list(v) for v in hits[k][0]], tolerance=1e-9), hits[k][1])
-        for k in np.sort(heads).tolist()
-    ]
+def _cluster_hits(steps: np.ndarray, residuals: np.ndarray) -> np.ndarray:
+    """Indices, ascending, of the hits that represent the components under
+    "no coordinate more than two grid steps apart": each component's hit
+    with the smallest (residual, index).  Rows of `steps` are sorted."""
+    label = _components(len(steps), *_neighbour_pairs(steps))
+    order = np.lexsort((residuals, label))  # stable: ties stay in row order
+    return np.sort(order[np.flatnonzero(np.diff(label[order], prepend=-1))])
 
 
 def _neighbour_pairs(steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -554,7 +556,7 @@ def _neighbour_pairs(steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     widths = np.searchsorted(lead, lead + 2, side="right") - np.arange(1, count + 1)
     offsets = np.concatenate(([0], np.cumsum(widths)))
     columns = np.ascontiguousarray(steps.T)
-    found: list[tuple[np.ndarray, np.ndarray]] = []
+    found = [(np.zeros(0, dtype=int), np.zeros(0, dtype=int))]  # no pairs without rows
     start = 0
     while start < count:
         stop = np.searchsorted(offsets, offsets[start] + CLUSTER_BLOCK, side="right") - 1

@@ -66,28 +66,27 @@ def _fmt(x) -> str:
     return format(x, ".9g")
 
 
-def _positive(kind: type, name: str):
+def _checked(kind: type, holds, message: str):
+    """An argparse type: `kind` of the text, refused with `message` unless `holds(value)`.
+    Named as `kind`, so that unreadable text is refused as "invalid int value"."""
     def parse(text: str):
         value = kind(text)
-        if not 0 < value < math.inf:
-            raise argparse.ArgumentTypeError(f"{name} must be positive and finite")
+        if not holds(value):
+            raise argparse.ArgumentTypeError(message)
         return value
 
+    parse.__name__ = kind.__name__
     return parse
 
 
-def _seed(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("seed must be a nonnegative integer")
-    return value
+def _positive(kind: type, name: str):
+    return _checked(kind, lambda v: 0 < v < math.inf, f"{name} must be positive and finite")
 
 
-def _omega(text: str) -> float:
-    value = float(text)
-    if not 0 < value <= 1:
-        raise argparse.ArgumentTypeError("omega must lie in (0, 1]")
-    return value
+_seed = _checked(int, lambda v: v >= 0, "seed must be a nonnegative integer")
+_omega = _checked(float, lambda v: 0 < v <= 1, "omega must lie in (0, 1]")
+_quadrature = _checked(int, lambda v: 0 < v <= analysis.MAX_QUADRATURE_NODES,
+                       f"quadrature must be positive and at most {analysis.MAX_QUADRATURE_NODES}")
 
 
 @functools.cache
@@ -147,8 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_unique = sub.add_parser("uniqueness", help="sampled at-most-one-equilibrium diagnostic")
     p_unique.add_argument("network")
     p_unique.add_argument("--pairs", type=_positive(int, "pairs"), default=HSampler.pairs)
-    p_unique.add_argument("--quadrature", type=_positive(int, "quadrature"),
-                          default=HSampler.quadrature_nodes)
+    p_unique.add_argument("--quadrature", type=_quadrature, default=HSampler.quadrature_nodes)
     p_unique.add_argument("--starts", type=_positive(int, "starts"),
                           default=MultistartParams.random_starts,
                           help="random multistart count for the residual check")

@@ -8,9 +8,9 @@ share array `x` of shape (P, W, ...): population p's shares fill
 x[p, :n_p], the rest is 0 (W exceeds every route count, so each row ends
 in a zero the gathers pad with).  Trailing axes batch assignments, so each
 gather copies whole rows, and a batch entry equals its assignment evaluated
-alone, bit for bit.  Every sum runs left to right from 0, as Python's
-`sum` and the scalar reference in `tests/conftest.py` do: another order
-changes the last bits.
+alone, bit for bit.  Every sum runs left to right from 0, as the scalar
+reference in `tests/conftest.py` does: another order changes the last
+bits.
 """
 
 from __future__ import annotations

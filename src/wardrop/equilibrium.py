@@ -22,8 +22,10 @@ results deterministically, so results are independent of start order.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -68,13 +70,13 @@ class Assignment:
                 raise DimensionMismatchError("empty share vector")
             if not all(map(math.isfinite, arr)):
                 raise ValueError(f"share vector has a non-finite component in {arr}")
-            total = sum(arr)
+            total = functools.reduce(operator.add, arr, 0.0)  # not `sum`: from 3.12 it compensates
             if abs(total - 1.0) > tolerance:
                 raise ValueError(f"share vector sums to {total}, not 1")
             if min(arr) < -tolerance:
                 raise ValueError(f"share vector has negative component in {arr}")
             clamped = [max(0.0, x) for x in arr]
-            s = sum(clamped)
+            s = functools.reduce(operator.add, clamped, 0.0)
             cleaned.append(tuple([x / s for x in clamped]))
         return Assignment(tuple(cleaned))
 
@@ -527,9 +529,9 @@ def solve_fixed_point(
     return _solve(net, [theta0 if theta0 is not None else uniform_assignment(net)], params)[0]
 
 
-def simplex_grid(n: int, resolution: int) -> Iterator[tuple[float, ...]]:
-    """All points of the uniform simplex grid with `resolution` subdivisions,
-    in deterministic lexicographic order of the composition.
+def compositions(n: int, resolution: int) -> np.ndarray:
+    """Every composition of `resolution` into n nonnegative parts, one row
+    each of an int array, in lexicographic order.
 
     Stars and bars: each choice of n - 1 bar positions among
     resolution + n - 1 slots splits the stars between the bars into one
@@ -539,20 +541,18 @@ def simplex_grid(n: int, resolution: int) -> Iterator[tuple[float, ...]]:
     if resolution < 1:
         raise ValueError("resolution must be at least 1")
     end = resolution + n - 1
-    return (
-        tuple((b - a - 1) / resolution for a, b in zip((-1, *bars), (*bars, end)))
-        for bars in itertools.combinations(range(end), n - 1)
-    )
+    bars = np.array(list(itertools.combinations(range(end), n - 1)), dtype=np.int64)
+    return np.diff(bars, axis=1, prepend=-1, append=end) - 1
+
+
+def simplex_grid(n: int, resolution: int) -> Iterator[tuple[float, ...]]:
+    """The uniform simplex grid's points: the rows of `compositions(n, resolution) / resolution`."""
+    return map(tuple, (compositions(n, resolution) / resolution).tolist())
 
 
 def _start_points(net: Network, params: MultistartParams) -> list[Assignment]:
-    per_pop_grids = [
-        [list(point) for point in simplex_grid(len(pop.routes), params.grid_depth)]
-        for pop in net.populations
-    ]
-    starts = [
-        Assignment.make(list(combo)) for combo in itertools.product(*per_pop_grids)
-    ]
+    grids = (simplex_grid(len(pop.routes), params.grid_depth) for pop in net.populations)
+    starts = [Assignment.make(combo) for combo in itertools.product(*grids)]
     starts.append(uniform_assignment(net))
     rng = np.random.default_rng(params.seed)
     for _ in range(params.random_starts):

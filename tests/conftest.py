@@ -94,6 +94,15 @@ def blocking_network() -> Network:
     )
 
 
+def left_sum(values) -> float:
+    """The left-to-right sum from 0.0 that the program's sums equal bit for
+    bit; Python's `sum` of floats compensates from 3.12 on."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def reference_cost(expr: CostExpr, flows) -> float:
     """The scalar tree walk that `CostProgram` equals bit for bit (math.inf
     at blow-ups).  Flows outside [0, 1] by more than FLOW_TOLERANCE, or
@@ -116,12 +125,12 @@ def reference_cost(expr: CostExpr, flows) -> float:
             for n, k in leaf.exponents.items():
                 v *= clean[n] ** k
         elif isinstance(leaf, CongestionRational):
-            s = sum(w * clean[n] for n, w in leaf.weights.items())
+            s = left_sum(w * clean[n] for n, w in leaf.weights.items())
             v = math.inf if s >= leaf.capacity else s / (leaf.capacity - s)
         elif isinstance(leaf, Constant):
             v = leaf.value
         else:  # Affine or NonMonotoneAffine
-            v = leaf.constant + sum(c * clean[n] for n, c in leaf.coeffs.items())
+            v = leaf.constant + left_sum(c * clean[n] for n, c in leaf.coeffs.items())
             if isinstance(leaf, NonMonotoneAffine) and v < 0:
                 raise CostDomainError(f"non-monotone affine cost evaluated negative ({v})")
         if factor == 0 and math.isinf(v):

@@ -29,6 +29,7 @@ from wardrop.analysis import (
     _cluster_hits,
     segment_matrices,
 )
+from wardrop.compiled import CompiledNetwork
 from wardrop.costs import InfiniteCostError
 from wardrop.equilibrium import (
     DEFAULT_SHARE_TOLERANCE,
@@ -37,7 +38,7 @@ from wardrop.equilibrium import (
     PreconditionError,
     SolveParams,
     _engine,
-    simplex_grid,
+    compositions,
     solve_fixed_point,
     uniform_assignment,
     vertex_assignment,
@@ -465,6 +466,23 @@ class TestUnique0:
         with pytest.raises(PreconditionError):
             check_pair_orthogonality(merge_net, good, Assignment.make([[1.0, 0.0], [1.0, 0.0]]))
 
+    def test_evaluates_both_points_in_one_batch(self, merge_net, monkeypatch):
+        good = solve_fixed_point(merge_net).assignment
+        corner = Assignment.make([[1.0, 0.0], [1.0, 0.0]])
+        shapes = []
+        times = CompiledNetwork.times
+
+        def counted(self, x, *args):
+            shapes.append(x.shape)
+            return times(self, x, *args)
+
+        monkeypatch.setattr(CompiledNetwork, "times", counted)
+        check_pair_orthogonality(merge_net, good, good)
+        assert shapes == [(2, 3, 2)]
+        for first, second, label in ((corner, good, "first"), (good, corner, "second")):
+            with pytest.raises(PreconditionError, match=f"^{label} assignment is not a Nash"):
+                check_pair_orthogonality(merge_net, first, second)
+
 
 class TestCheckUniqueness:
     def test_the_flat_network_has_several_equilibria(self):
@@ -583,15 +601,13 @@ class TestOracle:
             assert min(gaps) <= 2 / resolution
 
 
-def loop_clusters(hits, radius):
+def loop_clusters(steps, residuals):
     """The oracle's clustering as a loop over every pair of hits: union-find
-    on "largest share gap <= radius", the gap counted in whole grid steps of
-    radius / 2, each component represented by its member with the smallest
-    (residual, point), in point order."""
-    resolution = 2 / radius
-    representatives = []
-    hits = sorted(hits)
-    parent = list(range(len(hits)))
+    on "largest coordinate gap <= 2", the gap counted in whole grid steps,
+    each component represented by its row with the smallest (residual,
+    row), the representatives' indices ascending."""
+    rows = [tuple(row) for row in steps.tolist()]
+    parent = list(range(len(rows)))
 
     def find(i):
         while parent[i] != i:
@@ -599,33 +615,14 @@ def loop_clusters(hits, radius):
             i = parent[i]
         return i
 
-    for i, (pa, _) in enumerate(hits):
-        for j in range(i + 1, len(hits)):
-            pb = hits[j][0]
-            gap = max(
-                abs(round(a * resolution) - round(b * resolution))
-                for va, vb in zip(pa, pb) for a, b in zip(va, vb)
-            )
-            if gap <= 2:
+    for i, a in enumerate(rows):
+        for j in range(i + 1, len(rows)):
+            if max(abs(u - v) for u, v in zip(a, rows[j])) <= 2:
                 parent[find(j)] = find(i)
     groups = {}
-    for i in range(len(hits)):
+    for i in range(len(rows)):
         groups.setdefault(find(i), []).append(i)
-    for members in groups.values():
-        best = min(members, key=lambda k: (hits[k][1], hits[k][0]))
-        representatives.append(hits[best])
-    representatives.sort()
-    return [
-        (Assignment.make([list(v) for v in point], tolerance=1e-9), residual)
-        for point, residual in representatives
-    ]
-
-
-def assert_same_clusters(found, expected):
-    assert [(theta.shares, residual) for theta, residual in found] == [
-        (theta.shares, residual) for theta, residual in expected
-    ]
-    assert found == expected
+    return sorted(min(members, key=lambda k: (residuals[k], k)) for members in groups.values())
 
 
 # The (fixture, grid) of every oracle run of the benchmark's workloads.
@@ -639,63 +636,71 @@ BENCHMARK_ORACLE_RUNS = [
 def test_clusters_equal_the_pairwise_loop_on_the_oracle_hits(name, grid, monkeypatch):
     seen = []
 
-    def spy(hits, radius):
-        seen.append((list(hits), radius))
-        return _cluster_hits(hits, radius)
+    def spy(steps, residuals):
+        heads = _cluster_hits(steps, residuals)
+        seen.append((steps, residuals, heads))
+        return heads
 
     monkeypatch.setattr(analysis, "_cluster_hits", spy)
     result = brute_force_equilibria(nets.BUILDERS[name](), grid)
-    (hits, radius), = seen
-    assert radius == 2.0 / grid and len(hits) > 1
-    assert_same_clusters(list(result.equilibria), loop_clusters(hits, radius))
+    (steps, residuals, heads), = seen
+    rows = [tuple(row) for row in steps.tolist()]
+    assert len(rows) > 1 and rows == sorted(set(rows))
+    assert heads.tolist() == loop_clusters(steps, residuals)
+    assert [
+        (tuple(round(x * grid) for vec in theta.shares for x in vec), residual)
+        for theta, residual in result.equilibria
+    ] == [(rows[k], residuals[k]) for k in heads.tolist()]
 
 
 @st.composite
 def grid_hits(draw):
-    """Hits on a product simplex grid: 1-3 populations of 1-4 routes, some
-    points repeated, residuals drawn from few values so that they tie."""
+    """Hits on a product simplex grid, as integer rows in sorted order: 1-3
+    populations of 1-4 routes, some rows repeated, residuals drawn from few
+    values so that they tie."""
     resolution = draw(st.integers(2, 24))
     routes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
-    grids = [list(simplex_grid(n, resolution)) for n in routes]
-    point = st.tuples(*(st.sampled_from(g).map(tuple) for g in grids))
+    grids = [compositions(n, resolution).tolist() for n in routes]
+    row = st.tuples(*(st.sampled_from(g) for g in grids)).map(
+        lambda parts: tuple(step for part in parts for step in part)
+    )
     residual = st.sampled_from([0.0, 0.0, 1e-3, 0.25, 0.5])
-    hits = draw(st.lists(st.tuples(point, residual), max_size=60))
-    return hits, 2.0 / resolution
+    hits = sorted(draw(st.lists(st.tuples(row, residual), max_size=60)))
+    steps = np.array([r for r, _ in hits], dtype=np.int64).reshape(len(hits), sum(routes))
+    return steps, np.array([r for _, r in hits])
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(grid_hits())
 def test_clusters_equal_the_pairwise_loop_on_grid_hits(drawn):
-    hits, radius = drawn
-    assert_same_clusters(_cluster_hits(hits, radius), loop_clusters(hits, radius))
+    steps, residuals = drawn
+    assert _cluster_hits(steps, residuals).tolist() == loop_clusters(steps, residuals)
 
 
 @pytest.mark.parametrize("moved", [0, 1])
 @pytest.mark.parametrize(
-    "resolution, near, far, clusters",
+    "near, far, clusters",
     [
-        # The first pair's float gaps are 0.6666666666666666 and
-        # 0.6666666666666667, the second one ulp above the float 2/3.
-        pytest.param(3, (0.0, 1.0), (2 / 3, 1 / 3), 1, id="3-two-steps"),
-        pytest.param(3, (0.0, 1.0), (1.0, 0.0), 2, id="3-three-steps"),
-        pytest.param(6, (2 / 6, 2 / 6, 2 / 6), (4 / 6, 0.0, 2 / 6), 1, id="6-two-steps"),
-        pytest.param(6, (2 / 6, 2 / 6, 2 / 6), (5 / 6, 0.0, 1 / 6), 2, id="6-three-steps"),
+        pytest.param((0, 3), (2, 1), 1, id="3-two-steps"),
+        pytest.param((0, 3), (3, 0), 2, id="3-three-steps"),
+        pytest.param((2, 2, 2), (4, 0, 2), 1, id="6-two-steps"),
+        pytest.param((2, 2, 2), (5, 0, 1), 2, id="6-three-steps"),
     ],
 )
-def test_hits_two_grid_steps_apart_join_and_three_apart_split(moved, resolution, near, far, clusters):
+def test_hits_two_grid_steps_apart_join_and_three_apart_split(moved, near, far, clusters):
     # The pair differs in one population: in 0, the sweep's sort column.
-    first = ((near, near), 0.25)
-    second = (((far, near) if moved == 0 else (near, far)), 0.25)
-    found = _cluster_hits([second, first], 2.0 / resolution)
+    steps = np.array(sorted([near + near, far + near if moved == 0 else near + far]))
+    residuals = np.full(2, 0.25)
+    found = _cluster_hits(steps, residuals)
     assert len(found) == clusters
-    assert_same_clusters(found, loop_clusters([second, first], 2.0 / resolution))
+    assert found.tolist() == loop_clusters(steps, residuals)
 
 
 def test_every_point_of_a_fine_grid_is_one_cluster():
-    hits = [((point,), 0.0) for point in simplex_grid(3, 200)]
-    assert len(hits) == 20301
-    (theta, residual), = _cluster_hits(hits, 2.0 / 200)
-    assert theta.shares == ((0.0, 0.0, 1.0),) and residual == 0.0
+    steps = compositions(3, 200)
+    assert len(steps) == 20301
+    (k,) = _cluster_hits(steps, np.zeros(len(steps))).tolist()
+    assert steps[k].tolist() == [0, 0, 200]
 
 
 class TestCompare:
@@ -776,7 +781,7 @@ def test_block_classification_holds_past_the_float_range_of_a_square(scale):
         assert _classify_h_case(*(scale * v for v in block)) == _classify_h_case(*block)
 
 
-def allocating_scan(net, grids, tolerance, share_tol):
+def allocating_scan(net, grids, resolution, tolerance):
     """The product-grid scan with fresh arrays for every batch and every
     evaluation, in the grid product's order."""
     core = _engine(net)
@@ -784,26 +789,27 @@ def allocating_scan(net, grids, tolerance, share_tol):
     outer = np.array(list(itertools.product(*(range(len(g)) for g in grids[:last]))), dtype=int)
     inner = len(grids[last])
     per_batch = max(1, core._chunk // inner)
-    hits = []
+    steps, residuals = [], []
     for start in range(0, len(outer), per_batch):
         rows = np.repeat(outer[start : start + per_batch], inner, axis=0)
         x = np.zeros((core.pop_count, core.width, len(rows)))
         for p in range(last):
-            x[p, : core.route_counts[p]] = grids[p][rows[:, p]].T
-        x[last, : core.route_counts[last]] = np.tile(grids[last].T, len(rows) // inner)
+            x[p, : core.route_counts[p]] = grids[p][rows[:, p]].T / resolution
+        x[last, : core.route_counts[last]] = np.tile(grids[last].T / resolution, len(rows) // inner)
         t = np.concatenate(
             [core.times(x[..., k : k + core._chunk]) for k in range(0, x.shape[2], core._chunk)],
             axis=2,
         )
-        s = core.spreads(x, t, share_tol)
+        s = core.spreads(x, t, 0.0)
         ok = np.logical_and.reduce(s.spread <= tolerance * s.scale)
         ok &= np.logical_and.reduce((s.shortfall <= tolerance * s.mean_scale).reshape(-1, len(rows)))
         shortfall = s.shortfall.reshape(-1, len(rows)).max(axis=0).clip(0.0)
         worst = np.maximum(s.spread.max(axis=0), shortfall)
         for k in np.flatnonzero(ok).tolist():
-            point = tuple(tuple(x[p, :n, k].tolist()) for p, n in enumerate(core.route_counts))
-            hits.append((point, float(worst[k])))
-    return hits
+            parts = [grids[p][rows[k, p]] for p in range(last)] + [grids[last][k % inner]]
+            steps.append(np.concatenate(parts))
+            residuals.append(float(worst[k]))
+    return np.array(steps).reshape(len(steps), sum(core.route_counts)), np.array(residuals)
 
 
 @pytest.mark.parametrize("name, resolution", [
@@ -824,9 +830,11 @@ def test_oracle_equals_a_scan_that_allocates_per_batch(name, resolution, monkeyp
     # a short last chunk inside the one batch
     assert math.prod(sizes[:-1]) % per_batch or sizes[-1] % core._chunk
     result = brute_force_equilibria(net, resolution)
-    grids = [np.array(list(simplex_grid(n, resolution)), dtype=float) for n in core.route_counts]
-    hits = analysis._scan_product_grid(net, grids, result.tolerance, 1e-12)
-    assert hits and hits == allocating_scan(net, grids, result.tolerance, 1e-12)
+    grids = [compositions(n, resolution) for n in core.route_counts]
+    steps, residuals = analysis._scan_product_grid(net, grids, resolution, result.tolerance)
+    expected_steps, expected_residuals = allocating_scan(net, grids, resolution, result.tolerance)
+    assert len(steps) and steps.dtype == expected_steps.dtype
+    assert np.array_equal(steps, expected_steps) and np.array_equal(residuals, expected_residuals)
     monkeypatch.setattr(analysis, "_scan_product_grid", allocating_scan)
     assert brute_force_equilibria(net, resolution) == result
 

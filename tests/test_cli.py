@@ -599,3 +599,34 @@ def test_a_negative_or_fractional_seed_exits_two(seed, files, capsys):
     assert err.value.code == 2
     errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
     assert len(errors) == 1 and "--seed" in errors[0]
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["solve", "delay_spillover", "--tol=x"], "argument --tol: invalid float value: 'x'"),
+    (["uniqueness", "merge_base", "--seed=1e400"], "argument --seed: invalid int value: '1e400'"),
+    (["solve", "delay_spillover", "--omega=x"], "argument --omega: invalid float value: 'x'"),
+])
+def test_an_unreadable_flag_value_is_refused_naming_the_expected_type(argv, line, files, capsys):
+    command, name, flag = argv
+    with pytest.raises(SystemExit) as err:
+        main([command, files[name], flag])
+    assert err.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith(line)
+
+
+def test_quadrature_past_its_maximum_is_refused_before_a_rule_is_built(files, monkeypatch, capsys):
+    def leggauss(nodes):
+        raise AssertionError(f"built a {nodes}-node rule")
+
+    monkeypatch.setattr("numpy.polynomial.legendre.leggauss", leggauss)
+    top = analysis.MAX_QUADRATURE_NODES
+    assert HSampler(quadrature_nodes=top).quadrature_nodes == top
+    with pytest.raises(ValueError, match=f"quadrature_nodes must be at most {top}"):
+        HSampler(quadrature_nodes=top + 1)
+    parsed = build_parser().parse_args(["uniqueness", "net.json", "--quadrature", str(top)])
+    assert parsed.quadrature == top
+    with pytest.raises(SystemExit) as err:
+        main(["uniqueness", files["merge_base"], "--quadrature", str(top + 1)])
+    assert err.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "--quadrature" in errors[0] and f"at most {top}" in errors[0]

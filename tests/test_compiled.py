@@ -65,7 +65,7 @@ from wardrop.netcore import (
     enumerate_routes,
     flows_on_roads,
 )
-from conftest import reference_cost
+from conftest import left_sum, reference_cost
 
 EVALUATION_ERRORS = (CostDomainError, ExtRealGuardError)
 SETTINGS = settings(
@@ -157,7 +157,7 @@ def assignments(draw, net: Network) -> Assignment:
 def reference_flows(net: Network, shares) -> dict[tuple[int, str], float]:
     """Population q's flow on road r: its routes' shares through r, in route order."""
     return {
-        (q, road.id): sum(s for s, route in zip(shares[q], pop.routes) if road.id in route.road_ids)
+        (q, road.id): left_sum(s for s, route in zip(shares[q], pop.routes) if road.id in route.road_ids)
         for q, pop in enumerate(net.populations)
         for road in net.roads
     }
@@ -173,7 +173,7 @@ def reference_times(net: Network, shares) -> list[list[float]]:
         for rid in sorted(pop.road_ids()):
             point = {n: flows[q, rid] for q, n in enumerate(names)}
             cost[rid] = reference_cost(pop.costs[rid], point)
-        times.append([sum(cost[rid] for rid in route.road_ids) for route in pop.routes])
+        times.append([left_sum(cost[rid] for rid in route.road_ids) for route in pop.routes])
     return times
 
 

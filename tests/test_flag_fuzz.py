@@ -7,8 +7,8 @@ a number past the float range, a fraction (which an integer flag refuses),
 or an empty or non-numeric text.  Every other one takes a small valid
 value or is left out.  The flags that count work (`--max-iters`, `--grid`,
 `--budget`, `--pairs`, `--quadrature` and `--starts`) are always given,
-and their valid values are small: none of them has an upper bound, so a
-vast count asks for time or memory without end.
+and their valid values are small: only `--quadrature` has an upper bound,
+so a vast count of the others asks for time or memory without end.
 
 A run must either return 0, 1 or a refusal's code of `cli._REFUSALS`,
 printing exactly one `error:` line when it returns 2 or more and none
