@@ -43,6 +43,7 @@ ZERO_TOLERANCE = 1e-12
 DISCRIMINANT_TOLERANCE = 1e-9
 DEFAULT_ORACLE_BUDGET = 2_000_000  # grid points `brute_force_equilibria` scans at most
 MAX_QUADRATURE_NODES = 1000  # per segment: an n-node rule solves an n x n eigenproblem
+PARADOX_TOLERANCE = 1e-9  # time increase past which `compare_scenarios` flags a paradox
 
 
 class OracleBudgetError(ValueError):
@@ -113,6 +114,7 @@ def segment_matrices(
     """
     if len(net.populations) != 2:
         raise PreconditionError("segment matrices are defined for exactly 2 populations")
+    _require_int("quadrature_nodes", quadrature_nodes, 1, MAX_QUADRATURE_NODES)
     _require_monotone(net)
     core = compile_network(net)
     ends = (core.pack(x)[..., None] for x in (first, second))
@@ -217,11 +219,6 @@ def _block_ranks(q0: np.ndarray, q1: np.ndarray, p0: np.ndarray, p1: np.ndarray)
     return np.select([c for c, _ in cases], [_RANK[case] for _, case in cases], _RANK[H_INERT])
 
 
-def _classify_h_case(q0: float, q1: float, p0: float, p1: float) -> str:
-    """The case of the block [[q0, p0], [p1, q1]]."""
-    return _CASES[_block_ranks(*np.array([[q0], [q1], [p0], [p1]], dtype=float))[0]]
-
-
 _DEFPOS_CASES = {
     H_STRICT: "coupled",
     H_BOUNDARY: "coupled",
@@ -267,11 +264,9 @@ class HSampler:
     quadrature_nodes: int = 16
 
     def __post_init__(self) -> None:
-        _require_int(self, "pairs", 0)
-        _require_int(self, "seed", 0)
-        _require_int(self, "quadrature_nodes", 1)
-        if self.quadrature_nodes > MAX_QUADRATURE_NODES:
-            raise ValueError(f"quadrature_nodes must be at most {MAX_QUADRATURE_NODES}")
+        _require_int("pairs", self.pairs, 0)
+        _require_int("seed", self.seed, 0)
+        _require_int("quadrature_nodes", self.quadrature_nodes, 1, MAX_QUADRATURE_NODES)
 
 
 def check_hypothesis_coupling(net: Network, sampler: HSampler = HSampler()) -> UniquenessReport:
@@ -613,16 +608,14 @@ def compare_scenarios(
     base: Network,
     variant: Network,
     params: SolveParams = SolveParams(),
-    paradox_tol: float = 1e-9,
 ) -> BraessReport:
     """Solve both networks and flag populations whose time strictly worsens.
 
     Populations are matched by name; both networks must solve to verified
     Nash equilibria from the barycenter (otherwise `CompareError`).  A
     population's paradox flag is set when its equilibrium travel time in the
-    variant exceeds the base time by more than `paradox_tol`.
+    variant exceeds the base time by more than `PARADOX_TOLERANCE`.
     """
-    _require_tolerance("paradox_tol", paradox_tol, positive=False)
     base_names = base.population_names()
     if set(base_names) != set(variant.population_names()):
         raise PreconditionError("base and variant must share population names")
@@ -644,5 +637,5 @@ def compare_scenarios(
         base_times=before,
         variant_times=after,
         deltas=deltas,
-        paradox=tuple(d > paradox_tol for d in deltas),
+        paradox=tuple(d > PARADOX_TOLERANCE for d in deltas),
     )

@@ -311,12 +311,11 @@ class CompiledNetwork:
         self.width = max(self.route_counts) + 1
         counts = np.array(self.route_counts)
         self.valid = np.arange(self.width) < counts[:, None]
-        self.incidences = [build_incidence(net, p) for p in range(self.pop_count)]
-        self.inc_float = [inc.entries.astype(float) for inc in self.incidences]
+        incidences = [build_incidence(net, p) for p in range(self.pop_count)]
         # Shared step size: half the reciprocal of the largest route count.
         self.step = 0.5 * min(1.0 / n for n in self.route_counts)
         self.road_count = len(net.roads)
-        self._flow_gather = flow_gather(self.incidences, self.width)
+        self._flow_gather = flow_gather(incidences, self.width)
         road_index = net.road_index()
         costed = [
             (p, h, pop.costs[net.roads[h].id])
@@ -455,18 +454,6 @@ class CompiledNetwork:
         saving = np.subtract(before, after, out=np.full(len(e), -np.inf), where=after < np.inf)
         gain = saving / np.maximum(1.0, np.where(before < np.inf, before, 1.0))
         return p, i, j, e, gain
-
-    # -- nested-list views -------------------------------------------------
-
-    def route_times(self, shares) -> list[list[float]]:
-        """Per-population route times of one assignment (math.inf allowed)."""
-        return self.unpack(self.times(self.pack(shares)))
-
-    def shifted_times(self, shares, pop: int, vector: Sequence[float]) -> list[float]:
-        """Times of population `pop` with only its own share vector replaced."""
-        modified = list(getattr(shares, "shares", shares))
-        modified[pop] = vector
-        return self.route_times(modified)[pop]
 
 
 def compile_network(net: Network) -> CompiledNetwork:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from collections.abc import Callable, Iterator, Mapping, Sequence
+from collections.abc import Iterator, Mapping
 
 import numpy as np
 
@@ -398,15 +398,6 @@ def _lattice(count: int, points: np.ndarray, index: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Array evaluation: views of the compiled cost program
 # ---------------------------------------------------------------------------
-
-def compile_scalar(
-    expr: CostExpr, population_order: Sequence[str]
-) -> Callable[[Sequence[float]], float]:
-    """A float function of per-population flows given in `population_order`
-    (math.inf at blow-ups): a view of `eval_array`."""
-    order = list(population_order)
-    return lambda flows: float(eval_array(expr, dict(zip(order, flows))))
-
 
 def eval_array(expr: CostExpr, flows: Mapping[str, object]) -> np.ndarray:
     """Evaluation over numpy arrays of flows (np.inf at blow-ups).

@@ -27,7 +27,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -44,6 +44,7 @@ from .netcore import Network
 INPUT_TOLERANCE = 1e-12
 DEFAULT_TIME_TOLERANCE = 1e-9
 DEFAULT_SHARE_TOLERANCE = 1e-9
+DEDUP_TOLERANCE = 1e-6  # max-norm gap below which two multistart equilibria are one
 
 
 class NonMonotoneCostError(ValueError):
@@ -121,11 +122,12 @@ class EquilibriumReport:
     eps_used: float
 
 
-def _require_int(record, name: str, least: int) -> None:
-    """Refuse field `name` of `record` unless it is an int, not a bool, >= `least`."""
-    value = getattr(record, name)
+def _require_int(name: str, value: int, least: int, most: float = math.inf) -> None:
+    """Refuse `value` unless it is an int, not a bool, in [least, most]."""
     if isinstance(value, bool) or not isinstance(value, int) or value < least:
         raise ValueError(f"{name} must be an int of at least {least}")
+    if value > most:
+        raise ValueError(f"{name} must be at most {most}")
 
 
 def _require_tolerance(name: str, value: float, positive: bool = True, below: float = math.inf) -> None:
@@ -155,7 +157,7 @@ class SolveParams:
     def __post_init__(self) -> None:
         if not 0 < self.omega <= 1:
             raise ValueError("damping must lie in (0, 1]")
-        _require_int(self, "max_iters", 1)
+        _require_int("max_iters", self.max_iters, 1)
         for name in ("residual_tol", "verify_tol"):
             _require_tolerance(name, getattr(self, name))
 
@@ -176,20 +178,13 @@ class SolveResult:
 
 @dataclass(frozen=True)
 class MultistartParams:
-    grid_depth: int = 1
     random_starts: int = 4
     seed: int = 0
-    dedup_tolerance: float = 1e-6
     solve: SolveParams = field(default_factory=SolveParams)
 
     def __post_init__(self) -> None:
-        _require_int(self, "grid_depth", 1)
-        _require_int(self, "random_starts", 0)
-        _require_int(self, "seed", 0)
-        _require_tolerance("dedup_tolerance", self.dedup_tolerance, positive=False)
-
-
-_engine = compile_network  # the compiled network's former internal name
+        _require_int("random_starts", self.random_starts, 0)
+        _require_int("seed", self.seed, 0)
 
 
 def _evaluate(net: Network, theta: Assignment) -> tuple[CompiledNetwork, np.ndarray, np.ndarray]:
@@ -301,10 +296,11 @@ def is_nash(
 
 
 def default_eps(theta: Assignment, share_tol: float = DEFAULT_SHARE_TOLERANCE) -> float:
-    """Half the smallest positive share over all populations."""
+    """Half the smallest positive share over all populations: of each one's
+    shares above `share_tol`, or above 0 if none exceeds it."""
     smallest = 1.0
     for vec in theta.shares:
-        positive = [x for x in vec if x > share_tol]
+        positive = [x for x in vec if x > share_tol] or [x for x in vec if x > 0.0]
         smallest = min(smallest, 0.5 * min(positive))
     return smallest
 
@@ -545,14 +541,10 @@ def compositions(n: int, resolution: int) -> np.ndarray:
     return np.diff(bars, axis=1, prepend=-1, append=end) - 1
 
 
-def simplex_grid(n: int, resolution: int) -> Iterator[tuple[float, ...]]:
-    """The uniform simplex grid's points: the rows of `compositions(n, resolution) / resolution`."""
-    return map(tuple, (compositions(n, resolution) / resolution).tolist())
-
-
 def _start_points(net: Network, params: MultistartParams) -> list[Assignment]:
-    grids = (simplex_grid(len(pop.routes), params.grid_depth) for pop in net.populations)
-    starts = [Assignment.make(combo) for combo in itertools.product(*grids)]
+    """The vertices (each population's last route first), the barycenter, then random points."""
+    corners = (reversed(range(len(pop.routes))) for pop in net.populations)
+    starts = [vertex_assignment(net, combo) for combo in itertools.product(*corners)]
     starts.append(uniform_assignment(net))
     rng = np.random.default_rng(params.seed)
     for _ in range(params.random_starts):
@@ -562,10 +554,10 @@ def _start_points(net: Network, params: MultistartParams) -> list[Assignment]:
 
 
 def solve_multistart(net: Network, params: MultistartParams = MultistartParams()) -> list[SolveResult]:
-    """Solve from simplex-grid corners, the barycenter, and seeded random
-    interior points; return distinct verified equilibria.
+    """Solve from the vertices of the product of simplices, the barycenter,
+    and seeded random interior points; return distinct verified equilibria.
 
-    Results are sorted by assignment and deduplicated at `dedup_tolerance`
+    Results are sorted by assignment and deduplicated at `DEDUP_TOLERANCE`
     in the max norm, so output is independent of start order.  Starts that
     fail to converge or verify are dropped; the list is empty only if every
     start fails.
@@ -581,7 +573,7 @@ def solve_multistart(net: Network, params: MultistartParams = MultistartParams()
                 for va, vb in zip(result.assignment.shares, kept.assignment.shares)
                 for a, b in zip(va, vb)
             )
-            if gap < params.dedup_tolerance:
+            if gap < DEDUP_TOLERANCE:
                 if result.residual < kept.residual:
                     distinct[k] = result
                 break
@@ -618,11 +610,11 @@ def check_conditional_optimality(
     holds = True
     for p, pop in enumerate(net.populations):
         n = len(pop.routes)
-        points = simplex_grid(n, resolution)
+        grid = compositions(n, resolution) / resolution
         values = []
-        while chunk := list(itertools.islice(points, 4096)):
+        for chunk in np.split(grid, range(4096, len(grid), 4096)):
             batch = np.repeat(x[..., None], len(chunk), axis=-1)
-            batch[p, :n] = np.transpose(chunk)
+            batch[p, :n] = chunk.T
             values.append(share_mean(batch, core.times(batch), 0.0)[p])
         values = np.concatenate(values)
         finite = values[values < math.inf]

@@ -107,9 +107,6 @@ class ValidationReport:
     ok: bool
     findings: tuple[Finding, ...]
 
-    def errors(self) -> tuple[Finding, ...]:
-        return tuple(f for f in self.findings if f.severity == "error")
-
 
 @dataclass(frozen=True, slots=True)
 class IncidenceMatrix:

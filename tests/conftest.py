@@ -237,3 +237,13 @@ def all_vertex_assignments(net: Network):
     counts = [len(p.routes) for p in net.populations]
     for combo in itertools.product(*(range(n) for n in counts)):
         yield vertex_assignment(net, combo)
+
+
+def nested_times(core, shares, pop: int | None = None, vector=None) -> list[list[float]]:
+    """Per-population route times (math.inf allowed) of one assignment or
+    nested share lists on the compiled network `core`, with population
+    `pop`'s share vector replaced by `vector` if `pop` is given."""
+    shares = list(getattr(shares, "shares", shares))
+    if pop is not None:
+        shares[pop] = vector
+    return core.unpack(core.times(core.pack(shares)))

@@ -25,11 +25,11 @@ from wardrop.analysis import (
     compare_scenarios,
     segment_matrices,
 )
+from wardrop.compiled import compile_network
 from wardrop.costs import eval_cost, eval_partial
 from wardrop.equilibrium import (
     Assignment,
     SolveParams,
-    _engine,
     fixed_point_map,
     fixed_point_residual,
     is_eps_nash,
@@ -42,7 +42,9 @@ from wardrop.equilibrium import (
     vertex_assignment,
 )
 
-from conftest import random_monotone_expr, random_cost_network
+from wardrop.netcore import build_incidence
+
+from conftest import nested_times, random_monotone_expr, random_cost_network
 
 
 @contextmanager
@@ -70,8 +72,8 @@ def test_criterion_1_base_network_and_oracle():
             result = solve_fixed_point(net, start)
             assert result.success
             assert _max_gap(result.assignment, ((0.5, 0.5), (0.5, 0.5))) < 1e-8
-        eng = _engine(net)
-        times = eng.route_times(result.assignment.shares)
+        eng = compile_network(net)
+        times = nested_times(eng, result.assignment.shares)
         for pop_times in times:
             for t in pop_times:
                 assert abs(t - 3.5) < 1e-8
@@ -276,18 +278,18 @@ def test_criterion_7d_segment_reconstruction_identity():
         rng = np.random.default_rng(102)
         for _ in range(1000):
             net = random_cost_network(rng)
-            eng = _engine(net)
+            eng = compile_network(net)
             a = Assignment.make([rng.dirichlet(np.ones(2)) for _ in range(2)], tolerance=1e-9)
             b = Assignment.make([rng.dirichlet(np.ones(2)) for _ in range(2)], tolerance=1e-9)
             sm = segment_matrices(net, a, b)
-            g0, g1 = eng.inc_float
+            g0, g1 = (build_incidence(net, p).entries.astype(float) for p in range(2))
             d0 = np.subtract(b.shares[0], a.shares[0])
             d1 = np.subtract(b.shares[1], a.shares[1])
             for p, (own, cross, gp, gq) in enumerate(
                 [(sm.own[0], sm.cross[0], g0, g1), (sm.own[1], sm.cross[1], g1, g0)]
             ):
-                lhs = np.array(eng.route_times(b.shares)[p]) - np.array(
-                    eng.route_times(a.shares)[p]
+                lhs = np.array(nested_times(eng, b.shares)[p]) - np.array(
+                    nested_times(eng, a.shares)[p]
                 )
                 dp, dq = (d0, d1) if p == 0 else (d1, d0)
                 rhs = gp.T @ np.diag(own) @ gp @ dp + gp.T @ np.diag(cross) @ gq @ dq
@@ -357,13 +359,13 @@ def test_criterion_7g_shift_and_segment_monotonicity():
             nets.merge_base(), nets.merge_linked(),
         ]
         for net in fixture_nets:
-            eng = _engine(net)
+            eng = compile_network(net)
             for _ in range(25):
                 theta = Assignment.make(
                     [rng.dirichlet(np.ones(n)) for n in eng.route_counts],
                     tolerance=1e-9,
                 )
-                times = eng.route_times(theta.shares)
+                times = nested_times(eng, theta.shares)
                 for p in range(eng.pop_count):
                     vec = list(theta.shares[p])
                     n = len(vec)
@@ -373,7 +375,7 @@ def test_criterion_7g_shift_and_segment_monotonicity():
                         shifted = list(vec)
                         shifted[i] -= eps
                         shifted[j] += eps
-                        after = eng.shifted_times(theta.shares, p, shifted)
+                        after = nested_times(eng, theta.shares, p, shifted)[p]
                         if math.isfinite(times[p][i]):
                             # giving up mass never slows the abandoned route
                             assert after[i] <= times[p][i] + 1e-12
@@ -388,7 +390,7 @@ def test_criterion_7g_shift_and_segment_monotonicity():
                                 sigma * (1.0 if k == j else 0.0) + (1 - sigma) * vec[k]
                                 for k in range(n)
                             ]
-                            value = eng.shifted_times(theta.shares, p, stretched)[j]
+                            value = nested_times(eng, theta.shares, p, stretched)[p][j]
                             assert value >= previous - 1e-12
                             previous = value
 

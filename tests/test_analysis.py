@@ -18,7 +18,8 @@ from wardrop.analysis import (
     OracleBudgetError,
     SegmentMatrices,
     UniquenessReport,
-    _classify_h_case,
+    _CASES,
+    _block_ranks,
     brute_force_equilibria,
     check_defpos,
     check_hypothesis_coupling,
@@ -29,7 +30,7 @@ from wardrop.analysis import (
     _cluster_hits,
     segment_matrices,
 )
-from wardrop.compiled import CompiledNetwork
+from wardrop.compiled import CompiledNetwork, compile_network
 from wardrop.costs import InfiniteCostError
 from wardrop.equilibrium import (
     DEFAULT_SHARE_TOLERANCE,
@@ -37,15 +38,24 @@ from wardrop.equilibrium import (
     MultistartParams,
     PreconditionError,
     SolveParams,
-    _engine,
     compositions,
     solve_fixed_point,
     uniform_assignment,
     vertex_assignment,
 )
-from wardrop.netcore import Network, PopulationSpec
+from wardrop.netcore import Network, PopulationSpec, build_incidence
 
-from conftest import blocking_network, flat_network, random_cost_network
+from conftest import blocking_network, flat_network, nested_times, random_cost_network
+
+
+def incidence_arrays(net: Network) -> list[np.ndarray]:
+    """Each population's incidence matrix as floats."""
+    return [build_incidence(net, p).entries.astype(float) for p in range(len(net.populations))]
+
+
+def block_case(q0: float, q1: float, p0: float, p1: float) -> str:
+    """The case of the one block [[q0, p0], [p1, q1]], through the array classifier."""
+    return _CASES[_block_ranks(*np.array([[q0], [q1], [p0], [p1]], dtype=float))[0]]
 
 
 def _manual_matrices(own0, cross0, own1, cross1) -> SegmentMatrices:
@@ -103,12 +113,12 @@ class TestSegmentMatrices:
         a = Assignment.make([[0.2, 0.8], [0.1, 0.9]])
         b = Assignment.make([[0.35, 0.65], [0.3, 0.7]])
         sm = segment_matrices(corridor_net, a, b)
-        eng = _engine(corridor_net)
-        g0, g1 = eng.inc_float
+        eng = compile_network(corridor_net)
+        g0, g1 = incidence_arrays(corridor_net)
         d0 = np.subtract(b.shares[0], a.shares[0])
         d1 = np.subtract(b.shares[1], a.shares[1])
-        t0 = [np.array(eng.route_times(x.shares)[0]) for x in (a, b)]
-        t1 = [np.array(eng.route_times(x.shares)[1]) for x in (a, b)]
+        t0 = [np.array(nested_times(eng, x)[0]) for x in (a, b)]
+        t1 = [np.array(nested_times(eng, x)[1]) for x in (a, b)]
         lhs0 = t0[1] - t0[0]
         rhs0 = g0.T @ np.diag(sm.own[0]) @ g0 @ d0 + g0.T @ np.diag(sm.cross[0]) @ g1 @ d1
         assert np.abs(lhs0 - rhs0).max() < 1e-8
@@ -123,10 +133,10 @@ class TestSegmentMatrices:
         a = Assignment.make([[0.2, 0.8], lower])
         b = Assignment.make([[0.5, 0.5], lower])
         sm = segment_matrices(corridor_net, a, b)
-        eng = _engine(corridor_net)
-        g0 = eng.inc_float[0]
+        eng = compile_network(corridor_net)
+        g0 = incidence_arrays(corridor_net)[0]
         d0 = np.subtract(b.shares[0], a.shares[0])
-        lhs = np.array(eng.route_times(b.shares)[0]) - np.array(eng.route_times(a.shares)[0])
+        lhs = np.array(nested_times(eng, b)[0]) - np.array(nested_times(eng, a)[0])
         rhs = g0.T @ np.diag(sm.own[0]) @ g0 @ d0
         assert np.abs(lhs - rhs).max() < 1e-8
 
@@ -241,14 +251,14 @@ LISTED_BLOCKS = [
 def test_defpos_cases_are_the_uniqueness_cases(block):
     q0, q1, p0, p1 = block
     result = check_defpos(_manual_matrices([q0], [p0], [q1], [p1]))
-    assert result.cases == (DEFPOS_NAMES[_classify_h_case(q0, q1, p0, p1)],)
+    assert result.cases == (DEFPOS_NAMES[block_case(q0, q1, p0, p1)],)
 
 
 def test_small_indefinite_block_is_a_violation():
     q0, q1, p0, p1 = 1e-6, 1e-6, 1.05e-6, 1.05e-6
     sym = np.array([[q0, (p0 + p1) / 2], [(p0 + p1) / 2, q1]])
     assert np.linalg.eigvalsh(sym).min() < -4e-8
-    assert _classify_h_case(q0, q1, p0, p1) == "violation"
+    assert block_case(q0, q1, p0, p1) == "violation"
     assert check_defpos(_manual_matrices([q0], [p0], [q1], [p1])).cases == ("violation",)
 
 
@@ -265,7 +275,7 @@ def test_defpos_agrees_with_the_uniqueness_cases_at_every_scale():
     blocks = random_blocks()
     q0, q1, p0, p1 = blocks.T
     result = check_defpos(_manual_matrices(q0, p0, q1, p1))
-    assert result.cases == tuple(DEFPOS_NAMES[_classify_h_case(*b)] for b in blocks.tolist())
+    assert result.cases == tuple(DEFPOS_NAMES[block_case(*b)] for b in blocks.tolist())
 
 
 def scalar_case(q0: float, q1: float, p0: float, p1: float) -> str:
@@ -294,7 +304,7 @@ def scalar_case(q0: float, q1: float, p0: float, p1: float) -> str:
 def test_block_classifier_equals_the_scalar_rule():
     blocks = np.concatenate([np.array(LISTED_BLOCKS), random_blocks()])
     expected = [scalar_case(*b) for b in blocks.tolist()]
-    assert [_classify_h_case(*b) for b in blocks.tolist()] == expected
+    assert [block_case(*b) for b in blocks.tolist()] == expected
     q0, q1, p0, p1 = blocks.T
     cases = check_defpos(_manual_matrices(q0, p0, q1, p1)).cases
     assert cases == tuple(DEFPOS_NAMES[case] for case in expected)
@@ -406,6 +416,18 @@ def test_sampler_refuses_bad_values(field, value):
     HSampler(pairs=0, quadrature_nodes=1)
 
 
+@pytest.mark.parametrize("nodes", [True, 1.5, 0, analysis.MAX_QUADRATURE_NODES + 1, 100_000])
+def test_segment_matrices_refuse_a_node_count_before_a_rule_is_built(nodes, corridor_net, monkeypatch):
+    def leggauss(count):
+        raise AssertionError(f"built a {count}-node rule")
+
+    monkeypatch.setattr("numpy.polynomial.legendre.leggauss", leggauss)
+    a = Assignment.make([[0.2, 0.8], [0.1, 0.9]])
+    b = Assignment.make([[0.35, 0.65], [0.3, 0.7]])
+    with pytest.raises(ValueError, match="quadrature_nodes must be"):
+        segment_matrices(corridor_net, a, b, quadrature_nodes=nodes)
+
+
 class TestHypothesisCoupling:
     def test_delay_network_satisfied(self, delay_net):
         report = check_hypothesis_coupling(delay_net, HSampler(pairs=100, seed=0))
@@ -506,7 +528,7 @@ class TestCheckUniqueness:
         net = builder()
         params = MultistartParams(random_starts=3, seed=1, solve=SolveParams(verify_tol=tol))
         found = equilibrium.solve_multistart(net, params)
-        core = _engine(net)
+        core = compile_network(net)
         times = np.stack([core.times(core.pack(r.assignment)) for r in found])
         largest = max(1.0, times[times < math.inf].max())
         bound = 2 * (tol + core.width * DEFAULT_SHARE_TOLERANCE) * largest
@@ -736,14 +758,14 @@ def test_random_network_reconstruction_identity():
     rng = np.random.default_rng(11)
     for _ in range(20):
         net = random_cost_network(rng)
-        eng = _engine(net)
+        eng = compile_network(net)
         a = Assignment.make([rng.dirichlet(np.ones(2)) for _ in range(2)], tolerance=1e-9)
         b = Assignment.make([rng.dirichlet(np.ones(2)) for _ in range(2)], tolerance=1e-9)
         sm = segment_matrices(net, a, b)
-        g0, g1 = eng.inc_float
+        g0, g1 = incidence_arrays(net)
         d0 = np.subtract(b.shares[0], a.shares[0])
         d1 = np.subtract(b.shares[1], a.shares[1])
-        lhs0 = np.array(eng.route_times(b.shares)[0]) - np.array(eng.route_times(a.shares)[0])
+        lhs0 = np.array(nested_times(eng, b)[0]) - np.array(nested_times(eng, a)[0])
         rhs0 = g0.T @ np.diag(sm.own[0]) @ g0 @ d0 + g0.T @ np.diag(sm.cross[0]) @ g1 @ d1
         assert np.abs(lhs0 - rhs0).max() < 1e-8
 
@@ -762,29 +784,17 @@ def test_oracle_accepts_a_zero_tolerance(delay_net):
     assert len(brute_force_equilibria(delay_net, 10, tol=0.0).equilibria) == 1
 
 
-@pytest.mark.parametrize("paradox_tol", [math.nan, math.inf, -1.0])
-def test_compare_refuses_a_paradox_tolerance_before_solving(
-    paradox_tol, braess_net, braess5_net, monkeypatch
-):
-    def solve(*args):
-        raise AssertionError("solved")
-
-    monkeypatch.setattr(analysis, "solve_fixed_point", solve)
-    with pytest.raises(ValueError, match="paradox_tol must be nonnegative and finite"):
-        compare_scenarios(braess_net, braess5_net, paradox_tol=paradox_tol)
-
-
 @pytest.mark.parametrize("scale", [1e150, 1e160, 1e300])
 def test_block_classification_holds_past_the_float_range_of_a_square(scale):
     # Scaling a block changes neither side of 4*q0*q1 >= (p0 + p1)^2 relative to the other.
     for block in ([1.0, 1.0, 0.5, 0.5], [1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 2.0, 0.5], [1.0, 0.0, 0.5, 0.0]):
-        assert _classify_h_case(*(scale * v for v in block)) == _classify_h_case(*block)
+        assert block_case(*(scale * v for v in block)) == block_case(*block)
 
 
 def allocating_scan(net, grids, resolution, tolerance):
     """The product-grid scan with fresh arrays for every batch and every
     evaluation, in the grid product's order."""
-    core = _engine(net)
+    core = compile_network(net)
     last = len(grids) - 1
     outer = np.array(list(itertools.product(*(range(len(g)) for g in grids[:last]))), dtype=int)
     inner = len(grids[last])
@@ -823,7 +833,7 @@ def allocating_scan(net, grids, resolution, tolerance):
 ])
 def test_oracle_equals_a_scan_that_allocates_per_batch(name, resolution, monkeypatch):
     net = nets.BUILDERS[name]()
-    core = _engine(net)
+    core = compile_network(net)
     sizes = [math.comb(resolution + n - 1, n - 1) for n in core.route_counts]
     per_batch = max(1, core._chunk // sizes[-1])
     # a short last batch of whole last-population grids, or (one population)

@@ -37,7 +37,6 @@ from wardrop.costs import (
     Polynomial,
     Scale,
     Sum,
-    compile_scalar,
     eval_array,
     eval_cost,
     eval_partial,
@@ -65,7 +64,7 @@ from wardrop.netcore import (
     enumerate_routes,
     flows_on_roads,
 )
-from conftest import left_sum, reference_cost
+from conftest import left_sum, nested_times, reference_cost
 
 EVALUATION_ERRORS = (CostDomainError, ExtRealGuardError)
 SETTINGS = settings(
@@ -209,11 +208,11 @@ def test_route_times_are_sums_of_reference_costs(data):
     expected, error = raised(reference_times, net, theta.shares)
     core = compile_network(net)
     if error is None:
-        assert core.route_times(theta.shares) == expected
+        assert nested_times(core, theta) == expected
         assert [[t.as_float() for t in row] for row in route_times(net, theta).times] == expected
     else:
         with pytest.raises(tuple(reference_errors(net, theta.shares))):
-            core.route_times(theta.shares)
+            nested_times(core, theta)
 
 
 @SETTINGS
@@ -232,13 +231,12 @@ def test_views_equal_the_reference(data):
     points = [data.draw(st.lists(st.floats(0.0, 1.0), min_size=len(names), max_size=len(names)))
               for _ in range(4)]
     outcomes = [raised(reference_cost, expr, dict(zip(names, point))) for point in points]
-    fn = compile_scalar(expr, names)
     for point, (value, error) in zip(points, outcomes):
         if error is None:
-            assert fn(point) == value
+            assert float(eval_array(expr, dict(zip(names, point)))) == value
         else:
             with pytest.raises(error):
-                fn(point)
+                eval_array(expr, dict(zip(names, point)))
     columns = {n: np.array([point[k] for point in points]) for k, n in enumerate(names)}
     if all(error is None for _, error in outcomes):
         values = np.broadcast_to(eval_array(expr, columns), (len(points),))
@@ -272,7 +270,7 @@ def loop_eps_nash(net: Network, theta: Assignment, eps: float, ladder: bool) -> 
     """is_eps_nash as one evaluation per shift."""
     core = compile_network(net)
     eq = is_equilibrium(net, theta)
-    before = core.route_times(theta.shares)
+    before = nested_times(core, theta)
     worst, detail = 0.0, list(eq.detail)
     for p, pop in enumerate(net.populations):
         vec = list(theta.shares[p])
@@ -283,7 +281,7 @@ def loop_eps_nash(net: Network, theta: Assignment, eps: float, ladder: bool) -> 
                 shifted = list(vec)
                 shifted[i] = max(0.0, shifted[i] - e)
                 shifted[j] = shifted[j] + e
-                after = core.shifted_times(theta.shares, p, shifted)[j]
+                after = nested_times(core, theta, p, shifted)[p][j]
                 if math.isinf(after):
                     continue
                 t = before[p][i]
@@ -436,7 +434,7 @@ def test_every_evaluation_checks_signs_before_zero_times_infinity():
     expr = Sum((Scale(0.0, CongestionRational({"a": 1.0}, 1.0)), SIGNED))
     with pytest.raises(ExtRealGuardError):
         reference_cost(expr, {"a": 1.0})
-    for evaluate in (eval_cost, eval_array, lambda e, f: compile_scalar(e, ["a"])([f["a"]])):
+    for evaluate in (eval_cost, eval_array):
         with pytest.raises(CostDomainError):
             evaluate(expr, {"a": 1.0})
 
@@ -475,18 +473,6 @@ def _negative_going() -> Network:
     pop = net.populations[0]
     costs = dict(pop.costs, r2=NonMonotoneAffine(1.0, {pop.name: -3.0}))
     return dataclasses.replace(net, populations=(dataclasses.replace(pop, costs=costs),))
-
-
-def test_compile_scalar_raises_where_eval_cost_raises():
-    with pytest.raises(CostDomainError):
-        eval_cost(SIGNED, {"a": 1.0})
-    with pytest.raises(CostDomainError):
-        compile_scalar(SIGNED, ["a"])([1.0])
-    assert compile_scalar(SIGNED, ["a"])([0.25]) == eval_cost(SIGNED, {"a": 0.25}).as_float()
-    with pytest.raises(CostDomainError):
-        compile_scalar(Affine(1.0, {"a": 1.0}), ["a"])([1.5])
-    with pytest.raises(ExtRealGuardError):
-        compile_scalar(Scale(0.0, CongestionRational({"a": 1.0}, 1.0)), ["a"])([1.0])
 
 
 def test_route_times_raise_on_a_negative_cost():
@@ -559,8 +545,6 @@ def test_flows_refuse_nan():
         eval_cost(expr, {"a": math.nan})
     with pytest.raises(CostDomainError):
         eval_array(expr, {"a": np.array([0.5, math.nan])})
-    with pytest.raises(CostDomainError):
-        compile_scalar(expr, ["a"])([math.nan])
 
 
 @pytest.mark.parametrize("vector", [[math.nan, 1.0], [math.nan, math.nan], [math.inf, 0.0]])

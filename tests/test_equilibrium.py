@@ -19,6 +19,7 @@ from wardrop.equilibrium import (
     PreconditionError,
     SolveParams,
     check_conditional_optimality,
+    compositions,
     compress_time,
     default_eps,
     fixed_point_map,
@@ -29,7 +30,6 @@ from wardrop.equilibrium import (
     mean_times,
     nonmonotone_cost,
     route_times,
-    simplex_grid,
     solve_fixed_point,
     solve_multistart,
     verify,
@@ -189,6 +189,15 @@ class TestPredicates:
     def test_default_eps_is_half_min_positive_share(self):
         theta = Assignment.make([[0.25, 0.75], [0.1, 0.9]])
         assert default_eps(theta) == pytest.approx(0.05)
+
+    def test_default_eps_takes_positive_shares_where_none_exceeds_the_share_tolerance(self, delay_net):
+        # No share of HALF exceeds 0.5: each population gives half its smallest positive share.
+        assert default_eps(HALF, 0.5) == 0.25
+        assert default_eps(Assignment.make([[0.5, 0.5], [0.2, 0.8]]), 0.5) == 0.25
+        assert default_eps(Assignment.make([[0.2, 0.8]]), 0.9) == 0.1
+        assert verify(delay_net, HALF, share_tol=0.5).eps_used == 0.25
+        verdict = is_eps_nash(delay_net, HALF, share_tol=0.5)
+        assert verdict == is_eps_nash(delay_net, HALF, eps=0.25, share_tol=0.5)
 
     def test_verify_report_nesting(self, pathological_net):
         report = verify(pathological_net, vertex_assignment(pathological_net, (0,)))
@@ -407,13 +416,19 @@ class TestConditionalOptimality:
             check_conditional_optimality(delay_net, Assignment.make([[0.9, 0.1], [0.5, 0.5]]))
 
 
+def simplex_grid(n, resolution):
+    """The uniform simplex grid's points, as tuples: the rows of
+    `compositions(n, resolution) / resolution`."""
+    return [tuple(row) for row in (compositions(n, resolution) / resolution).tolist()]
+
+
 def test_simplex_grid_counts_and_membership():
-    points = list(simplex_grid(3, 4))
+    points = simplex_grid(3, 4)
     assert len(points) == math.comb(4 + 2, 2)
     for p in points:
         assert sum(p) == pytest.approx(1.0)
         assert all(x >= 0 for x in p)
-    assert list(simplex_grid(1, 10)) == [(1.0,)]
+    assert simplex_grid(1, 10) == [(1.0,)]
 
 
 def _recursive_simplex_grid(n, resolution):
@@ -434,16 +449,39 @@ def _recursive_simplex_grid(n, resolution):
         yield tuple(c / resolution for c in combo)
 
 
+def test_conditional_optimality_equals_a_per_point_reference(merge6_net):
+    # merge_linked's first population has three routes: 5,151 grid points at
+    # resolution 100, one full slice of 4,096 and a short last one.
+    net, resolution = merge6_net, 100
+    theta = solve_fixed_point(net).assignment
+    at_theta = route_times(net, theta).means
+    rows = []
+    for p, pop in enumerate(net.populations):
+        values = []
+        for point in simplex_grid(len(pop.routes), resolution):
+            shares = list(theta.shares)
+            shares[p] = point
+            values.append(route_times(net, Assignment(tuple(shares))).means[p])
+        finite = [v for v in values if math.isfinite(v)]
+        span = max(finite) - min(finite) if finite else 0.0
+        tol = max(1e-9, 2.0 * span / resolution)
+        rows.append((pop.name, at_theta[p], min(values), at_theta[p] <= min(values) + tol))
+    assert len(simplex_grid(3, resolution)) == 5151
+    result = check_conditional_optimality(net, theta, resolution)
+    assert result.per_population == tuple(rows)
+    assert result.holds == all(attained for *_, attained in rows)
+
+
 @pytest.mark.parametrize("n", range(1, 6))
 def test_simplex_grid_equals_the_recursive_enumeration(n):
     for resolution in range(1, 13):
-        assert list(simplex_grid(n, resolution)) == list(_recursive_simplex_grid(n, resolution))
+        assert simplex_grid(n, resolution) == list(_recursive_simplex_grid(n, resolution))
 
 
 @pytest.mark.parametrize("resolution", [0, -1])
 def test_simplex_grid_refuses_a_resolution_below_one(resolution):
     with pytest.raises(ValueError, match="resolution"):
-        simplex_grid(2, resolution)
+        compositions(2, resolution)
 
 
 @pytest.mark.parametrize("max_iters", [0, -1, True, 1.5, 100.0])
@@ -458,25 +496,17 @@ def test_one_iteration_is_a_valid_budget(braess_net):
 
 
 @pytest.mark.parametrize("field, value", [
-    ("grid_depth", 0),
-    ("grid_depth", -1),
-    ("grid_depth", 1.5),
-    ("grid_depth", True),
     ("random_starts", -1),
     ("random_starts", 2.5),
     ("random_starts", True),
-    ("dedup_tolerance", -1e-9),
-    ("dedup_tolerance", math.inf),
-    ("dedup_tolerance", math.nan),
 ])
 def test_multistart_params_refuse_bad_values(field, value):
     with pytest.raises(ValueError, match=field):
         MultistartParams(**{field: value})
 
 
-def test_multistart_params_allow_no_random_starts_and_no_dedup_gap(delay_net):
-    params = MultistartParams(random_starts=0, dedup_tolerance=0.0)
-    assert solve_multistart(delay_net, params)
+def test_multistart_params_allow_no_random_starts(delay_net):
+    assert solve_multistart(delay_net, MultistartParams(random_starts=0))
 
 
 def test_the_monotonicity_scan_names_the_first_offender(pathological_net, delay_net):

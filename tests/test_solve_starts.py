@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -15,12 +16,14 @@ from wardrop import equilibrium
 from wardrop.compiled import NormalizationError, compile_network
 from wardrop.costs import Affine, CostDomainError, NonMonotoneAffine
 from wardrop.equilibrium import (
+    DEDUP_TOLERANCE,
     Assignment,
     EquilibriumReport,
     MultistartParams,
     SolveParams,
     SolveResult,
     _start_points,
+    compositions,
     solve_fixed_point,
     solve_multistart,
     solve_starts,
@@ -166,10 +169,10 @@ def sequential_multistart(net: Network, params: MultistartParams) -> list[SolveR
     """`solve_multistart` as it was before it batched its starts: one solve
     per start, then the same sort and deduplication."""
     results = [solve_fixed_point(net, start, params.solve) for start in _start_points(net, params)]
-    return sequential_multistart_of(results, params)
+    return sequential_multistart_of(results)
 
 
-def sequential_multistart_of(results: list[SolveResult], params: MultistartParams) -> list[SolveResult]:
+def sequential_multistart_of(results: list[SolveResult]) -> list[SolveResult]:
     successes = [r for r in results if r.success]
     successes.sort(key=lambda r: r.assignment.shares)
     distinct: list[SolveResult] = []
@@ -181,7 +184,7 @@ def sequential_multistart_of(results: list[SolveResult], params: MultistartParam
                 for va, vb in zip(result.assignment.shares, kept.assignment.shares)
                 for a, b in zip(va, vb)
             )
-            if gap < params.dedup_tolerance:
+            if gap < DEDUP_TOLERANCE:
                 duplicate = True
                 if result.residual < kept.residual:
                     distinct[distinct.index(kept)] = result
@@ -205,7 +208,7 @@ def test_multistart_keeps_the_best_residual_of_each_duplicate_group(merge_net, m
     monkeypatch.setattr(equilibrium, "solve_starts", lambda net, starts, params: results)
     params = MultistartParams(random_starts=0)
     assert solve_multistart(merge_net, params) == [a, b_better]
-    assert sequential_multistart_of(results, params) == [a, b_better]
+    assert sequential_multistart_of(results) == [a, b_better]
 
 
 @pytest.mark.parametrize("name", ["nonmonotone_pair", "delay_spillover", "merge_base"])
@@ -216,3 +219,16 @@ def test_multistart_equals_the_sequential_driver(name):
     )
     assert solve_multistart(net, params) == sequential_multistart(net, params)
 
+
+@pytest.mark.parametrize("name", sorted(nets.BUILDERS))
+def test_start_points_are_the_vertices_the_barycenter_then_random_points(name):
+    net = nets.BUILDERS[name]()
+    params = MultistartParams(random_starts=3, seed=5)
+    vertices = [(compositions(len(pop.routes), 1) / 1).tolist() for pop in net.populations]
+    expected = [Assignment.make(combo) for combo in itertools.product(*vertices)]
+    expected.append(uniform_assignment(net))
+    rng = np.random.default_rng(params.seed)
+    for _ in range(params.random_starts):
+        vecs = [rng.dirichlet(np.ones(len(pop.routes))) for pop in net.populations]
+        expected.append(Assignment.make([v / v.sum() for v in vecs], tolerance=1e-9))
+    assert _start_points(net, params) == expected

@@ -31,6 +31,7 @@ from wardrop.costs import (
     Sum,
 )
 from wardrop.fileio import load_network
+from wardrop.netcore import build_incidence
 
 from test_compiled import SETTINGS, networks
 
@@ -131,11 +132,10 @@ def reference_network(net) -> dict:
     c.route_counts = [len(pop.routes) for pop in net.populations]
     c.width = max(c.route_counts) + 1
     c.valid = np.arange(c.width) < np.array(c.route_counts)[:, None]
-    c.incidences = [reference_incidence(net, p) for p in range(c.pop_count)]
-    c.inc_float = [entries.astype(float) for entries in c.incidences]
+    incidences = [reference_incidence(net, p) for p in range(c.pop_count)]
     c.step = 0.5 * min(1.0 / n for n in c.route_counts)
     c.road_count = len(net.roads)
-    c._flow_gather = reference_flow_gather(c.incidences, c.width)
+    c._flow_gather = reference_flow_gather(incidences, c.width)
     road_index = net.road_index()
     costed = [
         (p, h, pop.costs[net.roads[h].id])
@@ -200,9 +200,10 @@ def assert_compiled(net) -> None:
     actual = dict(vars(core))
     assert actual.keys() == expected.keys()
     assert_program(actual.pop("program"), expected.pop("program"))
-    incidences = actual.pop("incidences")
+    incidences = [build_incidence(net, p) for p in range(core.pop_count)]
     assert [inc.road_ids for inc in incidences] == [tuple(r.id for r in net.roads)] * len(incidences)
-    assert_same([inc.entries for inc in incidences], expected.pop("incidences"), "incidences")
+    reference = [reference_incidence(net, p) for p in range(core.pop_count)]
+    assert_same([inc.entries for inc in incidences], reference, "incidences")
     for name, value in expected.items():
         assert_same(actual[name], value, name)
 
