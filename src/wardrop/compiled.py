@@ -141,8 +141,11 @@ class CostProgram:
     occur, `CostDomainError`.  Flows are used as given: callers validate
     them (`costs._lowered` states the rule).
 
-    `slopes(flows, tangent)` is the forward-mode view of the same slots:
-    each one's directional derivative along `tangent` over the flow rows.
+    `at(slots, flows, rows, patched)` evaluates one slot per point, at
+    points that each differ from one flow point in one row, with the same
+    code and the same results.  `slopes(flows, tangent)` is the forward-mode
+    view of the slots: each one's directional derivative along `tangent`
+    over the flow rows.
     """
 
     def __init__(self, exprs: Sequence[CostExpr], column: Callable[[int, str], int], zero: int):
@@ -240,6 +243,78 @@ class CostProgram:
             _column_total(folded, slots[m:])
         return slots
 
+    @property
+    def can_raise(self) -> bool:
+        """Whether an evaluation can raise: some linear form is non-monotone,
+        or some leaf is scaled by 0."""
+        return bool(self._nonmono.size or self._guarded.size)
+
+    def raising_slots(self) -> np.ndarray:
+        """Per slot, whether evaluating it can raise: it is or folds a
+        non-monotone linear form or a leaf scaled by 0."""
+        raising = np.zeros(self.slot_count, dtype=bool)
+        raising[self._nonmono] = raising[self._guarded] = True
+        raising[self._bounds[2] :] = raising[self._fold_idx].any(0)
+        return raising
+
+    def at(self, slots: np.ndarray, flows: np.ndarray, rows: np.ndarray, patched: np.ndarray) -> np.ndarray:
+        """Slot slots[k] at the flow point `flows` (flow rows,) with row
+        rows[k] replaced by patched[k], for each k: (K,).
+
+        `values` evaluates them all as the one flow point of a program of
+        the slots' leaves, every k with leaves of its own that read
+        patched[k] from a row appended past `flows`.  So each value equals
+        `values` at its patched point bit for bit, and errors are those of
+        `values` at all the patched points at once: signs first."""
+        a, b, m = self._bounds
+        folded = (slots >= m).nonzero()[0]
+        leaf, owner = slots, np.arange(len(slots))
+        if folded.size:  # a folded slot's leaves are its terms
+            lone = slots < m
+            terms = self._fold_idx[:, slots[folded] - m]
+            leaf = np.concatenate([slots[lone], terms.ravel()])
+            owner = np.concatenate([owner[lone], np.broadcast_to(folded, terms.shape).ravel()])
+        # In slot order, the leaves are in kind order: linear forms, zero slots
+        # (fold padding), loads, monomials.
+        order = leaf.argsort(kind="stable")
+        leaf, owner = leaf[order], owner[order]
+        a2, b2 = leaf.searchsorted((a, b)).tolist()
+        m2 = len(leaf)
+        place = order.argsort()  # each term's slot in the new program
+
+        def patch(cols: np.ndarray, reader: np.ndarray) -> np.ndarray:
+            return np.where(cols == rows[reader], len(flows) + reader, cols)
+
+        def among(chosen: np.ndarray, count: int) -> np.ndarray:
+            if not chosen.size:
+                return chosen
+            hit = np.zeros(m, dtype=bool)
+            hit[chosen] = True
+            return hit[leaf[:count]].nonzero()[0]
+
+        # `values` reads the tables of a kind only where the kind has slots.
+        sub = CostProgram.__new__(CostProgram)
+        sub._bounds, sub.slot_count = (a2, b2, m2), m2 + len(folded)
+        lin = leaf[:b2]
+        sub._lin_cols = patch(self._lin_cols.take(lin, 1), owner[:b2])
+        sub._lin_coeffs, sub._c0 = self._lin_coeffs.take(lin, 1), self._c0[lin]
+        sub._nonmono = among(self._nonmono, a2)
+        sub._cap = self._cap[leaf[a2:b2] - a]
+        if m2 > b2:
+            mono = leaf[b2:] - b
+            sub._mono_cols = patch(self._mono_cols.take(mono, 1), owner[b2:])
+            sub._mono_exps, sub._mono_coeff = self._mono_exps.take(mono, 1), self._mono_coeff[mono]
+        if not folded.size:
+            return sub.values(np.concatenate([flows, patched]))[place]
+        sub._fold_idx = place[m2 - terms.size :].reshape(terms.shape)
+        sub._fold_mult = self._fold_mult[:, slots[folded] - m]
+        sub._guarded = among(self._guarded, m2)
+        values = sub.values(np.concatenate([flows, patched]))
+        out = np.empty(len(slots))
+        out[lone] = values[place[: m2 - terms.size]]
+        out[folded] = values[m2:]
+        return out
+
     def slopes(self, flows: np.ndarray, tangent: np.ndarray) -> np.ndarray:
         """Every slot's derivative along `tangent` (shaped as `flows`, 0 in the
         zero row) at each flow point: (slots, ...), +inf where the value is
@@ -333,11 +408,14 @@ class CompiledNetwork:
         for (p, h, _), root in zip(costed, self.program.roots.tolist()):
             slot[p][h] = root
         self.cost_slots = np.array(slot, dtype=int)
+        # The flow rows of each route's roads, in route order, padded with the zero row.
         routes = [[] for _ in range(self.pop_count * self.width)]
         for p, pop in enumerate(net.populations):
+            first = p * self.road_count
             for j, route in enumerate(pop.routes):
-                routes[p * self.width + j] = [slot[p][road_index[rid]] for rid in route.road_ids]
-        self._route_gather = _padded(routes, self.program.zero_slot)
+                routes[p * self.width + j] = [first + road_index[rid] for rid in route.road_ids]
+        self._route_rows = _padded(routes, self.pop_count * self.road_count)
+        self._route_gather = np.concatenate([self.cost_slots.ravel(), [self.program.zero_slot]]).take(self._route_rows)
         # Batches of more assignments than this are evaluated in pieces.
         per_assignment = self._flow_gather.size + 2 * self.program._lin_cols.size
         per_assignment += self.program.slot_count + self._route_gather.size
@@ -430,7 +508,7 @@ class CompiledNetwork:
     def eps_gains(
         self, x: np.ndarray, t: np.ndarray, eps_values: Sequence[float], slack: float
     ) -> tuple[np.ndarray, ...]:
-        """Every feasible mass shift of one assignment, evaluated as one batch.
+        """Every feasible mass shift of one assignment, and what it gains.
 
         A shift moves e from route i of population p (if x[p, i] >= e -
         slack) to its route j; shifts run over p, the ordered pairs (i, j),
@@ -438,22 +516,111 @@ class CompiledNetwork:
         relative time saving (t_i before - t_j after) / max(1, t_i), +inf
         from an infinite route, -inf (never a gain) into a route that turns
         infinite.
+
+        A shift changes only p's flows on the roads of i and j, so j's time
+        after it sums p's costs on j's roads alone, each at the base flows
+        with p's flow on that road summed afresh.  Gains equal those of
+        evaluating each shifted assignment whole, bit for bit, and so do
+        errors, where the program can raise.
         """
         eps = np.asarray(eps_values, dtype=float)
-        k = np.arange(self._shifts.shape[1] * eps.size)
-        p, i, j = shifts = self._shifts[:, k // eps.size]
-        e = eps[k % eps.size]
-        keep = x[p, i] >= e - slack
-        (p, i, j), e = shifts[:, keep], e[keep]
-        rows = np.arange(len(e))
-        batch = np.repeat(x[..., None], len(e), axis=-1)
-        batch[p, i, rows] = np.maximum(x[p, i] - e, 0.0)
-        batch[p, j, rows] = x[p, j] + e
-        after = self.times(batch)[p, j, rows]
+        levels = eps.size
+        k = np.arange(self._shifts.shape[1] * levels)
+        p, i, j = shifts = self._shifts.take(k // levels, 1)
+        level = k % levels
+        keep = x[p, i] >= eps[level] - slack
+        (p, i, j), level = shifts[:, keep], level[keep]
+        e = eps[level]
+        flat = x.ravel()
+        src, dst = p * self.width + i, p * self.width + j  # flat route indices
+        into, away = self._route_rows.take(dst, 1), self._route_rows.take(src, 1)  # (route depth, shifts)
+        # Points per shift and road of j; or, where that at least halves them
+        # (it costs a few more array operations), per route, road and e plus
+        # per shift and shared road.
+        raises = self.program.can_raise
+        per_route = self._route_rows.size * levels
+        shared = None
+        if not raises and into.size > 2 * per_route:
+            shared = (into[:, None] == away).any(1) & (into < self.pop_count * self.road_count)
+        if shared is None or into.size <= 2 * (per_route + np.count_nonzero(shared)):
+            costs = self._costs_per_shift(flat, into, away, src, dst, e, everywhere=raises)
+        else:
+            costs = self._costs_per_route(flat, into, shared, src, dst, level, eps)
+        after = _column_total(costs)
         before = t[p, i]
         saving = np.subtract(before, after, out=np.full(len(e), -np.inf), where=after < np.inf)
         gain = saving / np.maximum(1.0, np.where(before < np.inf, before, 1.0))
         return p, i, j, e, gain
+
+    def _costs_per_shift(
+        self, flat: np.ndarray, into: np.ndarray, away: np.ndarray, src: np.ndarray,
+        dst: np.ndarray, e: np.ndarray, everywhere: bool,
+    ) -> np.ndarray:
+        """p's cost on each road of each shift's route j (0 past j's roads),
+        at each shift's own flows; `everywhere`, every population's cost that
+        can raise on every road of i and j is evaluated too, so that the
+        errors are those of evaluating each shifted assignment whole, signs
+        first."""
+        s = np.arange(into.size) % len(src)  # each point's shift
+        rows, slots = into.ravel(), self._route_gather.take(dst, 1).ravel()
+        if everywhere:
+            both = np.concatenate([into, away])
+            every = self.cost_slots[:, both % self.road_count]  # (population, road position, shift)
+            raising = self.program.raising_slots()[every] & (both < self.pop_count * self.road_count)
+            _, ell, shift = raising.nonzero()
+            s = np.concatenate([s, shift])
+            rows = np.concatenate([rows, both[ell, shift]])
+            slots = np.concatenate([slots, every[raising]])
+        flows = self._patched_flows(flat, rows, src[s], dst[s], e[s])
+        values = self.program.at(slots, self._flows(flat), rows, flows)
+        return values[: into.size].reshape(into.shape)
+
+    def _costs_per_route(
+        self, flat: np.ndarray, into: np.ndarray, shared: np.ndarray, src: np.ndarray,
+        dst: np.ndarray, level: np.ndarray, eps: np.ndarray,
+    ) -> np.ndarray:
+        """`_costs_per_shift` in fewer points where shifts outnumber routes:
+        on the roads of j that i does not use (not `shared`), once per (road,
+        j, e), as every e moved onto every route on each of its roads; once
+        per shift on the roads that i and j share."""
+        moved = shared.nonzero()[1]
+        both = into[shared]
+        levels = len(eps)
+        grid = np.arange(self._route_rows.size * levels)  # (road position, route, level)
+        rows = np.concatenate([self._route_rows.ravel().repeat(levels), both])
+        flows = self._patched_flows(
+            flat, rows,
+            np.concatenate([np.full(len(grid), -1), src[moved]]),
+            np.concatenate([grid // levels % len(flat), dst[moved]]),
+            np.concatenate([eps[grid % levels], eps[level[moved]]]),
+        )
+        slots = np.concatenate([self._route_gather.ravel().repeat(levels), self.cost_slots.ravel()[both]])
+        values = self.program.at(slots, self._flows(flat), rows, flows)
+        costs = values[: len(grid)].reshape(len(into), -1).take(dst * levels + level, 1)
+        costs[shared] = values[len(grid) :]
+        return costs
+
+    def _patched_flows(
+        self, flat: np.ndarray, rows: np.ndarray, source: np.ndarray, target: np.ndarray,
+        mass: np.ndarray,
+    ) -> np.ndarray:
+        """Flow rows[k] after moving mass[k] from flat route source[k] to flat
+        route target[k] (-1: neither) of one population, summed and clamped as
+        `_flows` does, in pieces of a bounded working set."""
+        out = np.empty(len(rows))
+        step = max(1, _WORKING_SET // len(self._flow_gather))
+        for k in range(0, len(rows), step):
+            part = slice(k, k + step)
+            table = self._flow_gather.take(rows[part], 1)
+            shares = flat[table]
+            # (table == k) * e is e at route k and 0.0 elsewhere: shares become
+            # max(x - e, 0) and x + e at the two routes, bit for bit, and stay x
+            # elsewhere (shares are nonnegative)
+            shares -= (table == source[part]) * mass[part]
+            np.maximum(shares, 0.0, out=shares)
+            shares += (table == target[part]) * mass[part]
+            _column_total(shares, out[part])
+        return np.minimum(out, 1.0, out=out)
 
 
 def compile_network(net: Network) -> CompiledNetwork:

@@ -263,10 +263,13 @@ def _eps_nash(
         for q, a, b, mass, g in shifts
     ]
     return PredicateVerdict(
-        holds=eq.holds and not detail,
-        residual=max(0.0, float(gain.max(initial=0.0))),
-        detail=eq.detail + tuple(detail),
+        holds=eq.holds and not detail, residual=_eps_residual(gain), detail=eq.detail + tuple(detail)
     )
+
+
+def _eps_residual(gain: np.ndarray) -> float:
+    """The largest gain of any shift, or 0."""
+    return max(0.0, float(gain.max(initial=0.0)))
 
 
 def is_equilibrium(
@@ -345,15 +348,15 @@ def verify(
     nash = _nash(eq, unused)
     eps_used = default_eps(theta, share_tol) if eps is None else eps
     _require_tolerance("eps", eps_used)
-    eps_verdict = _eps_nash(core, x, t, eq, [eps_used], tol)
+    eps_residual = _eps_residual(core.eps_gains(x, t, [eps_used], INPUT_TOLERANCE)[-1])
     return EquilibriumReport(
         is_equilibrium=eq.holds,
         is_nash=nash.holds,
-        is_eps_nash=nash.holds and eps_verdict.holds,
+        is_eps_nash=nash.holds and eps_residual <= tol,
         common_times=tuple(ExtReal.from_float(m) for m in share_mean(x, t, 0.0).tolist()),
         equilibrium_residual=eq.residual,
         nash_residual=nash.residual,
-        eps_residual=eps_verdict.residual,
+        eps_residual=eps_residual,
         eps_used=eps_used,
     )
 
@@ -411,14 +414,16 @@ def _require_monotone(net: Network, allow_nonmonotone: bool) -> None:
 
 class _Run:
     """One start's state in the damped iteration: its best iterate and
-    residual so far, its residual trajectory, and how it stopped."""
+    residual so far, its residual trajectory, the residual it aims below,
+    and how it stopped."""
 
-    __slots__ = ("best", "best_residual", "trajectory", "iterations", "converged")
+    __slots__ = ("best", "best_residual", "trajectory", "target", "iterations", "converged")
 
-    def __init__(self, x: np.ndarray):
+    def __init__(self, x: np.ndarray, target: float):
         self.best = x
         self.best_residual = math.inf
         self.trajectory: list[float] = []
+        self.target = target
         self.iterations = 0
         self.converged = False
 
@@ -429,30 +434,39 @@ class _Run:
         if iteration % 100 == 1:
             self.trajectory.append(residual)
 
-    def converge(self, image: np.ndarray, residual: float, iteration: int) -> None:
+    def settle(self, core: CompiledNetwork, x: np.ndarray, t: np.ndarray, image: np.ndarray,
+               residual: float, iteration: int, verify_tol: float) -> bool:
+        """At a residual below the target: stop on `image` if x passes the
+        Nash gate of `verify` by its times t, else aim tenfold lower."""
+        if not _nash(*_predicates(core, x, t, verify_tol, DEFAULT_SHARE_TOLERANCE)).holds:
+            self.target /= 10
+            return False
         self.best, self.best_residual = image, residual
         self.iterations, self.converged = iteration, True
+        return True
 
 
 def _iterate(core: CompiledNetwork, runs: list[_Run], params: SolveParams) -> None:
     """Damped iteration of every run at once, one run per batch column.
 
     A batch column evaluates bit for bit as its start alone, so each run
-    takes the path its solo iteration takes.  A run that converges leaves
-    the batch; the last one left runs unbatched, on (P, W) arrays, where
-    each step costs less.
+    takes the path its solo iteration takes.  A run that settles leaves the
+    batch; the last one left runs unbatched, on (P, W) arrays, where each
+    step costs less.  A run still going at `max_iters` converged if its
+    residual ever passed `residual_tol`.
     """
     active = list(runs)  # the run of each column of x
     x = runs[0].best if len(runs) == 1 else np.stack([run.best for run in runs], axis=-1)
-    omega, tol = params.omega, params.residual_tol
+    omega, verify_tol = params.omega, params.verify_tol
     keep = 1 - omega
     for iteration in range(1, params.max_iters + 1):
-        image = core.map_step(x, core.times(x))
+        t = core.times(x)
+        image = core.map_step(x, t)
         if x.ndim == 2:
             residual = float(np.abs(x - image).max())
-            active[0].observe(x, residual, iteration)
-            if residual < tol:
-                active[0].converge(image, residual, iteration)
+            run = active[0]
+            run.observe(x, residual, iteration)
+            if residual < run.target and run.settle(core, x, t, image, residual, iteration, verify_tol):
                 return
             x = keep * x + omega * image
             continue
@@ -460,9 +474,9 @@ def _iterate(core: CompiledNetwork, runs: list[_Run], params: SolveParams) -> No
         left = []  # the columns that go on
         for j, (run, residual) in enumerate(zip(active, residuals)):
             run.observe(x[..., j], residual, iteration)
-            if residual < tol:
-                run.converge(image[..., j], residual, iteration)
-            else:
+            settled = residual < run.target and run.settle(
+                core, x[..., j], t[..., j], image[..., j], residual, iteration, verify_tol)
+            if not settled:
                 left.append(j)
         x = keep * x + omega * image
         if len(left) < len(active):
@@ -472,12 +486,13 @@ def _iterate(core: CompiledNetwork, runs: list[_Run], params: SolveParams) -> No
             x = x[..., left[0]] if len(left) == 1 else x[..., left]
     for run in active:
         run.iterations = params.max_iters
+        run.converged = run.best_residual < params.residual_tol
 
 
 def _solve(net: Network, starts: Sequence[Assignment], params: SolveParams) -> list[SolveResult]:
     _require_monotone(net, params.allow_nonmonotone)
     core = compile_network(net)
-    runs = [_Run(core.pack(start)) for start in starts]
+    runs = [_Run(core.pack(start), params.residual_tol) for start in starts]
     if runs:
         _iterate(core, runs, params)
     results = []
@@ -515,7 +530,9 @@ def solve_fixed_point(
     """Damped fixed-point iteration to a verified Nash equilibrium.
 
     Iterates theta <- (1-omega)*theta + omega*map(theta) until the map
-    residual drops below `residual_tol` or `max_iters` is hit.  The result
+    residual drops below `residual_tol` or `max_iters` is hit.  Where the
+    iterate then fails the Nash gate at `verify_tol`, the iteration goes on
+    below a tenfold smaller residual, as often as needed.  The result
     always carries a verification report; non-convergence is flagged on the
     best iterate, never raised.  The trajectory holds the residual every
     100 iterations, then the best one.

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +27,12 @@ from wardrop.costs import (
     Sum,
 )
 from wardrop.netcore import Junction, Network, PopulationSpec, Road, RouteSpec
+
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("layered", ROOT / "bench" / "layered.py")
+_layered = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(_layered)
+layered = _layered.layered  # the benchmark's synthetic family
 
 
 @pytest.fixture(scope="session")

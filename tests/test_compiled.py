@@ -87,12 +87,15 @@ def _some(names: tuple[str, ...], values: st.SearchStrategy) -> st.SearchStrateg
 
 
 @functools.lru_cache(maxsize=None)
-def cost_exprs(names: tuple[str, ...], depth: int = 2, signed: bool = True) -> st.SearchStrategy:
+def cost_exprs(
+    names: tuple[str, ...], depth: int = 2, signed: bool = True, raising: bool = True
+) -> st.SearchStrategy:
     """Every cost kind: congestion capacities low enough to blow up, signed
     non-monotone coefficients that can go negative (nonnegative ones unless
-    `signed`), zero scale factors."""
+    `signed`), zero scale factors.  Unless `raising`, without the two that
+    can make an evaluation raise: non-monotone forms and zero scale factors."""
     nonmonotone = st.floats(-3.0, 3.0) if signed else coefficient
-    leaves = st.one_of(
+    kinds = [
         st.builds(Constant, coefficient),
         st.builds(Affine, coefficient, _some(names, coefficient)),
         st.builds(NonMonotoneAffine, st.floats(0.0, 2.0), _some(names, nonmonotone)),
@@ -102,22 +105,25 @@ def cost_exprs(names: tuple[str, ...], depth: int = 2, signed: bool = True) -> s
             st.lists(st.builds(MonomialTerm, coefficient, _some(names, st.integers(0, 3))),
                      max_size=3).map(tuple),
         ),
-    )
+    ]
+    leaves = st.one_of(kinds if raising else kinds[:2] + kinds[3:])
     if depth == 0:
         return leaves
-    inner = cost_exprs(names, depth - 1, signed)
+    inner = cost_exprs(names, depth - 1, signed, raising)
     return st.one_of(
         leaves,
         st.lists(inner, max_size=3).map(lambda ts: Sum(tuple(ts))),
-        st.builds(Scale, st.one_of(st.just(0.0), coefficient), inner),
+        st.builds(Scale, st.one_of(st.just(0.0), coefficient) if raising else st.floats(0.01, 3.0), inner),
     )
 
 
 @st.composite
-def networks(draw, populations: int | None = None, signed: bool = True) -> Network:
+def networks(
+    draw, populations: int | None = None, signed: bool = True, raising: bool = True
+) -> Network:
     """o -> m -> d and o -> d with parallel roads: up to 11 routes, so both
     short and long left-to-right sums occur.  1 to 3 populations unless
-    `populations` is given; `signed` as for `cost_exprs`."""
+    `populations` is given; `signed` and `raising` as for `cost_exprs`."""
     counts = [draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(0, 2))]
     roads = [Road(f"a{k}", "o", "m") for k in range(counts[0])]
     roads += [Road(f"b{k}", "m", "d") for k in range(counts[1])]
@@ -131,7 +137,7 @@ def networks(draw, populations: int | None = None, signed: bool = True) -> Netwo
                               st.lists(st.booleans(), min_size=len(routes), max_size=len(routes))))
         own = [r for r, k in zip(routes, keep) if k] or routes[:1]
         used = sorted({rid for route in own for rid in route.road_ids})
-        costs = {rid: draw(cost_exprs(names, signed=signed)) for rid in used}
+        costs = {rid: draw(cost_exprs(names, signed=signed, raising=raising)) for rid in used}
         pops.append(PopulationSpec(name, "o", "d", tuple(own), costs))
     return Network(junctions, tuple(roads), tuple(pops))
 

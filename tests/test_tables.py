@@ -10,8 +10,6 @@ fill the monomial and folded slots, which no shipped fixture reaches.
 
 from __future__ import annotations
 
-import importlib.util
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -33,13 +31,8 @@ from wardrop.costs import (
 from wardrop.fileio import load_network
 from wardrop.netcore import build_incidence
 
+from conftest import ROOT, layered
 from test_compiled import SETTINGS, networks
-
-ROOT = Path(__file__).resolve().parents[1]
-_spec = importlib.util.spec_from_file_location("layered", ROOT / "bench" / "layered.py")
-_layered = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(_layered)
-layered = _layered.layered  # the benchmark's synthetic family
 
 FIXTURES = sorted((ROOT / "fixtures").glob("*.json"))
 LAYERED = [(3, 2, 2), (5, 2, 2), (3, 3, 2)]
@@ -154,9 +147,13 @@ def reference_network(net) -> dict:
         c.cost_slots[p, h] = root
     slot = c.cost_slots.tolist()
     routes = [[] for _ in range(c.pop_count * c.width)]
+    route_rows = [[] for _ in range(c.pop_count * c.width)]
     for p, pop in enumerate(net.populations):
         for j, route in enumerate(pop.routes):
             routes[p * c.width + j] = [(slot[p][road_index[rid]], 0.0) for rid in route.road_ids]
+            route_rows[p * c.width + j] = [(p * c.road_count + road_index[rid], 0.0)
+                                           for rid in route.road_ids]
+    c._route_rows = reference_table(route_rows, c.pop_count * c.road_count)[0]
     c._route_gather = reference_table(routes, program["zero_slot"])[0]
     per_assignment = c._flow_gather.size + 2 * program["_lin_cols"].size
     per_assignment += program["slot_count"] + c._route_gather.size
