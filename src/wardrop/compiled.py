@@ -202,7 +202,11 @@ class CostProgram:
 
     def values(self, flows: np.ndarray, scratch: dict | None = None) -> np.ndarray:
         """Every slot at each flow point: (flow rows, ...) -> (slots, ...).
-        With `scratch`, intermediates and result live in its buffers."""
+        With `scratch`, intermediates and result live in its buffers.
+
+        Reads the monomial tables only where the program has monomial
+        slots, and the fold tables and guarded leaves only where it has
+        folded slots: `at` leaves them unset in programs without."""
         batch = flows.shape[1:]
         a, b, m = self._bounds
         linear = _gather(flows, self._lin_cols, scratch)
@@ -243,15 +247,11 @@ class CostProgram:
             _column_total(folded, slots[m:])
         return slots
 
-    @property
-    def can_raise(self) -> bool:
-        """Whether an evaluation can raise: some linear form is non-monotone,
-        or some leaf is scaled by 0."""
-        return bool(self._nonmono.size or self._guarded.size)
-
-    def raising_slots(self) -> np.ndarray:
+    def raising_slots(self) -> np.ndarray | None:
         """Per slot, whether evaluating it can raise: it is or folds a
-        non-monotone linear form or a leaf scaled by 0."""
+        non-monotone linear form or a leaf scaled by 0; None if none can."""
+        if not (self._nonmono.size or self._guarded.size):
+            return None
         raising = np.zeros(self.slot_count, dtype=bool)
         raising[self._nonmono] = raising[self._guarded] = True
         raising[self._bounds[2] :] = raising[self._fold_idx].any(0)
@@ -292,7 +292,7 @@ class CostProgram:
             hit[chosen] = True
             return hit[leaf[:count]].nonzero()[0]
 
-        # `values` reads the tables of a kind only where the kind has slots.
+        # Tables of kinds without slots stay unset, as `values` allows.
         sub = CostProgram.__new__(CostProgram)
         sub._bounds, sub.slot_count = (a2, b2, m2), m2 + len(folded)
         lin = leaf[:b2]
@@ -524,80 +524,69 @@ class CompiledNetwork:
         errors, where the program can raise.
         """
         eps = np.asarray(eps_values, dtype=float)
-        levels = eps.size
-        k = np.arange(self._shifts.shape[1] * levels)
-        p, i, j = shifts = self._shifts.take(k // levels, 1)
-        level = k % levels
+        k = np.arange(self._shifts.shape[1] * eps.size)
+        p, i, j = shifts = self._shifts.take(k // eps.size, 1)
+        level = k % eps.size
         keep = x[p, i] >= eps[level] - slack
-        (p, i, j), level = shifts[:, keep], level[keep]
-        e = eps[level]
-        flat = x.ravel()
+        (p, i, j), level = shifts.compress(keep, 1), level[keep]
         src, dst = p * self.width + i, p * self.width + j  # flat route indices
-        into, away = self._route_rows.take(dst, 1), self._route_rows.take(src, 1)  # (route depth, shifts)
-        # Points per shift and road of j; or, where that at least halves them
-        # (it costs a few more array operations), per route, road and e plus
-        # per shift and shared road.
-        raises = self.program.can_raise
-        per_route = self._route_rows.size * levels
-        shared = None
-        if not raises and into.size > 2 * per_route:
-            shared = (into[:, None] == away).any(1) & (into < self.pop_count * self.road_count)
-        if shared is None or into.size <= 2 * (per_route + np.count_nonzero(shared)):
-            costs = self._costs_per_shift(flat, into, away, src, dst, e, everywhere=raises)
-        else:
-            costs = self._costs_per_route(flat, into, shared, src, dst, level, eps)
-        after = _column_total(costs)
+        raising = self.program.raising_slots()
+        after = _column_total(self._costs_after(x.ravel(), src, dst, level, eps, raising))
         before = t[p, i]
-        saving = np.subtract(before, after, out=np.full(len(e), -np.inf), where=after < np.inf)
+        saving = np.subtract(before, after, out=np.full(len(src), -np.inf), where=after < np.inf)
         gain = saving / np.maximum(1.0, np.where(before < np.inf, before, 1.0))
-        return p, i, j, e, gain
+        return p, i, j, eps[level], gain
 
-    def _costs_per_shift(
-        self, flat: np.ndarray, into: np.ndarray, away: np.ndarray, src: np.ndarray,
-        dst: np.ndarray, e: np.ndarray, everywhere: bool,
+    def _costs_after(
+        self, flat: np.ndarray, src: np.ndarray, dst: np.ndarray, level: np.ndarray,
+        eps: np.ndarray, raising: np.ndarray | None,
     ) -> np.ndarray:
         """p's cost on each road of each shift's route j (0 past j's roads),
-        at each shift's own flows; `everywhere`, every population's cost that
-        can raise on every road of i and j is evaluated too, so that the
-        errors are those of evaluating each shifted assignment whole, signs
-        first."""
-        s = np.arange(into.size) % len(src)  # each point's shift
-        rows, slots = into.ravel(), self._route_gather.take(dst, 1).ravel()
-        if everywhere:
-            both = np.concatenate([into, away])
-            every = self.cost_slots[:, both % self.road_count]  # (population, road position, shift)
-            raising = self.program.raising_slots()[every] & (both < self.pop_count * self.road_count)
-            _, ell, shift = raising.nonzero()
-            s = np.concatenate([s, shift])
-            rows = np.concatenate([rows, both[ell, shift]])
-            slots = np.concatenate([slots, every[raising]])
-        flows = self._patched_flows(flat, rows, src[s], dst[s], e[s])
-        values = self.program.at(slots, self._flows(flat), rows, flows)
-        return values[: into.size].reshape(into.shape)
+        at each shift's own flows: (route depth, shifts).
 
-    def _costs_per_route(
-        self, flat: np.ndarray, into: np.ndarray, shared: np.ndarray, src: np.ndarray,
-        dst: np.ndarray, level: np.ndarray, eps: np.ndarray,
-    ) -> np.ndarray:
-        """`_costs_per_shift` in fewer points where shifts outnumber routes:
-        on the roads of j that i does not use (not `shared`), once per (road,
-        j, e), as every e moved onto every route on each of its roads; once
-        per shift on the roads that i and j share."""
-        moved = shared.nonzero()[1]
-        both = into[shared]
-        levels = len(eps)
-        grid = np.arange(self._route_rows.size * levels)  # (road position, route, level)
-        rows = np.concatenate([self._route_rows.ravel().repeat(levels), both])
-        flows = self._patched_flows(
-            flat, rows,
-            np.concatenate([np.full(len(grid), -1), src[moved]]),
-            np.concatenate([grid // levels % len(flat), dst[moved]]),
-            np.concatenate([eps[grid % levels], eps[level[moved]]]),
-        )
-        slots = np.concatenate([self._route_gather.ravel().repeat(levels), self.cost_slots.ravel()[both]])
+        Each is evaluated per shift, unless these points are at least twice
+        as many as the roads of all routes times the e values: then a cost
+        on a road of j that i does not use, whose flows depend on the road,
+        j and e alone, is evaluated once per road of every route and e (as
+        e moved onto the route), except where it can raise.  So that errors
+        are those of evaluating each shifted assignment whole (signs first),
+        every population's cost that can raise on every road of i and j is
+        evaluated per shift too; `raising` marks them (`raising_slots`)."""
+        padding, levels = self.pop_count * self.road_count, len(eps)
+        into = self._route_rows.take(dst, 1)  # (route depth, shifts)
+        own = self._route_gather.take(dst, 1)
+        grid = self._route_gather.size * levels
+        if into.size > 2 * grid:
+            # per shift: on the roads that i and j share
+            each = (into[:, None] == self._route_rows.take(src, 1)).any(1) & (into < padding)
+            routed = self._route_gather.ravel()  # by road position, then flat route
+            if raising is not None:
+                each |= raising[own]
+                routed = np.where(raising[routed], self.program.zero_slot, routed)
+            apart = each.ravel().nonzero()[0]
+            cells = np.arange(grid)
+            per_route = (self._route_rows.ravel().repeat(levels), routed.repeat(levels),
+                         np.full(grid, -1), cells // levels % len(flat), eps[cells % levels])
+        else:
+            apart, grid, per_route = np.arange(into.size), 0, None
+        rows, slots, s = into.ravel()[apart], own.ravel()[apart], apart % len(src)  # s: each point's shift
+        if raising is not None:
+            both = np.concatenate([into, self._route_rows.take(src, 1)])
+            every = self.cost_slots[:, both % self.road_count]  # (population, road position, shift)
+            hit = (raising[every] & (both < padding)).ravel().nonzero()[0]
+            rows = np.concatenate([rows, both.ravel()[hit % both.size]])
+            slots = np.concatenate([slots, every.ravel()[hit]])
+            s = np.concatenate([s, hit % len(src)])
+        points = (rows, slots, src[s], dst[s], eps[level[s]])
+        if per_route is not None:
+            points = tuple(np.concatenate(pair) for pair in zip(per_route, points))
+        rows, slots, source, target, mass = points
+        flows = self._patched_flows(flat, rows, source, target, mass)
         values = self.program.at(slots, self._flows(flat), rows, flows)
-        costs = values[: len(grid)].reshape(len(into), -1).take(dst * levels + level, 1)
-        costs[shared] = values[len(grid) :]
+        if not grid:
+            return values[: into.size].reshape(into.shape)
+        costs = values[:grid].reshape(len(into), -1).take(dst * levels + level, 1)
+        np.put(costs, apart, values[grid : grid + len(apart)])
         return costs
 
     def _patched_flows(
@@ -605,7 +594,7 @@ class CompiledNetwork:
         mass: np.ndarray,
     ) -> np.ndarray:
         """Flow rows[k] after moving mass[k] from flat route source[k] to flat
-        route target[k] (-1: neither) of one population, summed and clamped as
+        route target[k] (-1: none) of one population, summed and clamped as
         `_flows` does, in pieces of a bounded working set."""
         out = np.empty(len(rows))
         step = max(1, _WORKING_SET // len(self._flow_gather))

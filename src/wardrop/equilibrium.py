@@ -45,6 +45,10 @@ INPUT_TOLERANCE = 1e-12
 DEFAULT_TIME_TOLERANCE = 1e-9
 DEFAULT_SHARE_TOLERANCE = 1e-9
 DEDUP_TOLERANCE = 1e-6  # max-norm gap below which two multistart equilibria are one
+# The lowest residual a run aims below: shares near 1 lie 1.1e-16 apart, so
+# a map residual much under this measures rounding, which iterating on
+# need not lower.
+LOWEST_TARGET = 1e-15
 
 
 class NonMonotoneCostError(ValueError):
@@ -437,9 +441,12 @@ class _Run:
     def settle(self, core: CompiledNetwork, x: np.ndarray, t: np.ndarray, image: np.ndarray,
                residual: float, iteration: int, verify_tol: float) -> bool:
         """At a residual below the target: stop on `image` if x passes the
-        Nash gate of `verify` by its times t, else aim tenfold lower."""
-        if not _nash(*_predicates(core, x, t, verify_tol, DEFAULT_SHARE_TOLERANCE)).holds:
-            self.target /= 10
+        Nash gate of `verify` by its times t, else aim tenfold lower.  Stop
+        too where iterating on cannot help: at a fixed point (residual 0),
+        or once the target is down to `LOWEST_TARGET`."""
+        if (residual > 0.0 and self.target > LOWEST_TARGET
+                and not _nash(*_predicates(core, x, t, verify_tol, DEFAULT_SHARE_TOLERANCE)).holds):
+            self.target = max(self.target / 10, LOWEST_TARGET)
             return False
         self.best, self.best_residual = image, residual
         self.iterations, self.converged = iteration, True
@@ -532,7 +539,8 @@ def solve_fixed_point(
     Iterates theta <- (1-omega)*theta + omega*map(theta) until the map
     residual drops below `residual_tol` or `max_iters` is hit.  Where the
     iterate then fails the Nash gate at `verify_tol`, the iteration goes on
-    below a tenfold smaller residual, as often as needed.  The result
+    below a tenfold smaller residual, as often as needed down to
+    `LOWEST_TARGET`, unless the map holds the iterate fixed.  The result
     always carries a verification report; non-convergence is flagged on the
     best iterate, never raised.  The trajectory holds the residual every
     100 iterations, then the best one.

@@ -188,8 +188,8 @@ def test_drawn_gains_equal_the_reference(data):
 @SETTINGS
 @given(st.data())
 def test_drawn_gains_of_costs_that_cannot_raise_equal_the_reference(data):
-    # with every route kept, shifts outnumber routes enough that the gains
-    # are evaluated per route, road and e, plus per shift on shared roads
+    # no point is evaluated for its errors alone, and where the shifts are
+    # many, the roads of j that i does not use take the per-route values
     net = data.draw(networks(raising=False))
     theta = data.draw(assignments(net))
     eps = data.draw(st.sampled_from([1.0, 0.5, 0.1, 1e-3]))
@@ -249,6 +249,25 @@ def test_built_errors_equal_the_reference(name, tmp_path):
     (tmp_path / "shares.json").write_text(json.dumps({pop.name: v for pop, v in zip(net.populations, shares)}))
     code = main(["verify", str(tmp_path / "net.json"), str(tmp_path / "shares.json"), "--eps", str(eps)])
     assert code == (4 if error is CostDomainError else 2)
+
+
+@pytest.mark.parametrize("cost", [NonMonotoneAffine(0.95, {"a": -1.0}), _blowing(0.95)], ids=["sign", "guard"])
+def test_costs_that_can_raise_are_evaluated_only_at_feasible_shifts(cost):
+    # Routes r0-r3 start on road R, r4 and r5 on road S; each ends on a road
+    # of its own.  At shares 0.225 on R's routes and 0.05 on S's, only R's
+    # routes hold eps = 0.1, so no shift moves 0.1 onto road R from outside:
+    # R's flow would reach 1 and its cost raise, at no real shift.  Its 20
+    # shifts over 2 roads are enough to evaluate the other roads per route;
+    # S's cost could raise too (it never does), so it is evaluated per shift.
+    ends = [Road(f"b{k}", "m" if k < 4 else "n", "d") for k in range(6)]
+    roads = (Road("R", "o", "m"), Road("S", "o", "n"), *ends)
+    routes = tuple(RouteSpec(("R" if k < 4 else "S", end.id)) for k, end in enumerate(ends))
+    costs = {road.id: SINKS for road in roads} | {"R": cost, "S": NonMonotoneAffine(1.0, {"a": -0.5})}
+    junctions = tuple(Junction(name) for name in "omnd")
+    net = Network(junctions, roads, (PopulationSpec("a", "o", "d", routes, costs),))
+    theta = Assignment.make([[0.225] * 4 + [0.05] * 2])
+    assert raised(reference_eps_gains, *_evaluated(net, theta), [0.1], INPUT_TOLERANCE)[1] is None
+    assert assert_gains_equal_the_reference(net, theta, [0.1])
 
 
 def _evaluated(net: Network, theta: Assignment):

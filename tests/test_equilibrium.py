@@ -10,7 +10,7 @@ import pytest
 from wardrop import equilibrium
 from wardrop import fixtures as nets
 from wardrop.compiled import compile_network
-from wardrop.costs import Constant, ExtReal
+from wardrop.costs import Affine, CongestionRational, Constant, ExtReal
 from wardrop.equilibrium import (
     Assignment,
     DimensionMismatchError,
@@ -48,6 +48,23 @@ def single_route_net() -> Network:
         roads=(Road("r1", "a", "b"),),
         populations=(
             PopulationSpec("only", "a", "b", (RouteSpec(("r1",)),), {"r1": Constant(2.0)}),
+        ),
+    )
+
+
+def parallel_net(costs: list) -> Network:
+    """One population between a and b on parallel roads r0, r1, ..., one
+    route each."""
+    roads = tuple(Road(f"r{k}", "a", "b") for k in range(len(costs)))
+    return Network(
+        junctions=(Junction("a"), Junction("b")),
+        roads=roads,
+        populations=(
+            PopulationSpec(
+                "only", "a", "b",
+                tuple(RouteSpec((road.id,)) for road in roads),
+                {road.id: cost for road, cost in zip(roads, costs)},
+            ),
         ),
     )
 
@@ -366,6 +383,26 @@ class TestSolver:
         result = solve_fixed_point(layered(4, 3, 2, seed=0))
         assert result.success
         assert result.residual < SolveParams.residual_tol / 10
+
+    def test_a_fixed_point_that_fails_the_gate_stops(self):
+        # times of 1e16 and +inf both squash to 1, so the map holds the uniform
+        # start fixed while its relevant times mix finite and infinite
+        net = parallel_net([Constant(1e16), CongestionRational({"only": 1.0}, 0.5)])
+        result = solve_fixed_point(net)
+        assert result.iterations == 1
+        assert result.converged and not result.success
+        assert result.residual == 0.0
+
+    def test_a_residual_stuck_at_rounding_stops_at_the_lowest_target(self):
+        # times near 1.5e8: near the equilibrium (6/11, 3/11, 2/11) the squashed
+        # times agree to rounding, so the residual stays at 1.1e-16 while the
+        # relevant times spread by 4e-9 relative
+        net = parallel_net([Affine(1e8, {"only": k * 1e8}) for k in (1, 2, 3)])
+        start = Assignment.make([[0.54545454583842, 0.2727272711894388, 0.1818181829721412]])
+        result = solve_fixed_point(net, start)
+        assert result.iterations < 10
+        assert result.converged and not result.success
+        assert 0.0 < result.residual < equilibrium.LOWEST_TARGET
 
     def test_trajectory_residuals_shrink(self, merge_net):
         result = solve_fixed_point(merge_net)
