@@ -385,9 +385,8 @@ def check_pair_orthogonality(net: Network, first: Assignment, second: Assignment
     x = np.stack([core.pack(first), core.pack(second)], axis=-1)
     t = core.times(x)
     tolerances = equilibrium.DEFAULT_TIME_TOLERANCE, equilibrium.DEFAULT_SHARE_TOLERANCE
-    for k, label in enumerate(("first", "second")):
-        verdicts = equilibrium._predicates(core, x[..., k], t[..., k], *tolerances)
-        if not equilibrium._nash(*verdicts).holds:
+    for label, nash in zip(("first", "second"), equilibrium._verdicts(core, x, t, *tolerances)[3]):
+        if not nash:
             raise PreconditionError(f"{label} assignment is not a Nash equilibrium")
     residuals = _pair_residuals(x, t)[0]
     if None in residuals:

@@ -490,42 +490,52 @@ def cost_from_obj(obj: Mapping) -> CostExpr:
     return expr
 
 
+def json_number(value: object, what: str) -> int | float:
+    """`value` if it is a JSON number: an int or a float, never a bool, and
+    never a string of digits; `what` names it in the error."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{what} must be a number, got {value!r}")
+    return value
+
+
+def _float(value: object, what: str) -> float:
+    return float(json_number(value, what))
+
+
+def _by_name(value: object, what: str, convert=_float) -> dict:
+    """A JSON object of numbers, each `convert`ed; a list of pairs is none."""
+    if not isinstance(value, dict):
+        raise TypeError(f"{what} must be an object, got {value!r}")
+    return {name: convert(v, what) for name, v in value.items()}
+
+
 def _parse_cost(obj: Mapping) -> CostExpr:
     if not isinstance(obj, Mapping) or "kind" not in obj:
         raise ValueError("cost object must be a mapping with a 'kind' field")
     kind = obj["kind"]
     try:
         if kind == "constant":
-            return Constant(float(obj["value"]))
-        if kind == "affine":
-            return Affine(
-                float(obj.get("constant", 0.0)),
-                {str(n): float(c) for n, c in dict(obj.get("coeffs", {})).items()},
-            )
+            return Constant(_float(obj["value"], "value"))
+        if kind in ("affine", "nonmonotone_affine"):
+            form = Affine if kind == "affine" else NonMonotoneAffine
+            constant = _float(obj.get("constant", 0.0), "constant")
+            return form(constant, _by_name(obj.get("coeffs", {}), "coeffs"))
         if kind == "poly":
-            return Polynomial(
-                tuple(
-                    MonomialTerm(
-                        float(t["coeff"]),
-                        {str(n): int(k) for n, k in dict(t.get("exponents", {})).items()},
-                    )
-                    for t in obj["terms"]
+            return Polynomial(tuple(
+                MonomialTerm(
+                    _float(t["coeff"], "coeff"),
+                    # as written: MonomialTerm refuses a non-integral exponent
+                    _by_name(t.get("exponents", {}), "exponents", json_number),
                 )
-            )
+                for t in obj["terms"]
+            ))
         if kind == "congestion":
-            return CongestionRational(
-                {str(n): float(w) for n, w in dict(obj["weights"]).items()},
-                float(obj["capacity"]),
-            )
+            weights = _by_name(obj["weights"], "weights")
+            return CongestionRational(weights, _float(obj["capacity"], "capacity"))
         if kind == "sum":
             return Sum(tuple(_parse_cost(t) for t in obj["terms"]))
         if kind == "scale":
-            return Scale(float(obj["factor"]), _parse_cost(obj["expr"]))
-        if kind == "nonmonotone_affine":
-            return NonMonotoneAffine(
-                float(obj.get("constant", 0.0)),
-                {str(n): float(c) for n, c in dict(obj.get("coeffs", {})).items()},
-            )
+            return Scale(_float(obj["factor"], "factor"), _parse_cost(obj["expr"]))
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed {kind!r} cost object: {exc}") from exc
     raise ValueError(f"unknown cost kind {kind!r}")

@@ -225,55 +225,25 @@ def mean_times(theta: Assignment, times: Sequence[Sequence[ExtReal]]) -> tuple[E
     return tuple(out)
 
 
-def _predicates(
+def _verdicts(
     core: CompiledNetwork, x: np.ndarray, t: np.ndarray, tol: float, share_tol: float
-) -> tuple[PredicateVerdict, PredicateVerdict]:
-    """The equilibrium verdict, and the verdict on the unused routes alone
-    (the part Nash adds to it)."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The relative spreads (P, ...) and shortfalls (P, W, ...) of assignments
+    x (P, W, ...) with times t, and their equilibrium and Nash verdicts
+    (...) at `tol`: no spread, and then no shortfall either, above it."""
     s = core.spreads(x, t, share_tol)
-    spreads = (s.spread / s.scale).tolist()
-    detail = []
-    for name, spread in zip(core.names, spreads):
-        if math.isinf(spread):  # mixed finite/infinite relevant times can never agree
-            detail.append(f"{name}: finite and infinite relevant times")
-        elif spread > tol:
-            detail.append(f"{name}: relevant times spread {spread:.3e}")
-    eq = PredicateVerdict(holds=not detail, residual=max([0.0] + spreads), detail=tuple(detail))
-    shortfalls = s.shortfall / s.mean_scale
-    detail = [
-        f"{core.names[p]}: unused route {i} beats the mean by {shortfalls[p, i]:.3e}"
-        for p, i in zip(*np.nonzero(shortfalls > tol))
-    ]
-    unused = PredicateVerdict(
-        holds=not detail, residual=max(0.0, float(shortfalls.max())), detail=tuple(detail)
+    spread, shortfall = s.spread / s.scale, s.shortfall / s.mean_scale
+    eq = ~(spread > tol).any(axis=0)
+    return spread, shortfall, eq, eq & ~(shortfall > tol).any(axis=(0, 1))
+
+
+def _spread_witnesses(names: list[str], spread: np.ndarray, tol: float) -> tuple[str, ...]:
+    """One line per population whose relevant times disagree."""
+    return tuple(
+        f"{name}: finite and infinite relevant times" if math.isinf(v)  # they can never agree
+        else f"{name}: relevant times spread {v:.3e}"
+        for name, v in zip(names, spread.tolist()) if v > tol
     )
-    return eq, unused
-
-
-def _nash(eq: PredicateVerdict, unused: PredicateVerdict) -> PredicateVerdict:
-    return PredicateVerdict(eq.holds and unused.holds, unused.residual, eq.detail + unused.detail)
-
-
-def _eps_nash(
-    core: CompiledNetwork, x: np.ndarray, t: np.ndarray, eq: PredicateVerdict,
-    eps_values: list[float], tol: float,
-) -> PredicateVerdict:
-    """The eps-Nash verdict from the gains of every feasible shift."""
-    p, i, j, e, gain = core.eps_gains(x, t, eps_values, INPUT_TOLERANCE)
-    paying = gain > tol
-    shifts = zip(*(a[paying].tolist() for a in (p, i, j, e, gain))) if paying.any() else ()
-    detail = [
-        f"{core.names[q]}: moving {mass:g} from route {a} to route {b} gains {g:.3e}"
-        for q, a, b, mass, g in shifts
-    ]
-    return PredicateVerdict(
-        holds=eq.holds and not detail, residual=_eps_residual(gain), detail=eq.detail + tuple(detail)
-    )
-
-
-def _eps_residual(gain: np.ndarray) -> float:
-    """The largest gain of any shift, or 0."""
-    return max(0.0, float(gain.max(initial=0.0)))
 
 
 def is_equilibrium(
@@ -288,7 +258,10 @@ def is_equilibrium(
     count as equal.  Simplex vertices pass trivially.
     """
     _require_tolerances(tol, share_tol)
-    return _predicates(*_evaluate(net, theta), tol, share_tol)[0]
+    core, x, t = _evaluate(net, theta)
+    spread, _, eq, _ = _verdicts(core, x, t, tol, share_tol)
+    witnesses = _spread_witnesses(core.names, spread, tol)
+    return PredicateVerdict(bool(eq), max(0.0, float(spread.max())), witnesses)
 
 
 def is_nash(
@@ -299,7 +272,15 @@ def is_nash(
 ) -> PredicateVerdict:
     """Equilibrium, and no unused route is faster than the population mean."""
     _require_tolerances(tol, share_tol)
-    return _nash(*_predicates(*_evaluate(net, theta), tol, share_tol))
+    core, x, t = _evaluate(net, theta)
+    spread, shortfall, _, nash = _verdicts(core, x, t, tol, share_tol)
+    unused = tuple(
+        f"{core.names[p]}: unused route {i} beats the mean by {shortfall[p, i]:.3e}"
+        for p, i in zip(*np.nonzero(shortfall > tol))
+    )
+    return PredicateVerdict(
+        bool(nash), max(0.0, float(shortfall.max())), _spread_witnesses(core.names, spread, tol) + unused
+    )
 
 
 def default_eps(theta: Assignment, share_tol: float = DEFAULT_SHARE_TOLERANCE) -> float:
@@ -325,15 +306,23 @@ def is_eps_nash(
     For every feasible shift of `eps` mass from route i to route j, the
     time of route j *after* the shift must be at least the time of route i
     before it.  `ladder=True` additionally tests eps/2 and eps/4.  Each
-    population's shifts are evaluated as one batch.
+    shift's gain is evaluated on the roads of its two routes alone.
     """
     _require_tolerances(tol, share_tol)
     if eps is None:
         eps = default_eps(theta, share_tol)
     _require_tolerance("eps", eps)
     core, x, t = _evaluate(net, theta)
-    eq, _ = _predicates(core, x, t, tol, share_tol)
-    return _eps_nash(core, x, t, eq, [eps, eps / 2, eps / 4] if ladder else [eps], tol)
+    spread, _, eq, _ = _verdicts(core, x, t, tol, share_tol)
+    eps_values = [eps, eps / 2, eps / 4] if ladder else [eps]
+    p, i, j, e, gain = core.eps_gains(x, t, eps_values, INPUT_TOLERANCE)
+    paying = gain > tol
+    shifts = zip(*(a[paying].tolist() for a in (p, i, j, e, gain))) if paying.any() else ()
+    detail = _spread_witnesses(core.names, spread, tol) + tuple(
+        f"{core.names[q]}: moving {mass:g} from route {a} to route {b} gains {g:.3e}"
+        for q, a, b, mass, g in shifts
+    )
+    return PredicateVerdict(bool(eq) and not paying.any(), max(0.0, float(gain.max(initial=0.0))), detail)
 
 
 def verify(
@@ -348,18 +337,18 @@ def verify(
     are evaluated once, and shared by the three predicates."""
     _require_tolerances(tol, share_tol)
     core, x, t = _evaluate(net, theta)
-    eq, unused = _predicates(core, x, t, tol, share_tol)
-    nash = _nash(eq, unused)
+    spread, shortfall, eq, nash = _verdicts(core, x, t, tol, share_tol)
     eps_used = default_eps(theta, share_tol) if eps is None else eps
     _require_tolerance("eps", eps_used)
-    eps_residual = _eps_residual(core.eps_gains(x, t, [eps_used], INPUT_TOLERANCE)[-1])
+    gain = core.eps_gains(x, t, [eps_used], INPUT_TOLERANCE)[-1]
+    eps_residual = max(0.0, float(gain.max(initial=0.0)))
     return EquilibriumReport(
-        is_equilibrium=eq.holds,
-        is_nash=nash.holds,
-        is_eps_nash=nash.holds and eps_residual <= tol,
+        is_equilibrium=bool(eq),
+        is_nash=bool(nash),
+        is_eps_nash=bool(nash) and eps_residual <= tol,
         common_times=tuple(ExtReal.from_float(m) for m in share_mean(x, t, 0.0).tolist()),
-        equilibrium_residual=eq.residual,
-        nash_residual=nash.residual,
+        equilibrium_residual=max(0.0, float(spread.max())),
+        nash_residual=max(0.0, float(shortfall.max())),
         eps_residual=eps_residual,
         eps_used=eps_used,
     )
@@ -445,7 +434,7 @@ class _Run:
         too where iterating on cannot help: at a fixed point (residual 0),
         or once the target is down to `LOWEST_TARGET`."""
         if (residual > 0.0 and self.target > LOWEST_TARGET
-                and not _nash(*_predicates(core, x, t, verify_tol, DEFAULT_SHARE_TOLERANCE)).holds):
+                and not _verdicts(core, x, t, verify_tol, DEFAULT_SHARE_TOLERANCE)[3]):
             self.target = max(self.target / 10, LOWEST_TARGET)
             return False
         self.best, self.best_residual = image, residual
@@ -627,8 +616,7 @@ def check_conditional_optimality(
     a sufficient condition for Nash, not a consequence of it.
     """
     core, x, t = _evaluate(net, theta)
-    eq, _ = _predicates(core, x, t, DEFAULT_TIME_TOLERANCE, DEFAULT_SHARE_TOLERANCE)
-    if not eq.holds:
+    if not _verdicts(core, x, t, DEFAULT_TIME_TOLERANCE, DEFAULT_SHARE_TOLERANCE)[2]:
         raise PreconditionError("assignment is not an equilibrium")
     at_theta = share_mean(x, t, 0.0).tolist()
     rows = []

@@ -14,7 +14,7 @@ from dataclasses import fields, is_dataclass
 from pathlib import Path
 from typing import Any
 
-from .costs import cost_from_obj, cost_to_obj
+from .costs import cost_from_obj, cost_to_obj, json_number
 from .equilibrium import Assignment
 from .netcore import Junction, Network, PopulationSpec, Road, RouteSpec
 
@@ -48,26 +48,44 @@ def _load_json(path: str | Path) -> Any:
         raise ParseError(f"{path}: {exc}") from None
 
 
+def _text(value: Any) -> str:
+    """`value` if it is a string: an id or a name is never converted to one."""
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
+def _texts(value: Any) -> tuple[str, ...]:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise TypeError(f"expected an array of strings, got {value!r}")
+    return tuple(value)
+
+
+def _array(value: Any) -> list:
+    if not isinstance(value, list):
+        raise TypeError(f"expected an array, got {value!r}")
+    return value
+
+
 def network_from_obj(obj: Mapping) -> Network:
     try:
-        junctions = tuple([Junction(str(j)) for j in obj["junctions"]])
+        junctions = tuple([Junction(j) for j in _texts(obj["junctions"])])
         roads = tuple(
-            [Road(str(r["id"]), str(r["tail"]), str(r["head"])) for r in obj["roads"]]
+            [Road(_text(r["id"]), _text(r["tail"]), _text(r["head"])) for r in _array(obj["roads"])]
         )
         populations = []
-        for pop in obj["populations"]:
-            routes = tuple([RouteSpec(tuple(map(str, route))) for route in pop["routes"]])
-            costs = {
-                str(rid): cost_from_obj(cobj)
-                for rid, cobj in dict(pop.get("costs", {})).items()
-            }
+        for pop in _array(obj["populations"]):
+            routes = tuple([RouteSpec(_texts(route)) for route in _array(pop["routes"])])
+            costs = pop.get("costs", {})
+            if not isinstance(costs, dict):
+                raise TypeError(f"expected costs keyed by road id, got {costs!r}")
             populations.append(
                 PopulationSpec(
-                    name=str(pop["name"]),
-                    origin=str(pop["origin"]),
-                    destination=str(pop["destination"]),
+                    name=_text(pop["name"]),
+                    origin=_text(pop["origin"]),
+                    destination=_text(pop["destination"]),
                     routes=routes,
-                    costs=costs,
+                    costs={rid: cost_from_obj(cobj) for rid, cobj in costs.items()},  # keys are strings
                 )
             )
     except (KeyError, TypeError, ValueError) as exc:
@@ -120,7 +138,7 @@ def assignment_from_obj(obj: Mapping, net: Network) -> Assignment:
             )
         vectors.append(vec)
     try:
-        return Assignment.make(vectors)
+        return Assignment.make([[json_number(x, "every share") for x in vec] for vec in vectors])
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(str(exc)) from exc
 

@@ -274,6 +274,14 @@ def _poly_exponent(tmp_path, literal: str) -> str:
     return str(path)
 
 
+def _damaged(tmp_path, damage) -> str:
+    """delay_spillover with one value of the wrong JSON type, set by `damage`
+    on the document's upper population."""
+    obj = json.loads(dumps_structured(network_to_obj(nets.delay_spillover())))
+    damage(obj["populations"][0])
+    return _write(tmp_path, "damaged.json", obj)
+
+
 def _not_utf8(tmp_path) -> str:
     path = tmp_path / "latin1.json"
     path.write_bytes(json.dumps(network_to_obj(nets.delay_spillover())).encode("latin-1")
@@ -316,6 +324,34 @@ def _half(tmp_path) -> str:
                      id="exponent-overflows-to-inf"),
         pytest.param(lambda f, t: ["validate", _poly_exponent(t, "9" * 401)], 2,
                      id="exponent-too-large-for-a-float"),
+        pytest.param(lambda f, t: ["validate", _poly_exponent(t, "2.5")], 2,
+                     id="exponent-not-integral"),
+        pytest.param(lambda f, t: ["solve", _poly_exponent(t, "2.5")], 2,
+                     id="solve-exponent-not-integral"),
+        pytest.param(lambda f, t: ["validate", _poly_exponent(t, "true")], 2,
+                     id="exponent-a-boolean"),
+        pytest.param(lambda f, t: ["verify", f["delay_spillover"], _shares(t, "true, false")], 2,
+                     id="share-a-boolean"),
+        pytest.param(lambda f, t: ["verify", f["delay_spillover"], _shares(t, '"0.5", "0.5"')], 2,
+                     id="share-a-numeric-string"),
+        pytest.param(lambda f, t: ["validate", _damaged(t, lambda p: p.update(name=None))], 2,
+                     id="name-not-a-string"),
+        pytest.param(lambda f, t: ["validate", _damaged(t, lambda p: p["routes"].append([7]))], 2,
+                     id="route-road-id-not-a-string"),
+        pytest.param(lambda f, t: ["validate", _damaged(
+            t, lambda p: p["costs"].update(r2={"kind": "constant", "value": True}))], 2,
+                     id="cost-number-a-boolean"),
+        pytest.param(lambda f, t: ["validate", _damaged(t, lambda p: p["costs"].update(
+            r2={"kind": "congestion", "weights": {"upper": 1}, "capacity": "2"}))], 2,
+                     id="cost-number-a-string"),
+        pytest.param(lambda f, t: ["validate", _damaged(
+            t, lambda p: p["costs"]["r2"].update(coeffs=[["upper", 1.0]]))], 2,
+                     id="coeffs-a-list-of-pairs"),
+        pytest.param(lambda f, t: ["validate", _damaged(
+            t, lambda p: p.update(costs=list(p["costs"].items())))], 2,
+                     id="costs-a-list-of-pairs"),
+        pytest.param(lambda f, t: ["validate", _damaged(t, lambda p: p["routes"].__setitem__(1, "r2"))],
+                     2, id="route-a-string"),
     ],
 )
 def test_refused_input_exits_with_one_error_line(argv, code, files, tmp_path, capsys):

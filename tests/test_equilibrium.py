@@ -9,6 +9,7 @@ import pytest
 
 from wardrop import equilibrium
 from wardrop import fixtures as nets
+from wardrop.analysis import check_pair_orthogonality
 from wardrop.compiled import compile_network
 from wardrop.costs import Affine, CongestionRational, Constant, ExtReal
 from wardrop.equilibrium import (
@@ -17,6 +18,7 @@ from wardrop.equilibrium import (
     MultistartParams,
     NonMonotoneCostError,
     PreconditionError,
+    PredicateVerdict,
     SolveParams,
     check_conditional_optimality,
     compositions,
@@ -154,6 +156,29 @@ class TestMeanTimes:
 
 
 class TestPredicates:
+    def test_witnesses_name_each_failure_in_order(self, delay_net, corridor_net):
+        split = Assignment.make([[1.0, 0.0], [0.5, 0.5]])  # lower's relevant times 4 and 3.5
+        spread = "lower: relevant times spread 1.250e-01"
+        assert is_equilibrium(delay_net, split) == PredicateVerdict(False, 0.125, (spread,))
+        assert is_nash(delay_net, split) == PredicateVerdict(
+            False, 1 / 3, (spread, "upper: unused route 1 beats the mean by 3.333e-01"))
+        assert is_eps_nash(delay_net, split, eps=0.25) == PredicateVerdict(False, 0.2777777777777778, (
+            spread,
+            "upper: moving 0.25 from route 0 to route 1 gains 2.778e-01",
+            "lower: moving 0.25 from route 0 to route 1 gains 6.250e-02",
+        ))
+        corner = Assignment.make([[1.0, 0.0], [0.0, 1.0]])
+        assert is_equilibrium(delay_net, corner) == PredicateVerdict(True, 0.0, ())
+        assert is_nash(delay_net, corner) == PredicateVerdict(False, 0.25, (
+            "upper: unused route 1 beats the mean by 2.500e-01",
+            "lower: unused route 0 beats the mean by 2.500e-01",
+        ))
+        for predicate in (is_equilibrium, is_nash, is_eps_nash):
+            assert predicate(delay_net, HALF) == PredicateVerdict(True, 0.0, ())
+        mixed = tuple(f"{name}: finite and infinite relevant times" for name in ("upper", "lower"))
+        assert is_equilibrium(corridor_net, HALF) == PredicateVerdict(False, math.inf, mixed)
+        assert is_nash(corridor_net, HALF) == PredicateVerdict(False, 0.0, mixed)
+
     def test_pathological_vertices_are_equilibria(self, pathological_net):
         for k in (0, 1):
             theta = vertex_assignment(pathological_net, (k,))
@@ -288,6 +313,19 @@ class TestOneEvaluation:
         # the assignment's route times, once; the eps shifts are evaluated
         # road by road, with no batch of shifted assignments
         assert shapes == [(core.pop_count, core.width)]
+
+    def test_internal_verdicts_format_no_witness(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an internal verdict built a PredicateVerdict")
+
+        monkeypatch.setattr(equilibrium, "PredicateVerdict", refuse)
+        net = nets.delay_spillover()
+        assert verify(net, HALF).is_nash
+        # from a vertex the solver's residual passes its target above 0,
+        # so the run stops through the Nash gate
+        assert solve_fixed_point(net, vertex_assignment(net, (0, 0))).success
+        assert len(check_pair_orthogonality(net, HALF, HALF)) == 2
+        assert check_conditional_optimality(net, HALF, resolution=20).holds
 
 
 class TestCompressTime:
