@@ -18,13 +18,13 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .costs import Affine, CongestionRational, Constant, CostDomainError, CostExpr
 from .costs import ExtRealGuardError, MonomialTerm, NonMonotoneAffine
-from .netcore import IncidenceMatrix, Network, build_incidence
+from .netcore import Network, NetworkIndexError
 
 
 class DimensionMismatchError(ValueError):
@@ -94,7 +94,7 @@ def _per_row(coefficients: np.ndarray, batch: tuple[int, ...]) -> np.ndarray:
     return coefficients.reshape(coefficients.shape + (1,) * len(batch)) if batch else coefficients
 
 
-def _padded(rows: Sequence[Sequence], pad: int | float, dtype: type = int) -> np.ndarray:
+def _padded(rows: Sequence[Iterable], pad: int | float, dtype: type = int) -> np.ndarray:
     """(depth, len(rows)) table whose column c is rows[c] padded with `pad`;
     depth is the longest row's length, at least 1."""
     levels = list(itertools.zip_longest(*rows, fillvalue=pad)) or [(pad,) * len(rows)]
@@ -107,15 +107,16 @@ def share_mean(x: np.ndarray, t: np.ndarray, share_tol: float) -> np.ndarray:
     return _route_total(x * np.where(x > share_tol, t, 0.0))
 
 
-def flow_gather(incidences: Sequence[IncidenceMatrix], width: int) -> np.ndarray:
-    """Gather table of the road flows from flat padded shares (route j of
-    population p at p*width + j): column p*N + h lists p's routes through
-    road h in route order; a last column of padding gives a zero flow."""
-    roads = len(incidences[0].entries) if incidences else 0
-    columns = [[] for _ in range(len(incidences) * roads + 1)]
-    for p, inc in enumerate(incidences):
-        for h, j in zip(*(a.tolist() for a in inc.entries.nonzero())):  # by road, then route
-            columns[p * roads + h].append(p * width + j)
+def flow_gather(routes: Sequence[Sequence[int]], rows: int, width: int) -> np.ndarray:
+    """Gather table of the `rows` road flows from flat padded shares (route j
+    of population p at p*width + j), of each flat route's flow rows: column
+    r lists the routes through flow row r in order, once each; a last column
+    of padding gives a zero flow."""
+    columns = [[] for _ in range(rows + 1)]
+    for k, used in enumerate(routes):
+        for r in used:
+            if not columns[r] or columns[r][-1] != k:  # a road a route repeats counts once
+                columns[r].append(k)
     return _padded(columns, width - 1)
 
 
@@ -152,27 +153,35 @@ class CostProgram:
         # Per kind (linear forms, loads, monomials), in order of appearance: each leaf's
         # flow rows, their coefficients (exponents) and its constant (capacity for loads).
         rows, coeffs, consts = ([], [], []), ([], [], []), ([], [], [])
-        nonmono, terms = [], []  # terms: per expression, (multiplier, kind, index in the kind)
+        # A lone unscaled leaf is its own expression; the rest are folded, their terms
+        # (multiplier, kind, index in the kind) kept.  roots: per expression, (kind, index
+        # in the kind) of its slot, (-1, index among the folded) if folded.
+        nonmono, folded, roots = [], [], []
         for i, expr in enumerate(exprs):
             refs = []
             for f, leaf in expr._terms():
-                if isinstance(leaf, MonomialTerm):
-                    kind, factors, const = 2, leaf.exponents, leaf.coeff
+                if isinstance(leaf, Affine):
+                    kind, factors, const = 0, leaf.coeffs, leaf.constant
                 elif isinstance(leaf, CongestionRational):
                     kind, factors, const = 1, leaf.weights, leaf.capacity
                 elif isinstance(leaf, Constant):
                     kind, factors, const = 0, {}, leaf.value
-                elif isinstance(leaf, (Affine, NonMonotoneAffine)):
+                elif isinstance(leaf, MonomialTerm):
+                    kind, factors, const = 2, leaf.exponents, leaf.coeff
+                elif isinstance(leaf, NonMonotoneAffine):
                     kind, factors, const = 0, leaf.coeffs, leaf.constant
-                    if isinstance(leaf, NonMonotoneAffine):
-                        nonmono.append(len(consts[0]))
+                    nonmono.append(len(consts[0]))
                 else:
                     raise TypeError(f"unknown cost expression {type(leaf).__name__}")
                 refs.append((f, kind, len(consts[kind])))
                 rows[kind].append([column(i, n) for n in factors])
-                coeffs[kind].append(list(factors.values()))
+                coeffs[kind].append(factors.values())
                 consts[kind].append(const)
-            terms.append(refs)
+            if len(refs) == 1 and refs[0][0] == 1.0:
+                roots.append(refs[0][1:])
+            else:
+                roots.append((-1, len(folded)))
+                folded.append(refs)
         a = len(consts[0]) + 1  # the zero slot closes the linear forms
         b = a + len(consts[1])
         m = b + len(consts[2])
@@ -187,18 +196,13 @@ class CostProgram:
         self._mono_cols = _padded(rows[2], zero)
         self._mono_exps = _padded(coeffs[2], 0)
         self._mono_coeff = np.array(consts[2])
-        # A lone unscaled leaf is its own expression; the rest are folded.
-        base = (0, a, b)
-        plain = [len(t) == 1 and t[0][0] == 1.0 for t in terms]
-        folded = [t for t, lone in zip(terms, plain) if not lone]
+        base = (0, a, b, m)  # the first slot of each kind, folded last
         self._fold_idx = _padded([[base[kind] + k for _, kind, k in t] for t in folded], a - 1)
         self._fold_mult = _padded([[f for f, _, _ in t] for t in folded], 0.0, float)
         guarded = {base[kind] + k for t in folded for f, kind, k in t if f == 0.0}
         self._guarded = np.array(sorted(guarded), dtype=int)
         self.slot_count = m + len(folded)
-        extra = iter(range(m, self.slot_count))
-        self.roots = np.array([base[t[0][1]] + t[0][2] if lone else next(extra)
-                               for t, lone in zip(terms, plain)])
+        self.roots = np.array([base[kind] + k for kind, k in roots])
 
     def values(self, flows: np.ndarray, scratch: dict | None = None) -> np.ndarray:
         """Every slot at each flow point: (flow rows, ...) -> (slots, ...).
@@ -386,35 +390,34 @@ class CompiledNetwork:
         self.width = max(self.route_counts) + 1
         counts = np.array(self.route_counts)
         self.valid = np.arange(self.width) < counts[:, None]
-        incidences = [build_incidence(net, p) for p in range(self.pop_count)]
+        self.road_count = roads = len(net.roads)
+        rows = self.pop_count * roads  # flow rows: p's flow on road h in row p*N + h, then 0
+        index = net.road_index()
+        routes = [[] for _ in range(self.pop_count * self.width)]  # each flat route's flow rows
+        for p, pop in enumerate(net.populations):
+            first = p * roads
+            try:
+                routes[p * self.width : p * self.width + len(pop.routes)] = [
+                    [first + index[rid] for rid in route.road_ids] for route in pop.routes
+                ]
+            except KeyError as exc:
+                raise NetworkIndexError(f"unknown road {exc.args[0]!r}") from None
         # Shared step size: half the reciprocal of the largest route count.
         self.step = 0.5 * min(1.0 / n for n in self.route_counts)
-        self.road_count = len(net.roads)
-        self._flow_gather = flow_gather(incidences, self.width)
-        road_index = net.road_index()
-        costed = [
-            (p, h, pop.costs[net.roads[h].id])
-            for p, pop in enumerate(net.populations)
-            for h in sorted(road_index[rid] for rid in pop.road_ids())
-        ]
-        first_row = {name: q * self.road_count for q, name in enumerate(self.names)}
+        self._flow_gather = flow_gather(routes, rows, self.width)
+        costed = sorted(set().union(*routes))  # the flow rows that some route uses
+        ids = [road.id for road in net.roads]
+        first_row = {name: q * roads for q, name in enumerate(self.names)}
         self.program = CostProgram(
-            [expr for _, _, expr in costed],
-            lambda i, name: first_row[name] + costed[i][1],
-            zero=self.pop_count * self.road_count,
+            [net.populations[r // roads].costs[ids[r % roads]] for r in costed],
+            lambda i, name: first_row[name] + costed[i] % roads,
+            zero=rows,
         )
         # The slot of population p's cost on road h; the zero slot if p does not use h.
-        slot = [[self.program.zero_slot] * self.road_count for _ in range(self.pop_count)]
-        for (p, h, _), root in zip(costed, self.program.roots.tolist()):
-            slot[p][h] = root
-        self.cost_slots = np.array(slot, dtype=int)
+        self.cost_slots = np.full((self.pop_count, roads), self.program.zero_slot)
+        self.cost_slots.ravel()[costed] = self.program.roots
         # The flow rows of each route's roads, in route order, padded with the zero row.
-        routes = [[] for _ in range(self.pop_count * self.width)]
-        for p, pop in enumerate(net.populations):
-            first = p * self.road_count
-            for j, route in enumerate(pop.routes):
-                routes[p * self.width + j] = [first + road_index[rid] for rid in route.road_ids]
-        self._route_rows = _padded(routes, self.pop_count * self.road_count)
+        self._route_rows = _padded(routes, rows)
         self._route_gather = np.concatenate([self.cost_slots.ravel(), [self.program.zero_slot]]).take(self._route_rows)
         # Batches of more assignments than this are evaluated in pieces.
         per_assignment = self._flow_gather.size + 2 * self.program._lin_cols.size

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -96,17 +96,17 @@ def _finite(value: float, what: str) -> None:
         raise ValueError(f"{what} must be finite, got {value}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CostExpr:
     """Base class of the cost-expression forms; use the concrete subclasses."""
 
     def populations(self) -> frozenset[str]:
         raise NotImplementedError
 
-    def _terms(self) -> Iterator[tuple[float, "CostExpr | MonomialTerm"]]:
+    def _terms(self) -> Iterable[tuple[float, "CostExpr | MonomialTerm"]]:
         """(multiplier, leaf) pairs; `Sum`, `Polynomial` and `Scale` are the
         left-to-right sum of multiplier * leaf value over their terms."""
-        yield 1.0, self
+        return ((1.0, self),)
 
     def structurally_monotone(self) -> bool:
         return True
@@ -116,7 +116,7 @@ class CostExpr:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Constant(CostExpr):
     value: float
 
@@ -132,7 +132,7 @@ class Constant(CostExpr):
         return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Affine(CostExpr):
     """constant + sum of coeff[p] * flow[p], all coefficients nonnegative."""
 
@@ -144,8 +144,8 @@ class Affine(CostExpr):
         if self.constant < 0:
             raise ValueError("affine constant must be nonnegative")
         for name, c in self.coeffs.items():
-            _finite(c, f"affine coefficient for {name!r}")
-            if c < 0:
+            if not (math.isfinite(c) and c >= 0):  # the messages only where one is raised
+                _finite(c, f"affine coefficient for {name!r}")
                 raise ValueError(
                     f"affine coefficient for {name!r} must be nonnegative; "
                     "use NonMonotoneAffine for signed coefficients"
@@ -159,7 +159,7 @@ class Affine(CostExpr):
         return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MonomialTerm:
     """coeff * prod_p flow[p]**exponent[p] with nonnegative integer exponents."""
 
@@ -178,7 +178,7 @@ class MonomialTerm:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Polynomial(CostExpr):
     terms: tuple[MonomialTerm, ...]
 
@@ -199,7 +199,7 @@ class Polynomial(CostExpr):
         return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CongestionRational(CostExpr):
     """s / (capacity - s) with s = sum of weights[p] * flow[p]; +inf for s >= capacity."""
 
@@ -211,8 +211,8 @@ class CongestionRational(CostExpr):
         if self.capacity <= 0:
             raise ValueError("capacity must be positive")
         for name, w in self.weights.items():
-            _finite(w, f"weight for {name!r}")
-            if w < 0:
+            if not (math.isfinite(w) and w >= 0):
+                _finite(w, f"weight for {name!r}")
                 raise ValueError(f"weight for {name!r} must be nonnegative")
         object.__setattr__(self, "weights", dict(self.weights))
 
@@ -224,7 +224,7 @@ class CongestionRational(CostExpr):
         return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sum(CostExpr):
     terms: tuple[CostExpr, ...]
 
@@ -250,7 +250,7 @@ class Sum(CostExpr):
         return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Scale(CostExpr):
     factor: float
     inner: CostExpr
@@ -274,7 +274,7 @@ class Scale(CostExpr):
         return self.inner.structurally_convex()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NonMonotoneAffine(CostExpr):
     """Affine form with signed coefficients.
 
@@ -291,7 +291,8 @@ class NonMonotoneAffine(CostExpr):
     def __post_init__(self) -> None:
         _finite(self.constant, "non-monotone affine constant")
         for name, c in self.coeffs.items():
-            _finite(c, f"non-monotone affine coefficient for {name!r}")
+            if not math.isfinite(c):
+                _finite(c, f"non-monotone affine coefficient for {name!r}")
         object.__setattr__(self, "coeffs", dict(self.coeffs))
 
     def populations(self) -> frozenset[str]:
@@ -473,18 +474,24 @@ def cost_from_obj(obj: Mapping) -> CostExpr:
     """Parse a kind-discriminated cost object; raises ValueError on bad input,
     and on a cost whose values on the flow box can leave the float range."""
     expr = _parse_cost(obj)
-    bound = 0.0  # of |value|: each leaf's bound at flows in [0, 1], times its multiplier
-    for factor, leaf in expr._terms():
-        if isinstance(leaf, MonomialTerm):
-            bound += factor * leaf.coeff
-        elif isinstance(leaf, CongestionRational):  # its load, and its largest finite value
-            load = sum(leaf.weights.values())
-            top = load / (leaf.capacity - load) if load < leaf.capacity else 2.0**54
-            bound += factor * max(load, top)
-        elif isinstance(leaf, Constant):
-            bound += factor * leaf.value
-        else:  # a linear form, signed or not
-            bound += factor * (abs(leaf.constant) + sum(map(abs, leaf.coeffs.values())))
+    if type(expr) is Affine:  # the common leaves, bounded as the walk below would
+        bound = expr.constant + sum(expr.coeffs.values())
+    elif type(expr) is CongestionRational:
+        load = sum(expr.weights.values())
+        bound = max(load, load / (expr.capacity - load) if load < expr.capacity else 2.0**54)
+    else:  # of |value|: each leaf's bound at flows in [0, 1], times its multiplier
+        bound = 0.0
+        for factor, leaf in expr._terms():
+            if isinstance(leaf, (Affine, NonMonotoneAffine)):  # a linear form, signed or not
+                bound += factor * (abs(leaf.constant) + sum(map(abs, leaf.coeffs.values())))
+            elif isinstance(leaf, CongestionRational):  # its load, and its largest finite value
+                load = sum(leaf.weights.values())
+                top = load / (leaf.capacity - load) if load < leaf.capacity else 2.0**54
+                bound += factor * max(load, top)
+            elif isinstance(leaf, MonomialTerm):
+                bound += factor * leaf.coeff
+            else:  # a constant
+                bound += factor * leaf.value
     if not math.isfinite(bound):
         raise ValueError(f"cost {obj.get('kind')!r} can take values past the float range")
     return expr
@@ -499,6 +506,8 @@ def json_number(value: object, what: str) -> int | float:
 
 
 def _float(value: object, what: str) -> float:
+    if type(value) is float:  # most JSON numbers: nothing to check or convert
+        return value
     return float(json_number(value, what))
 
 
@@ -506,11 +515,13 @@ def _by_name(value: object, what: str, convert=_float) -> dict:
     """A JSON object of numbers, each `convert`ed; a list of pairs is none."""
     if not isinstance(value, dict):
         raise TypeError(f"{what} must be an object, got {value!r}")
+    if convert is _float and set(map(type, value.values())) <= {float}:
+        return value  # the cost copies it
     return {name: convert(v, what) for name, v in value.items()}
 
 
 def _parse_cost(obj: Mapping) -> CostExpr:
-    if not isinstance(obj, Mapping) or "kind" not in obj:
+    if not (type(obj) is dict or isinstance(obj, Mapping)) or "kind" not in obj:
         raise ValueError("cost object must be a mapping with a 'kind' field")
     kind = obj["kind"]
     try:

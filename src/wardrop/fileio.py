@@ -7,10 +7,13 @@ round-trip floats) so identical inputs produce byte-identical documents.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+from collections import Counter
 from collections.abc import Mapping, Sequence
 from dataclasses import fields, is_dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any
 
@@ -34,17 +37,29 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _object(pairs: list[tuple[str, Any]]) -> dict:
+    """A JSON object, refused if a key repeats: json would keep its last value."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        key = next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
+        raise ParseError(f"key {key!r} repeats in one object")
+    return obj
+
+
 def _load_json(path: str | Path) -> Any:
     try:
         with open(path, "rb", buffering=0) as file:  # a text-mode file costs more than the read
             text = file.read().decode("utf-8")
-        text = text.replace("\r\n", "\n").replace("\r", "\n")  # newlines as text mode reads them
-        return json.loads(text, parse_constant=_reject_constant, parse_float=_finite_float)
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")  # newlines as text mode reads them
+        return json.loads(
+            text, object_pairs_hook=_object, parse_constant=_reject_constant, parse_float=_finite_float
+        )
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    except ValueError as exc:  # a refused number, or text that is not UTF-8
+    except ValueError as exc:  # a refused number or key, or text that is not UTF-8
         raise ParseError(f"{path}: {exc}") from None
 
 
@@ -56,7 +71,7 @@ def _text(value: Any) -> str:
 
 
 def _texts(value: Any) -> tuple[str, ...]:
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+    if not isinstance(value, list) or not all(map(isinstance, value, itertools.repeat(str, len(value)))):
         raise TypeError(f"expected an array of strings, got {value!r}")
     return tuple(value)
 
@@ -69,13 +84,13 @@ def _array(value: Any) -> list:
 
 def network_from_obj(obj: Mapping) -> Network:
     try:
-        junctions = tuple([Junction(j) for j in _texts(obj["junctions"])])
+        junctions = tuple(map(Junction, _texts(obj["junctions"])))
         roads = tuple(
             [Road(_text(r["id"]), _text(r["tail"]), _text(r["head"])) for r in _array(obj["roads"])]
         )
         populations = []
         for pop in _array(obj["populations"]):
-            routes = tuple([RouteSpec(_texts(route)) for route in _array(pop["routes"])])
+            routes = tuple(map(RouteSpec, map(_texts, _array(pop["routes"]))))
             costs = pop.get("costs", {})
             if not isinstance(costs, dict):
                 raise TypeError(f"expected costs keyed by road id, got {costs!r}")
@@ -176,5 +191,37 @@ def jsonable(value: Any) -> Any:
 
 
 def dumps_structured(value: Any) -> str:
-    """Deterministic JSON rendering (sorted keys, full float precision)."""
-    return json.dumps(jsonable(value), sort_keys=True, indent=2)
+    """Deterministic JSON rendering (sorted keys, full float precision): the
+    text of `json.dumps(jsonable(value), sort_keys=True, indent=2)`, whose
+    indent would take json's pure-Python encoder."""
+    return _render(jsonable(value), "\n")
+
+
+def _render(value: Any, indent: str) -> str:
+    """JSON text of plain data as json's encoder writes it with sorted keys
+    and an indent of 2; `indent` is a newline and the indentation of the
+    line that `value` starts on."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or value is True or value is False:
+        return _CONSTANTS[value]
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return float.__repr__(value) if math.isfinite(value) else _CONSTANTS.get(value, "NaN")
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items, ends = [_render(v, inner) for v in value], "[]"
+    elif isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [f"{encode_basestring_ascii(k)}: {_render(v, inner)}" for k, v in sorted(value.items())]
+        ends = "{}"
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    return ends[0] + inner + ("," + inner).join(items) + indent + ends[1]
+
+
+_CONSTANTS = {None: "null", True: "true", False: "false", math.inf: "Infinity", -math.inf: "-Infinity"}

@@ -5,6 +5,7 @@ from __future__ import annotations
 import inspect
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -300,6 +301,13 @@ def _half(tmp_path) -> str:
     return _write(tmp_path, "half.json", {"upper": [0.5, 0.5], "lower": [0.5, 0.5]})
 
 
+def _repeated(tmp_path, source: str, once: str, twice: str) -> str:
+    """The text of the document at `source`, its first `once` written `twice`."""
+    path = tmp_path / "repeated.json"
+    path.write_text(Path(source).read_text(encoding="utf-8").replace(once, twice, 1))
+    return str(path)
+
+
 @pytest.mark.parametrize(
     "argv, code",
     [
@@ -352,6 +360,11 @@ def _half(tmp_path) -> str:
                      id="costs-a-list-of-pairs"),
         pytest.param(lambda f, t: ["validate", _damaged(t, lambda p: p["routes"].__setitem__(1, "r2"))],
                      2, id="route-a-string"),
+        pytest.param(lambda f, t: ["verify", f["delay_spillover"], _repeated(
+            t, _half(t), '"upper":', '"upper": [1, 0], "upper":')], 2, id="assignment-population-repeats"),
+        pytest.param(lambda f, t: ["solve", _repeated(
+            t, f["delay_spillover"], '"constant": 3.0', '"constant": 3.0, "constant": 300.0')], 2,
+                     id="cost-field-repeats"),
     ],
 )
 def test_refused_input_exits_with_one_error_line(argv, code, files, tmp_path, capsys):

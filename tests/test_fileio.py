@@ -6,17 +6,21 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wardrop import fixtures as nets
 from wardrop.costs import ExtReal
 from wardrop.fixtures import write_fixture_files
-from wardrop.equilibrium import Assignment, solve_fixed_point, verify
+from wardrop.equilibrium import Assignment, PredicateVerdict, solve_fixed_point, verify
 from wardrop.fileio import (
     ParseError,
     assignment_from_obj,
     assignment_to_obj,
     dumps_structured,
+    jsonable,
     load_assignment,
     load_network,
     network_from_obj,
@@ -80,6 +84,22 @@ def test_parse_error_names_line_and_column(tmp_path):
         load_network(path)
 
 
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"upper": [1, 0], "upper": [0.5, 0.5], "lower": [0.5, 0.5]}', "upper"),
+        ('{"lower": {"a": 1, "b": 2, "a": 3}}', "a"),
+    ],
+)
+def test_a_repeated_key_is_refused_by_name(tmp_path, delay_net, text, key):
+    path = tmp_path / "repeated.json"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=f"key '{key}' repeats"):
+        load_assignment(path, delay_net)
+    with pytest.raises(ParseError, match=f"key '{key}' repeats"):
+        load_network(path)
+
+
 def test_malformed_document_raises_parse_error(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"junctions": ["a"], "roads": [{"id": "r"}]}))
@@ -137,3 +157,30 @@ def test_structured_output_is_deterministic_and_full_precision(merge_net):
     # full-precision round trip: parsed floats equal the in-memory values
     for parsed, vec in zip(payload["assignment"]["shares"], result.assignment.shares):
         assert tuple(parsed) == vec
+
+
+_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+    | st.floats(min_value=0.0).map(ExtReal.from_float)
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: (
+        st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(st.text() | st.integers(), inner, max_size=4)
+        | st.builds(PredicateVerdict, st.booleans(), st.floats(), st.lists(st.text(), max_size=2).map(tuple))
+        | st.lists(st.floats(), max_size=4).map(np.array)
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_VALUES)
+def test_structured_rendering_is_json_dumps_byte_for_byte(value):
+    assert dumps_structured(value) == json.dumps(jsonable(value), sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("value", [[], {}, (), {"a": []}, [{}], "\u00e9\n\"\\\x00\ud83d", [True, False, None]])
+def test_structured_rendering_of_edge_values(value):
+    assert dumps_structured(value) == json.dumps(jsonable(value), sort_keys=True, indent=2)

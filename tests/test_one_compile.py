@@ -60,3 +60,22 @@ def test_verify_compiles_its_network_once(tmp_path, compiles, capsys):
 def test_compare_compiles_each_network_once(compiles, capsys):
     assert main(["compare", _fixture("braess_base"), _fixture("braess_augmented")]) == 0
     assert compiles[0] == 2
+
+
+def test_nothing_is_carried_from_one_call_to_the_next(tmp_path, compiles, monkeypatch, capsys):
+    """Two identical calls each decode both documents and each build their
+    own compiled network: no cache or memo outlives a call."""
+    shares = tmp_path / "shares.json"
+    shares.write_text(json.dumps({"trucks": [0.5, 0.5], "cars": [0.5, 0.5]}))
+    decoded = []
+    loads = json.loads
+    monkeypatch.setattr(json, "loads", lambda text, **kw: decoded.append(text) or loads(text, **kw))
+    argv = ["verify", _fixture("braess_base"), str(shares), "--format", "structured"]
+    outputs = []
+    for _ in range(2):
+        assert main(argv) in (0, 1)
+        outputs.append(capsys.readouterr().out)
+    network = (FIXTURES / "braess_base.json").read_text(encoding="utf-8")
+    assert decoded == [network, shares.read_text(), network, shares.read_text()]
+    assert compiles[0] == 2
+    assert outputs[0] == outputs[1]
