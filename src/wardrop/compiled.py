@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -94,7 +94,7 @@ def _per_row(coefficients: np.ndarray, batch: tuple[int, ...]) -> np.ndarray:
     return coefficients.reshape(coefficients.shape + (1,) * len(batch)) if batch else coefficients
 
 
-def _padded(rows: Sequence[Iterable], pad: int | float, dtype: type = int) -> np.ndarray:
+def _padded(rows: Sequence[Sequence], pad: int | float, dtype: type = int) -> np.ndarray:
     """(depth, len(rows)) table whose column c is rows[c] padded with `pad`;
     depth is the longest row's length, at least 1."""
     levels = list(itertools.zip_longest(*rows, fillvalue=pad)) or [(pad,) * len(rows)]
@@ -153,35 +153,27 @@ class CostProgram:
         # Per kind (linear forms, loads, monomials), in order of appearance: each leaf's
         # flow rows, their coefficients (exponents) and its constant (capacity for loads).
         rows, coeffs, consts = ([], [], []), ([], [], []), ([], [], [])
-        # A lone unscaled leaf is its own expression; the rest are folded, their terms
-        # (multiplier, kind, index in the kind) kept.  roots: per expression, (kind, index
-        # in the kind) of its slot, (-1, index among the folded) if folded.
-        nonmono, folded, roots = [], [], []
+        nonmono, terms = [], []  # terms: per expression, (multiplier, kind, index in the kind)
         for i, expr in enumerate(exprs):
             refs = []
             for f, leaf in expr._terms():
-                if isinstance(leaf, Affine):
-                    kind, factors, const = 0, leaf.coeffs, leaf.constant
+                if isinstance(leaf, MonomialTerm):
+                    kind, factors, const = 2, leaf.exponents, leaf.coeff
                 elif isinstance(leaf, CongestionRational):
                     kind, factors, const = 1, leaf.weights, leaf.capacity
                 elif isinstance(leaf, Constant):
                     kind, factors, const = 0, {}, leaf.value
-                elif isinstance(leaf, MonomialTerm):
-                    kind, factors, const = 2, leaf.exponents, leaf.coeff
-                elif isinstance(leaf, NonMonotoneAffine):
+                elif isinstance(leaf, (Affine, NonMonotoneAffine)):
                     kind, factors, const = 0, leaf.coeffs, leaf.constant
-                    nonmono.append(len(consts[0]))
+                    if isinstance(leaf, NonMonotoneAffine):
+                        nonmono.append(len(consts[0]))
                 else:
                     raise TypeError(f"unknown cost expression {type(leaf).__name__}")
                 refs.append((f, kind, len(consts[kind])))
                 rows[kind].append([column(i, n) for n in factors])
-                coeffs[kind].append(factors.values())
+                coeffs[kind].append(list(factors.values()))
                 consts[kind].append(const)
-            if len(refs) == 1 and refs[0][0] == 1.0:
-                roots.append(refs[0][1:])
-            else:
-                roots.append((-1, len(folded)))
-                folded.append(refs)
+            terms.append(refs)
         a = len(consts[0]) + 1  # the zero slot closes the linear forms
         b = a + len(consts[1])
         m = b + len(consts[2])
@@ -196,13 +188,18 @@ class CostProgram:
         self._mono_cols = _padded(rows[2], zero)
         self._mono_exps = _padded(coeffs[2], 0)
         self._mono_coeff = np.array(consts[2])
-        base = (0, a, b, m)  # the first slot of each kind, folded last
+        # A lone unscaled leaf is its own expression; the rest are folded.
+        base = (0, a, b)
+        plain = [len(t) == 1 and t[0][0] == 1.0 for t in terms]
+        folded = [t for t, lone in zip(terms, plain) if not lone]
         self._fold_idx = _padded([[base[kind] + k for _, kind, k in t] for t in folded], a - 1)
         self._fold_mult = _padded([[f for f, _, _ in t] for t in folded], 0.0, float)
         guarded = {base[kind] + k for t in folded for f, kind, k in t if f == 0.0}
         self._guarded = np.array(sorted(guarded), dtype=int)
         self.slot_count = m + len(folded)
-        self.roots = np.array([base[kind] + k for kind, k in roots])
+        extra = iter(range(m, self.slot_count))
+        self.roots = np.array([base[t[0][1]] + t[0][2] if lone else next(extra)
+                               for t, lone in zip(terms, plain)])
 
     def values(self, flows: np.ndarray, scratch: dict | None = None) -> np.ndarray:
         """Every slot at each flow point: (flow rows, ...) -> (slots, ...).

@@ -144,8 +144,8 @@ class Affine(CostExpr):
         if self.constant < 0:
             raise ValueError("affine constant must be nonnegative")
         for name, c in self.coeffs.items():
-            if not (math.isfinite(c) and c >= 0):  # the messages only where one is raised
-                _finite(c, f"affine coefficient for {name!r}")
+            _finite(c, f"affine coefficient for {name!r}")
+            if c < 0:
                 raise ValueError(
                     f"affine coefficient for {name!r} must be nonnegative; "
                     "use NonMonotoneAffine for signed coefficients"
@@ -211,8 +211,8 @@ class CongestionRational(CostExpr):
         if self.capacity <= 0:
             raise ValueError("capacity must be positive")
         for name, w in self.weights.items():
-            if not (math.isfinite(w) and w >= 0):
-                _finite(w, f"weight for {name!r}")
+            _finite(w, f"weight for {name!r}")
+            if w < 0:
                 raise ValueError(f"weight for {name!r} must be nonnegative")
         object.__setattr__(self, "weights", dict(self.weights))
 
@@ -291,8 +291,7 @@ class NonMonotoneAffine(CostExpr):
     def __post_init__(self) -> None:
         _finite(self.constant, "non-monotone affine constant")
         for name, c in self.coeffs.items():
-            if not math.isfinite(c):
-                _finite(c, f"non-monotone affine coefficient for {name!r}")
+            _finite(c, f"non-monotone affine coefficient for {name!r}")
         object.__setattr__(self, "coeffs", dict(self.coeffs))
 
     def populations(self) -> frozenset[str]:
@@ -474,24 +473,18 @@ def cost_from_obj(obj: Mapping) -> CostExpr:
     """Parse a kind-discriminated cost object; raises ValueError on bad input,
     and on a cost whose values on the flow box can leave the float range."""
     expr = _parse_cost(obj)
-    if type(expr) is Affine:  # the common leaves, bounded as the walk below would
-        bound = expr.constant + sum(expr.coeffs.values())
-    elif type(expr) is CongestionRational:
-        load = sum(expr.weights.values())
-        bound = max(load, load / (expr.capacity - load) if load < expr.capacity else 2.0**54)
-    else:  # of |value|: each leaf's bound at flows in [0, 1], times its multiplier
-        bound = 0.0
-        for factor, leaf in expr._terms():
-            if isinstance(leaf, (Affine, NonMonotoneAffine)):  # a linear form, signed or not
-                bound += factor * (abs(leaf.constant) + sum(map(abs, leaf.coeffs.values())))
-            elif isinstance(leaf, CongestionRational):  # its load, and its largest finite value
-                load = sum(leaf.weights.values())
-                top = load / (leaf.capacity - load) if load < leaf.capacity else 2.0**54
-                bound += factor * max(load, top)
-            elif isinstance(leaf, MonomialTerm):
-                bound += factor * leaf.coeff
-            else:  # a constant
-                bound += factor * leaf.value
+    bound = 0.0  # of |value|: each leaf's bound at flows in [0, 1], times its multiplier
+    for factor, leaf in expr._terms():
+        if isinstance(leaf, MonomialTerm):
+            bound += factor * leaf.coeff
+        elif isinstance(leaf, CongestionRational):  # its load, and its largest finite value
+            load = sum(leaf.weights.values())
+            top = load / (leaf.capacity - load) if load < leaf.capacity else 2.0**54
+            bound += factor * max(load, top)
+        elif isinstance(leaf, Constant):
+            bound += factor * leaf.value
+        else:  # a linear form, signed or not
+            bound += factor * (abs(leaf.constant) + sum(map(abs, leaf.coeffs.values())))
     if not math.isfinite(bound):
         raise ValueError(f"cost {obj.get('kind')!r} can take values past the float range")
     return expr
@@ -506,22 +499,18 @@ def json_number(value: object, what: str) -> int | float:
 
 
 def _float(value: object, what: str) -> float:
-    if type(value) is float:  # most JSON numbers: nothing to check or convert
-        return value
-    return float(json_number(value, what))
+    return value if type(value) is float else float(json_number(value, what))  # most are floats
 
 
 def _by_name(value: object, what: str, convert=_float) -> dict:
     """A JSON object of numbers, each `convert`ed; a list of pairs is none."""
     if not isinstance(value, dict):
         raise TypeError(f"{what} must be an object, got {value!r}")
-    if convert is _float and set(map(type, value.values())) <= {float}:
-        return value  # the cost copies it
     return {name: convert(v, what) for name, v in value.items()}
 
 
 def _parse_cost(obj: Mapping) -> CostExpr:
-    if not (type(obj) is dict or isinstance(obj, Mapping)) or "kind" not in obj:
+    if not isinstance(obj, Mapping) or "kind" not in obj:
         raise ValueError("cost object must be a mapping with a 'kind' field")
     kind = obj["kind"]
     try:

@@ -70,7 +70,7 @@ class Assignment:
         """Validate, clamp tiny negatives, and renormalize exactly once."""
         cleaned = []
         for vec in vectors:
-            arr = list(map(float, vec))
+            arr = [float(x) for x in vec]
             if not arr:
                 raise DimensionMismatchError("empty share vector")
             if not all(map(math.isfinite, arr)):

@@ -7,7 +7,6 @@ round-trip floats) so identical inputs produce byte-identical documents.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from collections import Counter
@@ -50,8 +49,7 @@ def _load_json(path: str | Path) -> Any:
     try:
         with open(path, "rb", buffering=0) as file:  # a text-mode file costs more than the read
             text = file.read().decode("utf-8")
-        if "\r" in text:
-            text = text.replace("\r\n", "\n").replace("\r", "\n")  # newlines as text mode reads them
+        text = text.replace("\r\n", "\n").replace("\r", "\n")  # newlines as text mode reads them
         return json.loads(
             text, object_pairs_hook=_object, parse_constant=_reject_constant, parse_float=_finite_float
         )
@@ -71,7 +69,7 @@ def _text(value: Any) -> str:
 
 
 def _texts(value: Any) -> tuple[str, ...]:
-    if not isinstance(value, list) or not all(map(isinstance, value, itertools.repeat(str, len(value)))):
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
         raise TypeError(f"expected an array of strings, got {value!r}")
     return tuple(value)
 
@@ -84,13 +82,13 @@ def _array(value: Any) -> list:
 
 def network_from_obj(obj: Mapping) -> Network:
     try:
-        junctions = tuple(map(Junction, _texts(obj["junctions"])))
+        junctions = tuple([Junction(j) for j in _texts(obj["junctions"])])
         roads = tuple(
             [Road(_text(r["id"]), _text(r["tail"]), _text(r["head"])) for r in _array(obj["roads"])]
         )
         populations = []
         for pop in _array(obj["populations"]):
-            routes = tuple(map(RouteSpec, map(_texts, _array(pop["routes"]))))
+            routes = tuple([RouteSpec(_texts(route)) for route in _array(pop["routes"])])
             costs = pop.get("costs", {})
             if not isinstance(costs, dict):
                 raise TypeError(f"expected costs keyed by road id, got {costs!r}")

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -168,13 +168,12 @@ def validate_network(net: Network) -> ValidationReport:
             err("unknown-junction", f"population {pop.name!r} has unknown destination", pop.name, pop.destination)
         if not pop.routes:
             err("no-routes", f"population {pop.name!r} has no routes", pop.name)
-        ids = [rid for route in pop.routes for rid in route.road_ids]
-        roads = list(map(roads_by_id.get, ids))
-        used = dict(zip(ids, roads))  # the roads of the routes, None if unknown
-        routed = all(roads) and _routed(pop, roads)
-        for ri, route in enumerate(() if routed else pop.routes):  # the findings of each route
+        used: dict[str, Road | None] = {}  # the roads of the routes, None if unknown
+        before = len(findings)
+        for ri, route in enumerate(pop.routes):
             ids = route.road_ids
             roads = [roads_by_id.get(rid) for rid in ids]
+            used.update(zip(ids, roads))
             label = f"{pop.name}:route{ri}"
             if not ids:
                 err("route-empty", f"route {label} is empty", label)
@@ -196,6 +195,7 @@ def validate_network(net: Network) -> ValidationReport:
                 err("route-endpoints", f"route {label} does not start at the origin", label)
             if roads[-1].head != pop.destination:
                 err("route-endpoints", f"route {label} does not end at the destination", label)
+        routed = len(findings) == before  # every route runs from the origin to the destination
         known = {rid: road for rid, road in used.items() if road is not None}
         for rid in sorted(known.keys() - pop.costs.keys()):
             err("missing-cost", f"population {pop.name!r} has no cost for road {rid!r}", pop.name, rid)
@@ -208,7 +208,7 @@ def validate_network(net: Network) -> ValidationReport:
                 f"cost for road {rid!r} of {pop.name!r} references unknown populations {unknown}",
                 pop.name, rid, *unknown,
             )
-        _check_subnetwork(pop, list(known.values()), err, routed)
+        _check_subnetwork(pop, known.values(), err, routed)
 
     # Union-network degree rule: every junction should have at least one
     # entering and one exiting road, except on the side where it serves as
@@ -230,32 +230,18 @@ def validate_network(net: Network) -> ValidationReport:
     return ValidationReport(ok=ok, findings=tuple(findings))
 
 
-def _routed(pop: PopulationSpec, roads: list[Road]) -> bool:
-    """Does every route of `pop` run on distinct roads from its origin to its destination,
-    each road after the last?  `roads` are the roads of its routes, route after route."""
-    tails, heads = [road.tail for road in roads], [road.head for road in roads]
-    end = 0
-    for route in pop.routes:
-        start, end = end, end + len(route.road_ids)
-        if not (start < end and len(set(route.road_ids)) == end - start
-                and tails[start] == pop.origin and heads[end - 1] == pop.destination
-                and tails[start + 1 : end] == heads[start : end - 1]):
-            return False
-    return True
-
-
-def _check_subnetwork(pop: PopulationSpec, used: list[Road], err: Callable[..., None], routed: bool) -> None:
+def _check_subnetwork(pop: PopulationSpec, used: Iterable[Road], err: Callable[..., None], routed: bool) -> None:
     """Connected-DAG / unique-source / unique-sink checks for one population
-    on the known roads its routes use.  If every route is `routed` from the
-    origin to the destination, they connect the subnetwork and enter (leave)
-    every other junction: only a cycle can leave a second source (sink)."""
-    tails, heads = [road.tail for road in used], [road.head for road in used]
-    if not tails:
+    on the known roads its routes use; if every route is `routed` from the
+    origin to the destination, only a cycle can leave a second source or sink."""
+    successors: dict[str, list[str]] = {}
+    entering: dict[str, int] = {}  # roads entering each junction
+    for road in used:
+        successors.setdefault(road.tail, []).append(road.head)
+        successors.setdefault(road.head, [])
+        entering[road.head] = entering.get(road.head, 0) + 1
+    if not successors:
         return
-    successors: dict[str, list[str]] = {n: [] for n in tails + heads}
-    for tail, head in zip(tails, heads):
-        successors[tail].append(head)
-    entering = Counter(heads)  # roads entering each junction
     sources = sorted(n for n in successors if n not in entering)
 
     # Kahn: acyclic exactly when deleting the junctions that no remaining
@@ -401,7 +387,7 @@ def flows_on_roads(
     width = 1 + max([0] + [inc.entries.shape[1] for inc in incidences])
     roads = len(incidences[0].entries) if incidences else 0
     padded = np.zeros((len(shares), width))
-    routes = [[] for _ in range(len(shares) * width)]  # each flat route's flow rows
+    columns = [[] for _ in range(len(shares) * roads + 1)]  # each flow row's flat routes, then padding
     for p, (inc, theta) in enumerate(zip(incidences, shares)):
         vec = np.asarray(theta, dtype=float)
         if vec.shape != (inc.entries.shape[1],):
@@ -415,9 +401,9 @@ def flows_on_roads(
         if (vec < -tolerance).any():
             raise ValueError("share vector has a negative component")
         padded[p, : len(vec)] = np.clip(vec, 0.0, None)
-        for h, j in np.argwhere(inc.entries).tolist():
-            routes[p * width + j].append(p * roads + h)
-    from .compiled import _gather_sum, flow_gather
+        for h, j in zip(*(a.tolist() for a in inc.entries.nonzero())):  # by road, then route
+            columns[p * roads + h].append(p * width + j)
+    from .compiled import _gather_sum, _padded
 
-    flows = _gather_sum(padded.reshape(-1), flow_gather(routes, len(shares) * roads, width)[:, :-1])
+    flows = _gather_sum(padded.reshape(-1), _padded(columns, width - 1)[:, :-1])
     return flows.reshape(len(shares), -1).T
