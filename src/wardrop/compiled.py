@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -94,7 +94,7 @@ def _per_row(coefficients: np.ndarray, batch: tuple[int, ...]) -> np.ndarray:
     return coefficients.reshape(coefficients.shape + (1,) * len(batch)) if batch else coefficients
 
 
-def _padded(rows: Sequence[Sequence], pad: int | float, dtype: type = int) -> np.ndarray:
+def _padded(rows: Sequence[Iterable], pad: int | float, dtype: type = int) -> np.ndarray:
     """(depth, len(rows)) table whose column c is rows[c] padded with `pad`;
     depth is the longest row's length, at least 1."""
     levels = list(itertools.zip_longest(*rows, fillvalue=pad)) or [(pad,) * len(rows)]
@@ -108,10 +108,9 @@ def share_mean(x: np.ndarray, t: np.ndarray, share_tol: float) -> np.ndarray:
 
 
 def flow_gather(routes: Sequence[Sequence[int]], rows: int, width: int) -> np.ndarray:
-    """Gather table of the `rows` road flows from flat padded shares (route j
-    of population p at p*width + j), of each flat route's flow rows: column
-    r lists the routes through flow row r in order, once each; a last column
-    of padding gives a zero flow."""
+    """Gather table of the `rows` road flows from flat padded shares (route j of
+    population p at p*width + j), given each flat route's flow rows: column r lists
+    the routes through row r in order, once each; a last padding column gives 0."""
     columns = [[] for _ in range(rows + 1)]
     for k, used in enumerate(routes):
         for r in used:
@@ -153,27 +152,34 @@ class CostProgram:
         # Per kind (linear forms, loads, monomials), in order of appearance: each leaf's
         # flow rows, their coefficients (exponents) and its constant (capacity for loads).
         rows, coeffs, consts = ([], [], []), ([], [], []), ([], [], [])
-        nonmono, terms = [], []  # terms: per expression, (multiplier, kind, index in the kind)
+        # A lone unscaled leaf is its own expression; the rest are folded, their terms kept as
+        # (multiplier, kind, index in the kind).  roots: each expression's (kind, index), or (-1, k).
+        nonmono, folded, roots = [], [], []
         for i, expr in enumerate(exprs):
             refs = []
             for f, leaf in expr._terms():
-                if isinstance(leaf, MonomialTerm):
-                    kind, factors, const = 2, leaf.exponents, leaf.coeff
+                if isinstance(leaf, Affine):
+                    kind, factors, const = 0, leaf.coeffs, leaf.constant
                 elif isinstance(leaf, CongestionRational):
                     kind, factors, const = 1, leaf.weights, leaf.capacity
                 elif isinstance(leaf, Constant):
                     kind, factors, const = 0, {}, leaf.value
-                elif isinstance(leaf, (Affine, NonMonotoneAffine)):
+                elif isinstance(leaf, MonomialTerm):
+                    kind, factors, const = 2, leaf.exponents, leaf.coeff
+                elif isinstance(leaf, NonMonotoneAffine):
                     kind, factors, const = 0, leaf.coeffs, leaf.constant
-                    if isinstance(leaf, NonMonotoneAffine):
-                        nonmono.append(len(consts[0]))
+                    nonmono.append(len(consts[0]))
                 else:
                     raise TypeError(f"unknown cost expression {type(leaf).__name__}")
                 refs.append((f, kind, len(consts[kind])))
                 rows[kind].append([column(i, n) for n in factors])
-                coeffs[kind].append(list(factors.values()))
+                coeffs[kind].append(factors.values())
                 consts[kind].append(const)
-            terms.append(refs)
+            if len(refs) == 1 and refs[0][0] == 1.0:
+                roots.append(refs[0][1:])
+            else:
+                roots.append((-1, len(folded)))
+                folded.append(refs)
         a = len(consts[0]) + 1  # the zero slot closes the linear forms
         b = a + len(consts[1])
         m = b + len(consts[2])
@@ -188,18 +194,13 @@ class CostProgram:
         self._mono_cols = _padded(rows[2], zero)
         self._mono_exps = _padded(coeffs[2], 0)
         self._mono_coeff = np.array(consts[2])
-        # A lone unscaled leaf is its own expression; the rest are folded.
-        base = (0, a, b)
-        plain = [len(t) == 1 and t[0][0] == 1.0 for t in terms]
-        folded = [t for t, lone in zip(terms, plain) if not lone]
+        base = (0, a, b, m)  # the first slot of each kind, folded last
         self._fold_idx = _padded([[base[kind] + k for _, kind, k in t] for t in folded], a - 1)
         self._fold_mult = _padded([[f for f, _, _ in t] for t in folded], 0.0, float)
         guarded = {base[kind] + k for t in folded for f, kind, k in t if f == 0.0}
         self._guarded = np.array(sorted(guarded), dtype=int)
         self.slot_count = m + len(folded)
-        extra = iter(range(m, self.slot_count))
-        self.roots = np.array([base[t[0][1]] + t[0][2] if lone else next(extra)
-                               for t, lone in zip(terms, plain)])
+        self.roots = np.array([base[kind] + k for kind, k in roots])
 
     def values(self, flows: np.ndarray, scratch: dict | None = None) -> np.ndarray:
         """Every slot at each flow point: (flow rows, ...) -> (slots, ...).
@@ -403,10 +404,9 @@ class CompiledNetwork:
         self.step = 0.5 * min(1.0 / n for n in self.route_counts)
         self._flow_gather = flow_gather(routes, rows, self.width)
         costed = sorted(set().union(*routes))  # the flow rows that some route uses
-        ids = [road.id for road in net.roads]
         first_row = {name: q * roads for q, name in enumerate(self.names)}
         self.program = CostProgram(
-            [net.populations[r // roads].costs[ids[r % roads]] for r in costed],
+            [net.populations[r // roads].costs[net.roads[r % roads].id] for r in costed],
             lambda i, name: first_row[name] + costed[i] % roads,
             zero=rows,
         )

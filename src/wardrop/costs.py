@@ -144,8 +144,8 @@ class Affine(CostExpr):
         if self.constant < 0:
             raise ValueError("affine constant must be nonnegative")
         for name, c in self.coeffs.items():
-            _finite(c, f"affine coefficient for {name!r}")
-            if c < 0:
+            if not (math.isfinite(c) and c >= 0):  # the messages only where one is raised
+                _finite(c, f"affine coefficient for {name!r}")
                 raise ValueError(
                     f"affine coefficient for {name!r} must be nonnegative; "
                     "use NonMonotoneAffine for signed coefficients"
@@ -211,8 +211,8 @@ class CongestionRational(CostExpr):
         if self.capacity <= 0:
             raise ValueError("capacity must be positive")
         for name, w in self.weights.items():
-            _finite(w, f"weight for {name!r}")
-            if w < 0:
+            if not (math.isfinite(w) and w >= 0):
+                _finite(w, f"weight for {name!r}")
                 raise ValueError(f"weight for {name!r} must be nonnegative")
         object.__setattr__(self, "weights", dict(self.weights))
 
@@ -506,6 +506,8 @@ def _by_name(value: object, what: str, convert=_float) -> dict:
     """A JSON object of numbers, each `convert`ed; a list of pairs is none."""
     if not isinstance(value, dict):
         raise TypeError(f"{what} must be an object, got {value!r}")
+    if convert is _float and set(map(type, value.values())) <= {float}:
+        return value  # the cost copies it
     return {name: convert(v, what) for name, v in value.items()}
 
 
