@@ -35,7 +35,6 @@ from .equilibrium import (
     nonmonotone_cost,
     solve_fixed_point,
     uniform_assignment,
-    vertex_assignment,
 )
 from .netcore import Network, check_condition_gamma
 
@@ -117,7 +116,7 @@ def segment_matrices(
     _require_int("quadrature_nodes", quadrature_nodes, 1, MAX_QUADRATURE_NODES)
     _require_monotone(net)
     core = compile_network(net)
-    ends = (core.pack(x)[..., None] for x in (first, second))
+    ends = (core._flows(core.pack(x).reshape(-1, 1)) for x in (first, second))
     blocks, infinite = _segments(core, *ends, quadrature_nodes)
     if infinite.any():
         p, h, _ = np.argwhere(infinite)[0]
@@ -143,15 +142,14 @@ def _require_monotone(net: Network) -> None:
 def _segments(
     core: CompiledNetwork, first: np.ndarray, second: np.ndarray, quadrature_nodes: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(blocks, infinite) of the K segments from first[..., k] to second[..., k]
-    (padded shares, (P, W, K)): the averaged derivatives own[0], own[1],
-    cross[0] and cross[1] of `SegmentMatrices`, (4, N, K), and whether a
-    cost is infinite somewhere on its segment, (P, N, K).  A batch entry
-    equals its segment alone, bit for bit: pairs come before the quadrature
-    nodes, whose weighted sums run left to right from 0."""
+    """(blocks, infinite) of the K segments from first[:, k] to second[:, k]
+    (road flows of `core._flows`, (P*N + 1, K)): the averaged derivatives
+    own[0], own[1], cross[0] and cross[1] of `SegmentMatrices`, (4, N, K),
+    and whether a cost is infinite somewhere on its segment, (P, N, K).  A
+    batch entry equals its segment alone, bit for bit: pairs come before the
+    quadrature nodes, whose weighted sums run left to right from 0."""
     nodes, weights = gauss_legendre_unit(quadrature_nodes)
-    # Road flows (P*N + 1, K, 1); the last row is the zero row.
-    start, end = (core._flows(x.reshape(-1, x.shape[-1]))[..., None] for x in (first, second))
+    start, end = first[..., None], second[..., None]  # the last flow row is the zero row
     population = np.arange(len(start)) // core.road_count  # of each flow row; 2 for the zero row
     line = np.minimum((1 - nodes) * start + nodes * end, 1.0)
     averages, infinite = [], []
@@ -274,13 +272,19 @@ def check_hypothesis_coupling(net: Network, sampler: HSampler = HSampler()) -> U
 
     Preconditions: exactly two populations, each satisfying the
     distinguishing-road condition (raises `GammaConditionError` naming the
-    first offender), and monotone costs.  For each sampled pair, every road
-    used by both populations must satisfy the strict coupling case, except
-    at most one road falling in one of the degenerate admissible cases.
-    Roads outside either population's subnetwork are excluded (`n/a`).
-    Pairs whose segment meets an infinite cost are skipped and counted.  The
-    verdict is "at-most-one (sampled)" or "hypothesis fails (sampled)";
-    sampling never proves the hypothesis for all pairs.
+    first offender), and monotone costs.  The sample is every two vertices
+    of the product of simplices, the barycenter with each vertex, then
+    `sampler.pairs` random pairs; past `UNIQUENESS_BUDGET` pairs it is
+    refused with `OracleBudgetError` before any of it is built.  For each
+    sampled pair, every road used by both populations must satisfy the
+    strict coupling case, except at most one road falling in one of the
+    degenerate admissible cases.  Roads outside either population's
+    subnetwork are excluded (`n/a`).  Pairs whose segment meets an infinite
+    cost are skipped and counted.  The verdict is "at-most-one (sampled)" or
+    "hypothesis fails (sampled)"; sampling never proves the hypothesis for
+    all pairs.  Memory grows with the pair count only through two index
+    arrays: the points' road flows are computed once, and each batch of
+    segments is reduced to the report's maxima before the next.
     """
     if len(net.populations) != 2:
         raise PreconditionError("uniqueness analysis is defined for exactly 2 populations")
@@ -290,21 +294,27 @@ def check_hypothesis_coupling(net: Network, sampler: HSampler = HSampler()) -> U
             offender = next(i for i in range(len(pop.routes)) if i not in witnesses)
             raise GammaConditionError(pop.name, offender)
     _require_monotone(net)
+    vertices = math.prod(len(pop.routes) for pop in net.populations)
+    sample = math.comb(vertices, 2) + vertices + sampler.pairs
+    if sample > UNIQUENESS_BUDGET:
+        raise OracleBudgetError(
+            f"uniqueness sample of {sample} pairs exceeds the budget of {UNIQUENESS_BUDGET}"
+        )
     core = compile_network(net)
-    ends = _sample_pairs(net, core, sampler)
+    points, first, second = _sample_pairs(net, core, sampler)
+    flows = core._flows(points.reshape(-1, points.shape[-1]))  # (P*N + 1, points)
     nodes = sampler.quadrature_nodes
-    flow_rows = core.pop_count * core.road_count + 1
-    chunk = max(1, SEGMENT_BATCH // (nodes * (flow_rows + core.program.slot_count)))
-    kept = []  # the blocks of the pairs whose costs stay finite
-    for k in range(0, ends.shape[-1], chunk):
-        blocks, infinite = _segments(core, *ends[..., k : k + chunk], nodes)
-        kept.append(blocks[..., ~infinite.any(axis=(0, 1))])
+    chunk = max(1, SEGMENT_BATCH // (nodes * (len(flows) + core.program.slot_count)))
     shared = (core.cost_slots != core.program.zero_slot).all(axis=0)
-    ranks = _block_ranks(*np.concatenate(kept, axis=-1)[:, shared])  # (shared roads, pairs)
-    evaluated = ranks.shape[1]
     worst = np.zeros(core.road_count, dtype=int)  # rank 0: not shared
-    worst[shared] = ranks.max(axis=1, initial=0)
-    exceptional = int(np.count_nonzero(ranks != _RANK[H_STRICT], axis=0).max(initial=0))
+    exceptional = evaluated = 0
+    for k in range(0, len(first), chunk):
+        pairs = slice(k, k + chunk)
+        blocks, infinite = _segments(core, flows[:, first[pairs]], flows[:, second[pairs]], nodes)
+        ranks = _block_ranks(*blocks[:, shared][..., ~infinite.any(axis=(0, 1))])  # (shared roads, finite pairs)
+        worst[shared] = np.maximum(worst[shared], ranks.max(axis=1, initial=0))
+        exceptional = max(exceptional, int(np.count_nonzero(ranks != _RANK[H_STRICT], axis=0).max(initial=0)))
+        evaluated += ranks.shape[1]
     defpos_ok = bool(worst.max() < _RANK[H_VIOLATION])
     satisfied = defpos_ok and exceptional <= 1 and evaluated > 0
     if evaluated == 0:
@@ -317,33 +327,43 @@ def check_hypothesis_coupling(net: Network, sampler: HSampler = HSampler()) -> U
         exceptional_roads=exceptional,
         hypothesis_satisfied=satisfied,
         pairs_sampled=evaluated,
-        pairs_skipped_infinite=ends.shape[-1] - evaluated,
+        pairs_skipped_infinite=len(first) - evaluated,
         verdict=verdict,
     )
 
 
-SEGMENT_BATCH = 1 << 13  # flow rows and slots times quadrature nodes of one segment batch
+UNIQUENESS_BUDGET = 1_000_000  # pairs `check_hypothesis_coupling` samples at most
+# Flow rows and slots times quadrature nodes of one segment batch.  Batches
+# as large as the compiled working set (`_WORKING_SET`, 1 << 17) speed up
+# only samples of thousands of pairs, and cost the small ones memory.  On a
+# shared 2-vCPU x86_64 box, in-process: `delay_spillover` at 400 pairs took
+# the same time either way (37 ms, interleaved) while its traced peak rose
+# from 0.43 to 3.96 MiB, against the 44 MiB peak RSS of the benchmark's
+# `analysis` workload; layered (4, 2, 2) at 0 pairs, which no benchmark op
+# runs, fell from 10.9 to 8.6 s.
+SEGMENT_BATCH = 1 << 13
 
 
-def _sample_pairs(net: Network, core: CompiledNetwork, sampler: HSampler) -> np.ndarray:
-    """Padded shares (2, P, W, K) of the pairs' first and second assignments:
-    every two vertices of the product of simplices, the barycenter with each
-    vertex, then `sampler.pairs` random pairs."""
+def _sample_pairs(net: Network, core: CompiledNetwork, sampler: HSampler) -> tuple[np.ndarray, ...]:
+    """(points, first, second): padded shares (P, W, T) of the V vertices of
+    the product of simplices in product order, the barycenter, then
+    2 * `sampler.pairs` random draws; and the index arrays into them of the
+    sampled pairs, every two vertices, the barycenter with each vertex, then
+    the draws two by two."""
+    vertices = math.prod(core.route_counts)
+    points = np.zeros((core.pop_count, core.width, vertices + 1 + 2 * sampler.pairs))
+    corners = np.array(np.unravel_index(np.arange(vertices), core.route_counts))  # (P, V)
+    points[np.arange(core.pop_count)[:, None], corners, np.arange(vertices)] = 1.0
+    points[..., vertices] = core.pack(uniform_assignment(net))
     rng = np.random.default_rng(sampler.seed)
-
-    def random_assignment() -> Assignment:
+    for k in range(vertices + 1, points.shape[-1]):
         shares = [rng.dirichlet(np.ones(n)) for n in core.route_counts]
-        return Assignment.make(shares, tolerance=1e-9)
-
-    vertices = [vertex_assignment(net, c) for c in itertools.product(*map(range, core.route_counts))]
-    bary = uniform_assignment(net)
-    pairs = itertools.chain(
-        itertools.combinations(vertices, 2),
-        ((bary, v) for v in vertices),
-        ((random_assignment(), random_assignment()) for _ in range(sampler.pairs)),
-    )
-    pair = np.dtype((float, (2, core.pop_count, core.width)))
-    return np.moveaxis(np.fromiter(([core.pack(a), core.pack(b)] for a, b in pairs), pair), 0, -1)
+        points[..., k] = core.pack(Assignment.make(shares, tolerance=1e-9))
+    i, j = np.triu_indices(vertices, 1)  # in `itertools.combinations` order
+    draws = np.arange(vertices + 1, points.shape[-1], 2)
+    first = np.concatenate([i, np.full(vertices, vertices), draws])
+    second = np.concatenate([j, np.arange(vertices), draws + 1])
+    return points, first, second
 
 
 def check_uniqueness(

@@ -11,7 +11,7 @@ Exit codes are a total function of the outcome class:
 * 3 - solver did not converge or its result failed verification
 * 4 - non-monotone costs without --allow-nonmonotone, or with it, a
   non-monotone cost that evaluates negative
-* 5 - oracle grid exceeds the enumeration budget
+* 5 - the oracle grid or the uniqueness sample exceeds its budget
 
 Every exit of 2 or more that `main` returns prints exactly one `error:`
 line on stderr, a solve that ends in 3 after its report; a bad flag value
@@ -83,7 +83,11 @@ def _positive(kind: type, name: str):
     return _checked(kind, lambda v: 0 < v < math.inf, f"{name} must be positive and finite")
 
 
-_seed = _checked(int, lambda v: v >= 0, "seed must be a nonnegative integer")
+def _count(name: str):
+    return _checked(int, lambda v: v >= 0, f"{name} must be a nonnegative integer")
+
+
+_seed = _count("seed")
 _omega = _checked(float, lambda v: 0 < v <= 1, "omega must lie in (0, 1]")
 _quadrature = _checked(int, lambda v: 0 < v <= analysis.MAX_QUADRATURE_NODES,
                        f"quadrature must be positive and at most {analysis.MAX_QUADRATURE_NODES}")
@@ -145,9 +149,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_unique = sub.add_parser("uniqueness", help="sampled at-most-one-equilibrium diagnostic")
     p_unique.add_argument("network")
-    p_unique.add_argument("--pairs", type=_positive(int, "pairs"), default=HSampler.pairs)
+    p_unique.add_argument("--pairs", type=_count("pairs"), default=HSampler.pairs)
     p_unique.add_argument("--quadrature", type=_quadrature, default=HSampler.quadrature_nodes)
-    p_unique.add_argument("--starts", type=_positive(int, "starts"),
+    p_unique.add_argument("--starts", type=_count("starts"),
                           default=MultistartParams.random_starts,
                           help="random multistart count for the residual check")
     p_unique.add_argument("--seed", type=_seed, default=HSampler.seed)

@@ -86,6 +86,21 @@ def flat_network() -> Network:
     )
 
 
+def parallel_network(routes: int) -> Network:
+    """Two populations from a to b on the same `routes` parallel roads, each
+    road a route of its own, with affine costs: every sampled pair is finite."""
+    roads = tuple(Road(f"r{k}", "a", "b") for k in range(routes))
+    return Network(
+        junctions=(Junction("a"), Junction("b")),
+        roads=roads,
+        populations=tuple(
+            PopulationSpec(name, "a", "b", tuple(RouteSpec((r.id,)) for r in roads),
+                           {r.id: Affine(1.0 + k, {name: 2.0, other: 0.5}) for k, r in enumerate(roads)})
+            for name, other in [("east", "west"), ("west", "east")]
+        ),
+    )
+
+
 def blocking_network() -> Network:
     """A takes r1 or r2, each at cost 1; B takes r1, at A's load / (1 - A's
     load), or r3 at cost 1.  Every split of A is Nash for A, and where A is

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -45,7 +47,14 @@ from wardrop.equilibrium import (
 )
 from wardrop.netcore import Network, PopulationSpec, build_incidence
 
-from conftest import blocking_network, flat_network, nested_times, random_cost_network
+from conftest import (
+    blocking_network,
+    flat_network,
+    layered,
+    nested_times,
+    parallel_network,
+    random_cost_network,
+)
 
 
 def incidence_arrays(net: Network) -> list[np.ndarray]:
@@ -400,6 +409,34 @@ def test_coupling_is_the_same_in_any_pair_chunks(per_chunk, sizes, corridor_net,
     monkeypatch.setattr(analysis, "SEGMENT_BATCH", per_chunk * per_pair)
     assert check_hypothesis_coupling(corridor_net, sampler) == expected
     assert seen == sizes
+
+
+def test_coupling_memory_does_not_grow_with_the_vertex_pairs():
+    # 100 vertices, so 5,050 pairs, all finite: their padded shares alone
+    # would take 1.8 MB.
+    net = parallel_network(10)
+    tracemalloc.start()
+    try:
+        report = check_hypothesis_coupling(net, HSampler(pairs=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (report.pairs_sampled, report.pairs_skipped_infinite) == (5050, 0)
+    assert peak < 2**20
+
+
+def test_a_sample_past_the_budget_is_refused_before_it_is_built():
+    # 300 routes each: 90,000 vertices and about 4e9 vertex pairs.
+    start = time.perf_counter()
+    with pytest.raises(OracleBudgetError, match="sample of 4050045000 pairs exceeds the budget of 1000000$"):
+        check_uniqueness(parallel_network(300), HSampler(pairs=0))
+    assert time.perf_counter() - start < 0.5
+    # A network that fails the distinguishing-road condition keeps that answer.
+    with pytest.raises(GammaConditionError):
+        check_hypothesis_coupling(layered(4, 3, 2, 0), HSampler(pairs=0))
+    # delay_spillover samples 10 pairs besides the random ones.
+    with pytest.raises(OracleBudgetError, match="sample of 1000001 pairs"):
+        check_hypothesis_coupling(nets.delay_spillover(), HSampler(pairs=analysis.UNIQUENESS_BUDGET - 9))
 
 
 @pytest.mark.parametrize("field, value", [

@@ -17,7 +17,7 @@ from wardrop.costs import ExtReal
 from wardrop.equilibrium import MultistartParams, SolveParams
 from wardrop.fileio import dumps_structured, network_to_obj, save_network
 
-from conftest import blocking_network, flat_network
+from conftest import blocking_network, flat_network, parallel_network
 
 
 @pytest.fixture()
@@ -178,6 +178,21 @@ class TestUniqueness:
         assert main(["uniqueness", files["delay_spillover"], "--pairs", "40"]) == 0
         out = capsys.readouterr().out
         assert "at-most-one (sampled)" in out
+
+    def test_zero_pairs_and_starts_are_accepted(self, files, capsys):
+        argv = ["uniqueness", files["delay_spillover"], "--pairs", "0", "--starts", "0",
+                "--format", "structured"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["pairs_sampled"] == 10  # the vertex pairs
+
+    def test_a_sample_past_the_budget_exits_five_before_any_solve(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "parallel.json"
+        save_network(parallel_network(300), path)
+        monkeypatch.setattr(equilibrium, "solve_multistart", lambda *_: pytest.fail("solved"))
+        assert main(["uniqueness", str(path)]) == 5
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: uniqueness sample of 4050045100 pairs exceeds the budget of 1000000\n"
 
     def test_gamma_failure_exits_one_naming_route(self, tmp_path, capsys):
         net = nets.braess_base()
