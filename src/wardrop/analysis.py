@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import equilibrium
-from .compiled import _POW, CompiledNetwork, _route_total, compile_network
+from .compiled import _POW, CompiledNetwork, _column_total, _route_total, compile_network
 from .costs import InfiniteCostError
 from .equilibrium import (
     Assignment,
@@ -282,9 +282,21 @@ def check_hypothesis_coupling(net: Network, sampler: HSampler = HSampler()) -> U
     subnetwork are excluded (`n/a`).  Pairs whose segment meets an infinite
     cost are skipped and counted.  The verdict is "at-most-one (sampled)" or
     "hypothesis fails (sampled)"; sampling never proves the hypothesis for
-    all pairs.  Memory grows with the pair count only through two index
-    arrays: the points' road flows are computed once, and each batch of
-    segments is reduced to the report's maxima before the next.
+    all pairs.
+
+    The report is that of evaluating every pair's segment, reached in one
+    of three ways:
+    - Where every cost is a linear form or a fold of them and none can
+      raise, slopes are constant, so every pair's blocks are those of one
+      segment: that one is evaluated, for the whole sample, and nothing is
+      drawn.
+    - Else, where no cost can raise, a pair whose congestion load reaches
+      its capacity at the first or last quadrature node
+      (`_certainly_infinite`) is skipped before its segment is evaluated.
+    - The other pairs' segments are evaluated in batches, each reduced to
+      the report's maxima before the next.  Memory grows with the pair
+      count only through index arrays and the points' road flows, computed
+      once.
     """
     if len(net.populations) != 2:
         raise PreconditionError("uniqueness analysis is defined for exactly 2 populations")
@@ -301,9 +313,17 @@ def check_hypothesis_coupling(net: Network, sampler: HSampler = HSampler()) -> U
             f"uniqueness sample of {sample} pairs exceeds the budget of {UNIQUENESS_BUDGET}"
         )
     core = compile_network(net)
-    points, first, second = _sample_pairs(net, core, sampler)
+    raising = core.program.raising_slots()
+    linear = core.program.is_linear() and raising is None
+    if linear:  # the barycenter with itself stands for every pair
+        points, first, second = core.pack(uniform_assignment(net))[..., None], *np.zeros((2, 1), dtype=int)
+    else:
+        points, first, second = _sample_pairs(net, core, sampler)
     flows = core._flows(points.reshape(-1, points.shape[-1]))  # (P*N + 1, points)
     nodes = sampler.quadrature_nodes
+    if raising is None:
+        finite = ~_certainly_infinite(core, flows, first, second, gauss_legendre_unit(nodes)[0])
+        first, second = first[finite], second[finite]
     chunk = max(1, SEGMENT_BATCH // (nodes * (len(flows) + core.program.slot_count)))
     shared = (core.cost_slots != core.program.zero_slot).all(axis=0)
     worst = np.zeros(core.road_count, dtype=int)  # rank 0: not shared
@@ -315,6 +335,8 @@ def check_hypothesis_coupling(net: Network, sampler: HSampler = HSampler()) -> U
         worst[shared] = np.maximum(worst[shared], ranks.max(axis=1, initial=0))
         exceptional = max(exceptional, int(np.count_nonzero(ranks != _RANK[H_STRICT], axis=0).max(initial=0)))
         evaluated += ranks.shape[1]
+    if linear:
+        evaluated *= sample  # the one segment stands for every pair
     defpos_ok = bool(worst.max() < _RANK[H_VIOLATION])
     satisfied = defpos_ok and exceptional <= 1 and evaluated > 0
     if evaluated == 0:
@@ -327,21 +349,53 @@ def check_hypothesis_coupling(net: Network, sampler: HSampler = HSampler()) -> U
         exceptional_roads=exceptional,
         hypothesis_satisfied=satisfied,
         pairs_sampled=evaluated,
-        pairs_skipped_infinite=len(first) - evaluated,
+        pairs_skipped_infinite=sample - evaluated,
         verdict=verdict,
     )
 
 
 UNIQUENESS_BUDGET = 1_000_000  # pairs `check_hypothesis_coupling` samples at most
-# Flow rows and slots times quadrature nodes of one segment batch.  Batches
-# as large as the compiled working set (`_WORKING_SET`, 1 << 17) speed up
-# only samples of thousands of pairs, and cost the small ones memory.  On a
-# shared 2-vCPU x86_64 box, in-process: `delay_spillover` at 400 pairs took
-# the same time either way (37 ms, interleaved) while its traced peak rose
-# from 0.43 to 3.96 MiB, against the 44 MiB peak RSS of the benchmark's
-# `analysis` workload; layered (4, 2, 2) at 0 pairs, which no benchmark op
-# runs, fell from 10.9 to 8.6 s.
+# Flow rows and slots times quadrature nodes of one segment batch, and flow
+# rows and loads times end nodes of one batch of `_certainly_infinite`.
+# Against batches as large as the compiled working set (`_WORKING_SET`,
+# 1 << 17), in-process on a shared 2-vCPU x86_64 box, medians of 5-21 runs:
+# layered (4, 2, 2) at 0 pairs, where 138 of 32,896 pairs reach the
+# segments, took 0.23-0.26 s against 0.17-0.23 s, at a traced peak of 1.08
+# against 4.83 MiB; `congestion_corridor` at 400 pairs took 5.7-6.4 ms
+# against 3.0-3.7 ms, at 0.45 against 1.29 MiB.  The smaller batch keeps
+# the peak well inside the 44 MiB peak RSS of the benchmark's `analysis`
+# workload.
 SEGMENT_BATCH = 1 << 13
+
+
+def _certainly_infinite(
+    core: CompiledNetwork, flows: np.ndarray, first: np.ndarray, second: np.ndarray, nodes: np.ndarray
+) -> np.ndarray:
+    """Whether the segment of each pair (first[k], second[k]) of flow points
+    meets an infinite cost in `_segments` at its first or last quadrature
+    node, for either moving population: a congestion load that is a cost of
+    its own (not a folded term) reaches its capacity there.  The loads are
+    those of `CostProgram.slopes` at those nodes, bit for bit, so a flagged
+    pair is infinite; the others are left to `_segments`.  Along a segment
+    a population's load on a road is linear, so these two nodes hold its
+    largest loads, up to rounding.  Pairs go in batches of SEGMENT_BATCH
+    flow rows and loads times nodes."""
+    slots, capacity = core.program.load_slots()
+    own = np.isin(slots, core.cost_slots)
+    flagged = np.zeros(len(first), dtype=bool)
+    if not own.any():
+        return flagged
+    capacity = capacity[own, None, None]
+    ends = np.unique(nodes[[0, -1]])
+    population = np.arange(len(flows))[:, None, None] // core.road_count  # 2 for the zero row
+    chunk = max(1, SEGMENT_BATCH // (len(ends) * (len(flows) + len(slots))))
+    for k in range(0, len(first), chunk):
+        start, end = flows[:, first[k : k + chunk], None], flows[:, second[k : k + chunk], None]
+        line = np.minimum((1 - ends) * start + ends * end, 1.0)
+        for p, frozen in ((0, end), (1, start)):  # as in `_segments`
+            load = core.program.loads(np.where(population == p, line, frozen))[own]
+            flagged[k : k + chunk] |= (load >= capacity).any(axis=(0, 2))
+    return flagged
 
 
 def _sample_pairs(net: Network, core: CompiledNetwork, sampler: HSampler) -> tuple[np.ndarray, ...]:
@@ -355,15 +409,34 @@ def _sample_pairs(net: Network, core: CompiledNetwork, sampler: HSampler) -> tup
     corners = np.array(np.unravel_index(np.arange(vertices), core.route_counts))  # (P, V)
     points[np.arange(core.pop_count)[:, None], corners, np.arange(vertices)] = 1.0
     points[..., vertices] = core.pack(uniform_assignment(net))
-    rng = np.random.default_rng(sampler.seed)
-    for k in range(vertices + 1, points.shape[-1]):
-        shares = [rng.dirichlet(np.ones(n)) for n in core.route_counts]
-        points[..., k] = core.pack(Assignment.make(shares, tolerance=1e-9))
+    points[..., vertices + 1 :] = _draw_shares(core, 2 * sampler.pairs, sampler.seed)
     i, j = np.triu_indices(vertices, 1)  # in `itertools.combinations` order
     draws = np.arange(vertices + 1, points.shape[-1], 2)
     first = np.concatenate([i, np.full(vertices, vertices), draws])
     second = np.concatenate([j, np.arange(vertices), draws + 1])
     return points, first, second
+
+
+def _draw_shares(core: CompiledNetwork, count: int, seed: int) -> np.ndarray:
+    """Padded shares (P, W, count) of `count` seeded draws, equal bit for bit
+    to drawing each one population by population as
+    `Assignment.make([rng.dirichlet(np.ones(n)) for n in core.route_counts],
+    tolerance=1e-9)`, and raising where that raises.  For alpha 1,
+    `dirichlet` normalizes standard gamma variates, drawn in that same order:
+    it multiplies by the reciprocal of their left-to-right sum.  `make`
+    checks that sum again, clamps at 0, which leaves nonnegative variates
+    as they are, and divides by it."""
+    gammas = np.random.default_rng(seed).standard_gamma(1.0, (count, sum(core.route_counts))).T
+    blocks = np.split(gammas, np.cumsum(core.route_counts)[:-1])
+    drawn = [block * (1 / _column_total(block)) for block in blocks]
+    totals = [_column_total(block) for block in drawn]
+    refused = np.logical_or.reduce([~(abs(total - 1.0) <= 1e-9) for total in totals])  # also where not finite
+    if refused.any():  # `make`'s error for the first draw it refuses
+        Assignment.make([block[:, refused.argmax()] for block in drawn], tolerance=1e-9)
+    shares = np.zeros((core.pop_count, core.width, count))
+    for p, (block, total) in enumerate(zip(drawn, totals)):
+        shares[p, : len(block)] = block / total
+    return shares
 
 
 def check_uniqueness(
@@ -492,13 +565,17 @@ def brute_force_equilibria(
 
     grids = [compositions(n, resolution) for n in counts]
     steps, residuals = _scan_product_grid(net, grids, resolution, tolerance)
+    if len(steps) == total:  # every point is a hit: one component, moved a step at a time
+        heads = np.argsort(residuals, kind="stable")[:1]
+    else:
+        heads = _cluster_hits(steps, residuals)
     populations = np.cumsum(counts)[:-1]  # where each population's columns start
     return OracleResult(
         resolution=resolution,
         equilibria=tuple(
             (Assignment.make(np.split(steps[k] / resolution, populations), tolerance=1e-9),
              float(residuals[k]))
-            for k in _cluster_hits(steps, residuals).tolist()
+            for k in heads.tolist()
         ),
         tolerance=tolerance,
         points_scanned=total,

@@ -249,6 +249,25 @@ class CostProgram:
             _column_total(folded, slots[m:])
         return slots
 
+    def is_linear(self) -> bool:
+        """Whether every slot is a linear form or a fold of them: no loads
+        and no monomials, so every slope is the same at every flow point."""
+        a, b, m = self._bounds
+        return a == b == m
+
+    def load_slots(self) -> tuple[np.ndarray, np.ndarray]:
+        """(slots, capacities) of the congestion leaves, in `loads` order."""
+        a, b, _ = self._bounds
+        return np.arange(a, b), self._cap
+
+    def loads(self, flows: np.ndarray) -> np.ndarray:
+        """Each congestion leaf's load s at each flow point, (leaves, ...),
+        as `slopes` sums it: its value and slope are +inf where s >= its
+        capacity."""
+        a, b, _ = self._bounds
+        coeffs = _per_row(self._lin_coeffs[:, a:b], flows.shape[1:])
+        return _column_total(flows[self._lin_cols[:, a:b]] * coeffs)
+
     def raising_slots(self) -> np.ndarray | None:
         """Per slot, whether evaluating it can raise: it is or folds a
         non-monotone linear form or a leaf scaled by 0; None if none can."""
@@ -328,9 +347,8 @@ class CostProgram:
         slopes = np.empty((self.slot_count,) + batch)
         slopes[:b] = _column_total(tangent[self._lin_cols] * coeffs)
         if b > a:  # d(s / (c - s)) = ds * c / (c - s)^2
-            load = _column_total(flows[self._lin_cols[:, a:b]] * coeffs[:, a:b])
             cap = _per_row(self._cap, batch)
-            room = cap - load
+            room = cap - self.loads(flows)
             dload = slopes[a:b]
             with np.errstate(over="ignore"):  # where ds * c overflows, divide first
                 scaled = dload * cap

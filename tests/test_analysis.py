@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
@@ -33,7 +34,15 @@ from wardrop.analysis import (
     segment_matrices,
 )
 from wardrop.compiled import CompiledNetwork, compile_network
-from wardrop.costs import InfiniteCostError
+from wardrop.costs import (
+    Affine,
+    CongestionRational,
+    Constant,
+    ExtRealGuardError,
+    InfiniteCostError,
+    Scale,
+    Sum,
+)
 from wardrop.equilibrium import (
     DEFAULT_SHARE_TOLERANCE,
     Assignment,
@@ -45,7 +54,7 @@ from wardrop.equilibrium import (
     uniform_assignment,
     vertex_assignment,
 )
-from wardrop.netcore import Network, PopulationSpec, build_incidence
+from wardrop.netcore import Junction, Network, PopulationSpec, Road, RouteSpec, build_incidence
 
 from conftest import (
     blocking_network,
@@ -392,13 +401,9 @@ def test_coupling_equals_a_loop_over_the_pairs_on_random_networks():
         assert check_hypothesis_coupling(net, sampler) == loop_coupling(net, sampler)
 
 
-@pytest.mark.parametrize("per_chunk, sizes", [(1, [1] * 110), (7, [7] * 15 + [5])])
-def test_coupling_is_the_same_in_any_pair_chunks(per_chunk, sizes, corridor_net, monkeypatch):
-    sampler = HSampler(pairs=100)  # 110 pairs with the corners
-    expected = check_hypothesis_coupling(corridor_net, sampler)
-    core = analysis.compile_network(corridor_net)
-    flow_rows = core.pop_count * core.road_count + 1
-    per_pair = sampler.quadrature_nodes * (flow_rows + core.program.slot_count)
+@pytest.fixture
+def segment_batches(monkeypatch) -> list[int]:
+    """The pair count of every `_segments` call, in call order."""
     seen, segments = [], analysis._segments
 
     def spy(core, first, second, nodes):
@@ -406,9 +411,142 @@ def test_coupling_is_the_same_in_any_pair_chunks(per_chunk, sizes, corridor_net,
         return segments(core, first, second, nodes)
 
     monkeypatch.setattr(analysis, "_segments", spy)
+    return seen
+
+
+@pytest.mark.parametrize("per_chunk, sizes", [(1, [1] * 23), (7, [7, 7, 7, 2])])
+def test_coupling_is_the_same_in_any_pair_chunks(
+    per_chunk, sizes, corridor_net, segment_batches, monkeypatch
+):
+    # 110 pairs with the corners; the 87 whose congestion load reaches its
+    # capacity at an end node never reach `_segments`.
+    sampler = HSampler(pairs=100)
+    expected = check_hypothesis_coupling(corridor_net, sampler)
+    core = analysis.compile_network(corridor_net)
+    flow_rows = core.pop_count * core.road_count + 1
+    per_pair = sampler.quadrature_nodes * (flow_rows + core.program.slot_count)
     monkeypatch.setattr(analysis, "SEGMENT_BATCH", per_chunk * per_pair)
+    segment_batches.clear()
     assert check_hypothesis_coupling(corridor_net, sampler) == expected
-    assert seen == sizes
+    assert segment_batches == sizes
+
+
+def parallel_pair(first_routes: int, second_routes: int) -> Network:
+    """Two populations from a to b on parallel roads, one road a route: the
+    first on the first `first_routes` roads, the second on the last
+    `second_routes`.  A road both use costs a congestion load of capacity
+    1.5, below its peak load of 2; the others an affine cost."""
+    count = max(first_routes, second_routes)
+    roads = tuple(Road(f"r{k}", "a", "b") for k in range(count))
+    used = [roads[:first_routes], roads[count - second_routes :]]
+    shared = set(used[0]) & set(used[1])
+    return Network(
+        junctions=(Junction("a"), Junction("b")),
+        roads=roads,
+        populations=tuple(
+            PopulationSpec(name, "a", "b", tuple(RouteSpec((r.id,)) for r in mine), {
+                r.id: CongestionRational({"A": 1.0, "B": 1.0}, 1.5) if r in shared
+                else Affine(1.0, {name: 1.0}) for r in mine
+            })
+            for name, mine in zip("AB", used)
+        ),
+    )
+
+
+def blocking_at(capacity: float, cost=None) -> Network:
+    """`blocking_network` with B's cost on r1 a load of A's of this capacity,
+    or `cost` of it."""
+    net = blocking_network()
+    a, b = net.populations
+    load = CongestionRational({"A": 1.0}, capacity)
+    costs = {**b.costs, "r1": load if cost is None else cost(load)}
+    return Network(net.junctions, net.roads, (a, PopulationSpec(b.name, b.origin, b.destination, b.routes, costs)))
+
+
+# Networks where a congestion capacity lies below the peak load, so that
+# some sampled pairs meet an infinite cost; in "blocking-folded" only a
+# folded term of a cost does, which `_segments` alone decides.
+PAST_CAPACITY = {
+    "corridor": nets.congestion_corridor,
+    "blocking": blocking_network,
+    "blocking-folded": lambda: blocking_at(1.0, lambda load: Sum((Constant(0.5), Scale(2.0, load)))),
+    **{f"layered-{m}": functools.partial(layered, 2, 1, 2, 0, m) for m in range(3)},
+    **{f"parallel-{a}-{b}": functools.partial(parallel_pair, a, b) for a, b in [(1, 9), (2, 3), (3, 2), (9, 1)]},
+}
+
+
+@pytest.mark.parametrize("pairs", [0, 3, 100])
+@pytest.mark.parametrize("name", sorted(PAST_CAPACITY))
+def test_coupling_past_capacity_equals_the_loop(name, pairs):
+    net = PAST_CAPACITY[name]()
+    sampler = HSampler(pairs=pairs, seed=pairs)
+    report = check_hypothesis_coupling(net, sampler)
+    assert report == loop_coupling(net, sampler)
+    assert report.pairs_skipped_infinite > 0
+
+
+@pytest.mark.parametrize("nodes", [1, 2, 16])
+def test_a_load_at_capacity_at_one_node_alone_is_infinite(nodes, segment_batches):
+    # From the barycenter to a vertex with A on r1, A's load on r1 rises from
+    # 0.5 to 1 while B moves: at the last node it is exactly this capacity,
+    # below it at every other node and wherever A is frozen at the barycenter.
+    last = gauss_legendre_unit(nodes)[0][-1]
+    capacity = float((1 - last) * 0.5 + last * 1.0)
+    sampler = HSampler(pairs=0, quadrature_nodes=nodes)
+    reports = []
+    for cap in (capacity, math.nextafter(capacity, 2.0)):  # then finite, if barely
+        net = blocking_at(cap)
+        expected = loop_coupling(net, sampler)
+        segment_batches.clear()
+        reports.append(check_hypothesis_coupling(net, sampler))
+        assert reports[-1] == expected
+        assert sum(segment_batches) == expected.pairs_sampled  # every infinite pair is caught first
+    # the barycenter with each of the two vertices that put A on r1
+    assert reports[0].pairs_skipped_infinite == reports[1].pairs_skipped_infinite + 2
+
+
+def test_a_zero_scaled_load_at_capacity_raises_as_the_loop_does():
+    net = blocking_at(1.0, lambda load: Sum((Constant(1.0), Scale(0.0, load))))
+    with pytest.raises(ExtRealGuardError):
+        loop_coupling(net, HSampler(pairs=3))
+    for pairs in (0, 3, 100):
+        with pytest.raises(ExtRealGuardError, match="0 \\* inf is not defined"):
+            check_hypothesis_coupling(net, HSampler(pairs=pairs))
+
+
+LINEAR_NETWORKS = {
+    "flat": flat_network,
+    **{name: nets.BUILDERS[name] for name in
+       ("braess_augmented", "braess_base", "delay_spillover", "merge_base", "merge_linked")},
+}
+
+
+@pytest.mark.parametrize("pairs", [0, 3, 100])
+@pytest.mark.parametrize("name", sorted(LINEAR_NETWORKS))
+def test_a_linear_network_is_decided_by_one_segment(name, pairs, segment_batches, monkeypatch):
+    net = LINEAR_NETWORKS[name]()
+    sampler = HSampler(pairs=pairs, seed=pairs)
+    expected = loop_coupling(net, sampler)
+
+    def draw(*args):
+        raise AssertionError("drew a sample")
+
+    monkeypatch.setattr(analysis, "_sample_pairs", draw)
+    segment_batches.clear()
+    assert check_hypothesis_coupling(net, sampler) == expected
+    assert segment_batches == [1]
+
+
+@pytest.mark.parametrize("counts", [(2, 2), (2, 3), (3, 2), (9, 9), (1, 4), (12, 5), (27, 27)])
+def test_the_draws_are_dirichlet_draws_made_one_by_one(counts):
+    core = compile_network(parallel_pair(*counts))
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        expected = np.stack([
+            core.pack(Assignment.make([rng.dirichlet(np.ones(n)) for n in counts], tolerance=1e-9))
+            for _ in range(7)
+        ], axis=-1)
+        assert np.array_equal(analysis._draw_shares(core, 7, seed), expected)
 
 
 def test_coupling_memory_does_not_grow_with_the_vertex_pairs():
@@ -691,25 +829,33 @@ BENCHMARK_ORACLE_RUNS = [
 ]
 
 
+@pytest.fixture
+def grid_scans(monkeypatch) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The (steps, residuals) hits of every oracle grid scan, in call order."""
+    seen, scan = [], analysis._scan_product_grid
+
+    def spy(*args):
+        seen.append(scan(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(analysis, "_scan_product_grid", spy)
+    return seen
+
+
 @pytest.mark.parametrize("name, grid", BENCHMARK_ORACLE_RUNS)
-def test_clusters_equal_the_pairwise_loop_on_the_oracle_hits(name, grid, monkeypatch):
-    seen = []
-
-    def spy(steps, residuals):
-        heads = _cluster_hits(steps, residuals)
-        seen.append((steps, residuals, heads))
-        return heads
-
-    monkeypatch.setattr(analysis, "_cluster_hits", spy)
+def test_clusters_equal_the_pairwise_loop_on_the_oracle_hits(name, grid, grid_scans):
+    # The oracle clusters the scan's hits, or takes the best one where they
+    # are every grid point (braess_base at grid 24).
     result = brute_force_equilibria(nets.BUILDERS[name](), grid)
-    (steps, residuals, heads), = seen
+    (steps, residuals), = grid_scans
     rows = [tuple(row) for row in steps.tolist()]
     assert len(rows) > 1 and rows == sorted(set(rows))
-    assert heads.tolist() == loop_clusters(steps, residuals)
+    heads = loop_clusters(steps, residuals)
+    assert _cluster_hits(steps, residuals).tolist() == heads
     assert [
         (tuple(round(x * grid) for vec in theta.shares for x in vec), residual)
         for theta, residual in result.equilibria
-    ] == [(rows[k], residuals[k]) for k in heads.tolist()]
+    ] == [(rows[k], residuals[k]) for k in heads]
 
 
 @st.composite
@@ -760,6 +906,24 @@ def test_every_point_of_a_fine_grid_is_one_cluster():
     assert len(steps) == 20301
     (k,) = _cluster_hits(steps, np.zeros(len(steps))).tolist()
     assert steps[k].tolist() == [0, 0, 200]
+
+
+def test_when_every_grid_point_is_a_hit_the_best_one_is_the_answer(grid_scans):
+    # braess_augmented's sampled time variation is 20: up to grid 20 the
+    # tolerance is at least 1, so every grid point is a hit, and a pair sweep
+    # over the 53,361 hits of grid 20 would weigh about 671M candidate pairs.
+    net = nets.braess_augmented()
+    start = time.perf_counter()
+    fine = brute_force_equilibria(net, 20)
+    assert time.perf_counter() - start < 2.0
+    assert fine.tolerance >= 1.0 and len(fine.equilibria) == 1
+    coarse = brute_force_equilibria(net, 8)
+    steps, residuals = grid_scans[-1]
+    assert len(steps) == coarse.points_scanned
+    (k,) = _cluster_hits(steps, residuals).tolist()
+    (theta, residual), = coarse.equilibria
+    assert [round(x * 8) for vec in theta.shares for x in vec] == steps[k].tolist()
+    assert residual == residuals[k]
 
 
 class TestCompare:
