@@ -18,6 +18,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
+from typing import Iterator
 
 import numpy as np
 
@@ -25,6 +26,8 @@ from . import equilibrium
 from .compiled import _POW, CompiledNetwork, _column_total, _route_total, compile_network
 from .costs import InfiniteCostError
 from .equilibrium import (
+    DEFAULT_TIME_TOLERANCE,
+    TIME_TOLERANCE_BOUND,
     Assignment,
     MultistartParams,
     PreconditionError,
@@ -149,22 +152,30 @@ def _segments(
     batch entry equals its segment alone, bit for bit: pairs come before the
     quadrature nodes, whose weighted sums run left to right from 0."""
     nodes, weights = gauss_legendre_unit(quadrature_nodes)
-    start, end = first[..., None], second[..., None]  # the last flow row is the zero row
-    population = np.arange(len(start)) // core.road_count  # of each flow row; 2 for the zero row
-    line = np.minimum((1 - nodes) * start + nodes * end, 1.0)
     averages, infinite = [], []
-    # Population 0 moves with population 1 frozen at the second endpoint,
-    # then population 1 moves with population 0 frozen at the first: the
-    # order that makes the telescoping identity exact.
-    for p, frozen in ((0, end), (1, start)):
-        moving = (population == p)[:, None, None]
-        tangent = np.where(moving, 1.0, np.zeros_like(line))
-        slopes = core.program.slopes(np.where(moving, line, frozen), tangent)
+    for moving, points in _segment_points(core, first[..., None], second[..., None], nodes):
+        tangent = np.where(moving, 1.0, np.zeros_like(points))
+        slopes = core.program.slopes(points, tangent)
         infinite.append(np.isinf(slopes).any(axis=-1))
         averages.append(np.cumsum(slopes * weights, axis=-1)[..., -1] + 0.0)
     # Moving population 0 gives own[0] and cross[1]; moving 1 gives cross[0] and own[1].
     blocks = np.stack(averages)[[[0], [1], [1], [0]], core.cost_slots[[0, 1, 0, 1]]]
     return blocks, (infinite[0] | infinite[1])[core.cost_slots]
+
+
+def _segment_points(
+    core: CompiledNetwork, start: np.ndarray, end: np.ndarray, nodes: np.ndarray
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Per moving population p: whether each flow row is p's (P*N + 1, 1, 1),
+    and the flow points (P*N + 1, K, nodes) of the K segments from
+    start[:, k, 0] to end[:, k, 0], p's rows on the line clamped at 1.
+    Population 0 moves with 1 frozen at the end, then 1 with 0 frozen at
+    the start: the order that makes the telescoping identity exact."""
+    population = np.arange(len(start))[:, None, None] // core.road_count
+    line = np.minimum((1 - nodes) * start + nodes * end, 1.0)
+    for p, frozen in ((0, end), (1, start)):
+        moving = population == p
+        yield moving, np.where(moving, line, frozen)
 
 
 # Case codes of a road's 2x2 sensitivity block, most benign first.
@@ -374,9 +385,10 @@ def _certainly_infinite(
     """Whether the segment of each pair (first[k], second[k]) of flow points
     meets an infinite cost in `_segments` at its first or last quadrature
     node, for either moving population: a congestion load that is a cost of
-    its own (not a folded term) reaches its capacity there.  The loads are
-    those of `CostProgram.slopes` at those nodes, bit for bit, so a flagged
-    pair is infinite; the others are left to `_segments`.  Along a segment
+    its own (not a folded term) reaches its capacity there.  Both take
+    their points from `_segment_points`, and `CostProgram.loads` sums the
+    loads as `slopes` does, so a flagged pair is infinite, bit for bit;
+    the others are left to `_segments`.  Along a segment
     a population's load on a road is linear, so these two nodes hold its
     largest loads, up to rounding.  Pairs go in batches of SEGMENT_BATCH
     flow rows and loads times nodes."""
@@ -387,14 +399,12 @@ def _certainly_infinite(
         return flagged
     capacity = capacity[own, None, None]
     ends = np.unique(nodes[[0, -1]])
-    population = np.arange(len(flows))[:, None, None] // core.road_count  # 2 for the zero row
     chunk = max(1, SEGMENT_BATCH // (len(ends) * (len(flows) + len(slots))))
     for k in range(0, len(first), chunk):
-        start, end = flows[:, first[k : k + chunk], None], flows[:, second[k : k + chunk], None]
-        line = np.minimum((1 - ends) * start + ends * end, 1.0)
-        for p, frozen in ((0, end), (1, start)):  # as in `_segments`
-            load = core.program.loads(np.where(population == p, line, frozen))[own]
-            flagged[k : k + chunk] |= (load >= capacity).any(axis=(0, 2))
+        pairs = slice(k, k + chunk)
+        start, end = flows[:, first[pairs], None], flows[:, second[pairs], None]
+        for _, points in _segment_points(core, start, end, ends):
+            flagged[pairs] |= (core.program.loads(points)[own] >= capacity).any(axis=(0, 2))
     return flagged
 
 
@@ -477,8 +487,7 @@ def check_pair_orthogonality(net: Network, first: Assignment, second: Assignment
     core = compile_network(net)
     x = np.stack([core.pack(first), core.pack(second)], axis=-1)
     t = core.times(x)
-    tolerances = equilibrium.DEFAULT_TIME_TOLERANCE, equilibrium.DEFAULT_SHARE_TOLERANCE
-    for label, nash in zip(("first", "second"), equilibrium._verdicts(core, x, t, *tolerances)[3]):
+    for label, nash in zip(("first", "second"), equilibrium._verdicts(core, x, t, DEFAULT_TIME_TOLERANCE)[3]):
         if not nash:
             raise PreconditionError(f"{label} assignment is not a Nash equilibrium")
     residuals = _pair_residuals(x, t)[0]
@@ -544,15 +553,16 @@ def brute_force_equilibria(
     is positive: every grid share is 0 or at least 1/resolution.  A
     tolerance of 1 or more passes every grid point whose relevant times are
     finite, since a spread is at most its scale and a shortfall at most its
-    mean scale.  Adjacent hits (no share more than two grid steps apart)
-    merge into one cluster represented by the hit with the smallest
-    residual.  Raises `OracleBudgetError` when the grid would exceed
-    `budget` points.
+    mean scale: `tol` must lie in [0, 1), though the variation bound of a
+    coarse grid can reach 1.  Adjacent hits (no share more than two grid
+    steps apart) merge into one cluster represented by the hit with the
+    smallest residual.  Raises `OracleBudgetError` when the grid would
+    exceed `budget` points, a positive int.
     """
-    if resolution < 1:
-        raise ValueError("resolution must be at least 1")
+    _require_int("resolution", resolution, 1)
+    _require_int("budget", budget, 1)
     if tol is not None:
-        _require_tolerance("tol", tol, positive=False)
+        _require_tolerance("tol", tol, positive=False, below=TIME_TOLERANCE_BOUND)
     counts = compile_network(net).route_counts
     sizes = [math.comb(resolution + n - 1, n - 1) for n in counts]
     total = math.prod(sizes)

@@ -42,6 +42,7 @@ from .analysis import (
 from .costs import CostDomainError, ExtRealGuardError
 from .equilibrium import (
     DEFAULT_TIME_TOLERANCE,
+    TIME_TOLERANCE_BOUND,
     DimensionMismatchError,
     MultistartParams,
     NonMonotoneCostError,
@@ -88,6 +89,9 @@ def _count(name: str):
 
 
 _seed = _count("seed")
+_tol = _checked(_positive(float, "tol"), lambda v: v < TIME_TOLERANCE_BOUND,
+                f"tol must be below {TIME_TOLERANCE_BOUND:g}: at {TIME_TOLERANCE_BOUND:g} or more, "
+                "every assignment whose relevant times are finite passes")
 _omega = _checked(float, lambda v: 0 < v <= 1, "omega must lie in (0, 1]")
 _quadrature = _checked(int, lambda v: 0 < v <= analysis.MAX_QUADRATURE_NODES,
                        f"quadrature must be positive and at most {analysis.MAX_QUADRATURE_NODES}")
@@ -107,8 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", default=None, metavar="PATH",
                        help="write the report here instead of standard output")
         if tol:
-            p.add_argument("--tol", type=_positive(float, "tol"), default=DEFAULT_TIME_TOLERANCE,
-                           help="time-equality tolerance (relative)")
+            p.add_argument("--tol", type=_tol, default=DEFAULT_TIME_TOLERANCE,
+                           help="time-equality tolerance (relative), in (0, 1)")
         if solver:
             p.add_argument("--omega", type=_omega, default=SolveParams.omega,
                            help="damping in (0, 1]")

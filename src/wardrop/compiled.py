@@ -101,10 +101,10 @@ def _padded(rows: Sequence[Iterable], pad: int | float, dtype: type = int) -> np
     return np.array(levels, dtype)
 
 
-def share_mean(x: np.ndarray, t: np.ndarray, share_tol: float) -> np.ndarray:
-    """Share-weighted mean times (P, ...) over the routes whose share exceeds
-    `share_tol`; the others contribute nothing, even at +inf."""
-    return _route_total(x * np.where(x > share_tol, t, 0.0))
+def share_mean(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Share-weighted mean times (P, ...) over the routes of positive share;
+    the others contribute nothing, even at +inf."""
+    return _route_total(x * np.where(x > 0.0, t, 0.0))
 
 
 def flow_gather(routes: Sequence[Sequence[int]], rows: int, width: int) -> np.ndarray:
@@ -523,17 +523,14 @@ class CompiledNetwork:
         mean_scale = np.where(mean < np.inf, np.maximum(1.0, mean), 1.0)
         return Spreads(spread, scale, shortfall, mean_scale)
 
-    def eps_gains(
-        self, x: np.ndarray, t: np.ndarray, eps_values: Sequence[float], slack: float
-    ) -> tuple[np.ndarray, ...]:
+    def eps_gains(self, x: np.ndarray, t: np.ndarray, eps: float, slack: float) -> tuple[np.ndarray, ...]:
         """Every feasible mass shift of one assignment, and what it gains.
 
-        A shift moves e from route i of population p (if x[p, i] >= e -
-        slack) to its route j; shifts run over p, the ordered pairs (i, j),
-        then `eps_values`.  Returns (p, i, j, e, gain): gain is the movers'
-        relative time saving (t_i before - t_j after) / max(1, t_i), +inf
-        from an infinite route, -inf (never a gain) into a route that turns
-        infinite.
+        A shift moves `eps` from route i of population p (if x[p, i] >= eps
+        - slack) to its route j; shifts run over p, then the ordered pairs
+        (i, j).  Returns (p, i, j, gain): gain is the movers' relative time
+        saving (t_i before - t_j after) / max(1, t_i), +inf from an infinite
+        route, -inf (never a gain) into a route that turns infinite.
 
         A shift changes only p's flows on the roads of i and j, so j's time
         after it sums p's costs on j's roads alone, each at the base flows
@@ -541,39 +538,34 @@ class CompiledNetwork:
         evaluating each shifted assignment whole, bit for bit, and so do
         errors, where the program can raise.
         """
-        eps = np.asarray(eps_values, dtype=float)
-        k = np.arange(self._shifts.shape[1] * eps.size)
-        p, i, j = shifts = self._shifts.take(k // eps.size, 1)
-        level = k % eps.size
-        keep = x[p, i] >= eps[level] - slack
-        (p, i, j), level = shifts.compress(keep, 1), level[keep]
+        p, i, j = self._shifts
+        p, i, j = self._shifts.compress(x[p, i] >= eps - slack, 1)
         src, dst = p * self.width + i, p * self.width + j  # flat route indices
         raising = self.program.raising_slots()
-        after = _column_total(self._costs_after(x.ravel(), src, dst, level, eps, raising))
+        after = _column_total(self._costs_after(x.ravel(), src, dst, eps, raising))
         before = t[p, i]
         saving = np.subtract(before, after, out=np.full(len(src), -np.inf), where=after < np.inf)
         gain = saving / np.maximum(1.0, np.where(before < np.inf, before, 1.0))
-        return p, i, j, eps[level], gain
+        return p, i, j, gain
 
     def _costs_after(
-        self, flat: np.ndarray, src: np.ndarray, dst: np.ndarray, level: np.ndarray,
-        eps: np.ndarray, raising: np.ndarray | None,
+        self, flat: np.ndarray, src: np.ndarray, dst: np.ndarray, eps: float, raising: np.ndarray | None
     ) -> np.ndarray:
         """p's cost on each road of each shift's route j (0 past j's roads),
         at each shift's own flows: (route depth, shifts).
 
         Each is evaluated per shift, unless these points are at least twice
-        as many as the roads of all routes times the e values: then a cost
-        on a road of j that i does not use, whose flows depend on the road,
-        j and e alone, is evaluated once per road of every route and e (as
-        e moved onto the route), except where it can raise.  So that errors
-        are those of evaluating each shifted assignment whole (signs first),
-        every population's cost that can raise on every road of i and j is
+        as many as the roads of all routes: then a cost on a road of j that
+        i does not use, whose flows depend on the road and j alone, is
+        evaluated once per road of every route (as eps moved onto the
+        route), except where it can raise.  So that errors are those of
+        evaluating each shifted assignment whole (signs first), every
+        population's cost that can raise on every road of i and j is
         evaluated per shift too; `raising` marks them (`raising_slots`)."""
-        padding, levels = self.pop_count * self.road_count, len(eps)
+        padding = self.pop_count * self.road_count
         into = self._route_rows.take(dst, 1)  # (route depth, shifts)
         own = self._route_gather.take(dst, 1)
-        grid = self._route_gather.size * levels
+        grid = self._route_gather.size
         if into.size > 2 * grid:
             # per shift: on the roads that i and j share
             each = (into[:, None] == self._route_rows.take(src, 1)).any(1) & (into < padding)
@@ -582,9 +574,7 @@ class CompiledNetwork:
                 each |= raising[own]
                 routed = np.where(raising[routed], self.program.zero_slot, routed)
             apart = each.ravel().nonzero()[0]
-            cells = np.arange(grid)
-            per_route = (self._route_rows.ravel().repeat(levels), routed.repeat(levels),
-                         np.full(grid, -1), cells // levels % len(flat), eps[cells % levels])
+            per_route = (self._route_rows.ravel(), routed, np.full(grid, -1), np.arange(grid) % len(flat))
         else:
             apart, grid, per_route = np.arange(into.size), 0, None
         rows, slots, s = into.ravel()[apart], own.ravel()[apart], apart % len(src)  # s: each point's shift
@@ -595,23 +585,22 @@ class CompiledNetwork:
             rows = np.concatenate([rows, both.ravel()[hit % both.size]])
             slots = np.concatenate([slots, every.ravel()[hit]])
             s = np.concatenate([s, hit % len(src)])
-        points = (rows, slots, src[s], dst[s], eps[level[s]])
+        points = (rows, slots, src[s], dst[s])
         if per_route is not None:
             points = tuple(np.concatenate(pair) for pair in zip(per_route, points))
-        rows, slots, source, target, mass = points
-        flows = self._patched_flows(flat, rows, source, target, mass)
+        rows, slots, source, target = points
+        flows = self._patched_flows(flat, rows, source, target, eps)
         values = self.program.at(slots, self._flows(flat), rows, flows)
         if not grid:
             return values[: into.size].reshape(into.shape)
-        costs = values[:grid].reshape(len(into), -1).take(dst * levels + level, 1)
+        costs = values[:grid].reshape(len(into), -1).take(dst, 1)
         np.put(costs, apart, values[grid : grid + len(apart)])
         return costs
 
     def _patched_flows(
-        self, flat: np.ndarray, rows: np.ndarray, source: np.ndarray, target: np.ndarray,
-        mass: np.ndarray,
+        self, flat: np.ndarray, rows: np.ndarray, source: np.ndarray, target: np.ndarray, mass: float
     ) -> np.ndarray:
-        """Flow rows[k] after moving mass[k] from flat route source[k] to flat
+        """Flow rows[k] after moving `mass` from flat route source[k] to flat
         route target[k] (-1: none) of one population, summed and clamped as
         `_flows` does, in pieces of a bounded working set."""
         out = np.empty(len(rows))
@@ -623,9 +612,9 @@ class CompiledNetwork:
             # (table == k) * e is e at route k and 0.0 elsewhere: shares become
             # max(x - e, 0) and x + e at the two routes, bit for bit, and stay x
             # elsewhere (shares are nonnegative)
-            shares -= (table == source[part]) * mass[part]
+            shares -= (table == source[part]) * mass
             np.maximum(shares, 0.0, out=shares)
-            shares += (table == target[part]) * mass[part]
+            shares += (table == target[part]) * mass
             _column_total(shares, out[part])
         return np.minimum(out, 1.0, out=out)
 

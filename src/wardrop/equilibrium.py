@@ -43,6 +43,9 @@ from .netcore import Network
 
 INPUT_TOLERANCE = 1e-12
 DEFAULT_TIME_TOLERANCE = 1e-9
+# Relative spreads, shortfalls and eps gains are at most 1 where the times
+# they compare are finite, so a time tolerance of 1 or more certifies them all.
+TIME_TOLERANCE_BOUND = 1.0
 DEFAULT_SHARE_TOLERANCE = 1e-9
 DEDUP_TOLERANCE = 1e-6  # max-norm gap below which two multistart equilibria are one
 # The lowest residual a run aims below: shares near 1 lie 1.1e-16 apart, so
@@ -135,19 +138,14 @@ def _require_int(name: str, value: int, least: int, most: float = math.inf) -> N
 
 
 def _require_tolerance(name: str, value: float, positive: bool = True, below: float = math.inf) -> None:
-    """Refuse a tolerance unless it lies in (0, below), or [0, below) when
-    not `positive`; NaN lies in neither."""
-    if not ((value > 0 if positive else value >= 0) and value < below):
+    """Refuse a tolerance unless it is positive (nonnegative when not
+    `positive`) and finite, then unless it is below `below`; NaN is
+    neither."""
+    if not ((value > 0 if positive else value >= 0) and value < math.inf):
         sign = "positive" if positive else "nonnegative"
-        bound = "finite" if below == math.inf else f"below {below:g}"
-        raise ValueError(f"{name} must be {sign} and {bound}, got {value}")
-
-
-def _require_tolerances(tol: float, share_tol: float) -> None:
-    """The predicates' tolerances: a positive finite time tolerance, and a
-    share tolerance in [0, 1) (at 1 or above, no route would be relevant)."""
-    _require_tolerance("tol", tol)
-    _require_tolerance("share_tol", share_tol, positive=False, below=1.0)
+        raise ValueError(f"{name} must be {sign} and finite, got {value}")
+    if value >= below:
+        raise ValueError(f"{name} must be below {below:g}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -162,8 +160,8 @@ class SolveParams:
         if not 0 < self.omega <= 1:
             raise ValueError("damping must lie in (0, 1]")
         _require_int("max_iters", self.max_iters, 1)
-        for name in ("residual_tol", "verify_tol"):
-            _require_tolerance(name, getattr(self, name))
+        _require_tolerance("residual_tol", self.residual_tol)
+        _require_tolerance("verify_tol", self.verify_tol, below=TIME_TOLERANCE_BOUND)
 
 
 @dataclass(frozen=True)
@@ -210,7 +208,7 @@ def route_times(net: Network, theta: Assignment) -> RouteTimes:
     """
     core, x, t = _evaluate(net, theta)
     times = tuple(tuple(ExtReal.from_float(v) for v in row) for row in core.unpack(t))
-    means = tuple(ExtReal.from_float(m) for m in share_mean(x, t, 0.0).tolist())
+    means = tuple(ExtReal.from_float(m) for m in share_mean(x, t).tolist())
     return RouteTimes(times=times, means=means)
 
 
@@ -221,17 +219,18 @@ def mean_times(theta: Assignment, times: Sequence[Sequence[ExtReal]]) -> tuple[E
         if len(vec) != len(pop_times):
             raise DimensionMismatchError("share vector and time vector differ in length")
         t = np.array([pop_times], dtype=float)
-        out.append(ExtReal.from_float(float(share_mean(np.array([vec], dtype=float), t, 0.0)[0])))
+        out.append(ExtReal.from_float(float(share_mean(np.array([vec], dtype=float), t)[0])))
     return tuple(out)
 
 
 def _verdicts(
-    core: CompiledNetwork, x: np.ndarray, t: np.ndarray, tol: float, share_tol: float
+    core: CompiledNetwork, x: np.ndarray, t: np.ndarray, tol: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The relative spreads (P, ...) and shortfalls (P, W, ...) of assignments
     x (P, W, ...) with times t, and their equilibrium and Nash verdicts
-    (...) at `tol`: no spread, and then no shortfall either, above it."""
-    s = core.spreads(x, t, share_tol)
+    (...) at `tol`: no spread, and then no shortfall either, above it.
+    Routes whose share exceeds `DEFAULT_SHARE_TOLERANCE` are relevant."""
+    s = core.spreads(x, t, DEFAULT_SHARE_TOLERANCE)
     spread, shortfall = s.spread / s.scale, s.shortfall / s.mean_scale
     eq = ~(spread > tol).any(axis=0)
     return spread, shortfall, eq, eq & ~(shortfall > tol).any(axis=(0, 1))
@@ -246,34 +245,24 @@ def _spread_witnesses(names: list[str], spread: np.ndarray, tol: float) -> tuple
     )
 
 
-def is_equilibrium(
-    net: Network,
-    theta: Assignment,
-    tol: float = DEFAULT_TIME_TOLERANCE,
-    share_tol: float = DEFAULT_SHARE_TOLERANCE,
-) -> PredicateVerdict:
+def is_equilibrium(net: Network, theta: Assignment, tol: float = DEFAULT_TIME_TOLERANCE) -> PredicateVerdict:
     """Do all relevant (positive-share) routes of each population agree in time?
 
-    Finite pairs compare with relative tolerance `tol`; two infinite times
-    count as equal.  Simplex vertices pass trivially.
+    Finite pairs compare with relative tolerance `tol`, in (0, 1); two
+    infinite times count as equal.  Simplex vertices pass trivially.
     """
-    _require_tolerances(tol, share_tol)
+    _require_tolerance("tol", tol, below=TIME_TOLERANCE_BOUND)
     core, x, t = _evaluate(net, theta)
-    spread, _, eq, _ = _verdicts(core, x, t, tol, share_tol)
+    spread, _, eq, _ = _verdicts(core, x, t, tol)
     witnesses = _spread_witnesses(core.names, spread, tol)
     return PredicateVerdict(bool(eq), max(0.0, float(spread.max())), witnesses)
 
 
-def is_nash(
-    net: Network,
-    theta: Assignment,
-    tol: float = DEFAULT_TIME_TOLERANCE,
-    share_tol: float = DEFAULT_SHARE_TOLERANCE,
-) -> PredicateVerdict:
+def is_nash(net: Network, theta: Assignment, tol: float = DEFAULT_TIME_TOLERANCE) -> PredicateVerdict:
     """Equilibrium, and no unused route is faster than the population mean."""
-    _require_tolerances(tol, share_tol)
+    _require_tolerance("tol", tol, below=TIME_TOLERANCE_BOUND)
     core, x, t = _evaluate(net, theta)
-    spread, shortfall, _, nash = _verdicts(core, x, t, tol, share_tol)
+    spread, shortfall, _, nash = _verdicts(core, x, t, tol)
     unused = tuple(
         f"{core.names[p]}: unused route {i} beats the mean by {shortfall[p, i]:.3e}"
         for p, i in zip(*np.nonzero(shortfall > tol))
@@ -283,70 +272,60 @@ def is_nash(
     )
 
 
-def default_eps(theta: Assignment, share_tol: float = DEFAULT_SHARE_TOLERANCE) -> float:
-    """Half the smallest positive share over all populations: of each one's
-    shares above `share_tol`, or above 0 if none exceeds it."""
+def default_eps(theta: Assignment) -> float:
+    """Half the smallest relevant share over all populations: of the shares
+    above `DEFAULT_SHARE_TOLERANCE`.  Each population has one, since its
+    shares sum to 1."""
     smallest = 1.0
     for vec in theta.shares:
-        positive = [x for x in vec if x > share_tol] or [x for x in vec if x > 0.0]
-        smallest = min(smallest, 0.5 * min(positive))
+        smallest = min(smallest, 0.5 * min(x for x in vec if x > DEFAULT_SHARE_TOLERANCE))
     return smallest
 
 
 def is_eps_nash(
-    net: Network,
-    theta: Assignment,
-    eps: float | None = None,
-    tol: float = DEFAULT_TIME_TOLERANCE,
-    share_tol: float = DEFAULT_SHARE_TOLERANCE,
-    ladder: bool = False,
+    net: Network, theta: Assignment, eps: float | None = None, tol: float = DEFAULT_TIME_TOLERANCE
 ) -> PredicateVerdict:
     """Equilibrium, and no eps-mass route change pays off for the movers.
 
     For every feasible shift of `eps` mass from route i to route j, the
     time of route j *after* the shift must be at least the time of route i
-    before it.  `ladder=True` additionally tests eps/2 and eps/4.  Each
-    shift's gain is evaluated on the roads of its two routes alone.
+    before it.  Each shift's gain is evaluated on the roads of its two
+    routes alone.
     """
-    _require_tolerances(tol, share_tol)
+    _require_tolerance("tol", tol, below=TIME_TOLERANCE_BOUND)
     if eps is None:
-        eps = default_eps(theta, share_tol)
+        eps = default_eps(theta)
     _require_tolerance("eps", eps)
     core, x, t = _evaluate(net, theta)
-    spread, _, eq, _ = _verdicts(core, x, t, tol, share_tol)
-    eps_values = [eps, eps / 2, eps / 4] if ladder else [eps]
-    p, i, j, e, gain = core.eps_gains(x, t, eps_values, INPUT_TOLERANCE)
+    spread, _, eq, _ = _verdicts(core, x, t, tol)
+    p, i, j, gain = core.eps_gains(x, t, eps, INPUT_TOLERANCE)
     paying = gain > tol
-    shifts = zip(*(a[paying].tolist() for a in (p, i, j, e, gain))) if paying.any() else ()
+    shifts = zip(*(a[paying].tolist() for a in (p, i, j, gain))) if paying.any() else ()
     detail = _spread_witnesses(core.names, spread, tol) + tuple(
-        f"{core.names[q]}: moving {mass:g} from route {a} to route {b} gains {g:.3e}"
-        for q, a, b, mass, g in shifts
+        f"{core.names[q]}: moving {eps:g} from route {a} to route {b} gains {g:.3e}"
+        for q, a, b, g in shifts
     )
     return PredicateVerdict(bool(eq) and not paying.any(), max(0.0, float(gain.max(initial=0.0))), detail)
 
 
 def verify(
-    net: Network,
-    theta: Assignment,
-    tol: float = DEFAULT_TIME_TOLERANCE,
-    share_tol: float = DEFAULT_SHARE_TOLERANCE,
-    eps: float | None = None,
+    net: Network, theta: Assignment, tol: float = DEFAULT_TIME_TOLERANCE, eps: float | None = None
 ) -> EquilibriumReport:
     """Evaluate all three predicates; the report's verdicts are nested so
     eps-Nash implies Nash implies equilibrium by construction.  Route times
     are evaluated once, and shared by the three predicates."""
-    _require_tolerances(tol, share_tol)
+    _require_tolerance("tol", tol, below=TIME_TOLERANCE_BOUND)
     core, x, t = _evaluate(net, theta)
-    spread, shortfall, eq, nash = _verdicts(core, x, t, tol, share_tol)
-    eps_used = default_eps(theta, share_tol) if eps is None else eps
+    spread, shortfall, eq, nash = _verdicts(core, x, t, tol)
+    eps_used = default_eps(theta) if eps is None else eps
     _require_tolerance("eps", eps_used)
-    gain = core.eps_gains(x, t, [eps_used], INPUT_TOLERANCE)[-1]
+    gain = core.eps_gains(x, t, eps_used, INPUT_TOLERANCE)[-1]
     eps_residual = max(0.0, float(gain.max(initial=0.0)))
     return EquilibriumReport(
         is_equilibrium=bool(eq),
         is_nash=bool(nash),
         is_eps_nash=bool(nash) and eps_residual <= tol,
-        common_times=tuple(ExtReal.from_float(m) for m in share_mean(x, t, 0.0).tolist()),
+        common_times=tuple(ExtReal.from_float(m) for m in share_mean(x, t).tolist()),
         equilibrium_residual=max(0.0, float(spread.max())),
         nash_residual=max(0.0, float(shortfall.max())),
         eps_residual=eps_residual,
@@ -434,7 +413,7 @@ class _Run:
         too where iterating on cannot help: at a fixed point (residual 0),
         or once the target is down to `LOWEST_TARGET`."""
         if (residual > 0.0 and self.target > LOWEST_TARGET
-                and not _verdicts(core, x, t, verify_tol, DEFAULT_SHARE_TOLERANCE)[3]):
+                and not _verdicts(core, x, t, verify_tol)[3]):
             self.target = max(self.target / 10, LOWEST_TARGET)
             return False
         self.best, self.best_residual = image, residual
@@ -548,8 +527,8 @@ def compositions(n: int, resolution: int) -> np.ndarray:
     composition, and choices in lexicographic order give compositions in
     lexicographic order.
     """
-    if resolution < 1:
-        raise ValueError("resolution must be at least 1")
+    _require_int("n", n, 1)
+    _require_int("resolution", resolution, 1)
     end = resolution + n - 1
     bars = np.array(list(itertools.combinations(range(end), n - 1)), dtype=np.int64)
     return np.diff(bars, axis=1, prepend=-1, append=end) - 1
@@ -615,10 +594,11 @@ def check_conditional_optimality(
     scales with grid spacing times an empirical variation bound.  This is
     a sufficient condition for Nash, not a consequence of it.
     """
+    _require_int("resolution", resolution, 1)
     core, x, t = _evaluate(net, theta)
-    if not _verdicts(core, x, t, DEFAULT_TIME_TOLERANCE, DEFAULT_SHARE_TOLERANCE)[2]:
+    if not _verdicts(core, x, t, DEFAULT_TIME_TOLERANCE)[2]:
         raise PreconditionError("assignment is not an equilibrium")
-    at_theta = share_mean(x, t, 0.0).tolist()
+    at_theta = share_mean(x, t).tolist()
     rows = []
     holds = True
     for p, pop in enumerate(net.populations):
@@ -628,7 +608,7 @@ def check_conditional_optimality(
         for chunk in np.split(grid, range(4096, len(grid), 4096)):
             batch = np.repeat(x[..., None], len(chunk), axis=-1)
             batch[p, :n] = chunk.T
-            values.append(share_mean(batch, core.times(batch), 0.0)[p])
+            values.append(share_mean(batch, core.times(batch))[p])
         values = np.concatenate(values)
         finite = values[values < math.inf]
         grid_min = float(values.min())

@@ -366,17 +366,16 @@ def enumerate_routes(net: Network, origin: str, destination: str) -> list[RouteS
     return [RouteSpec(p) for p in found]
 
 
-def flows_on_roads(
-    incidences: Sequence[IncidenceMatrix],
-    shares: Sequence[Sequence[float]],
-    tolerance: float = 1e-9,
-) -> np.ndarray:
+SHARE_TOLERANCE = 1e-9  # how far `flows_on_roads` lets a share vector stray from its simplex
+
+
+def flows_on_roads(incidences: Sequence[IncidenceMatrix], shares: Sequence[Sequence[float]]) -> np.ndarray:
     """Per-road, per-population flows induced by route shares.
 
     flows[h, p] is the mass of population p on road h, the left-to-right
     sum of the shares of p's routes through h, as the compiled network
     forms it.  Each share vector must lie on its simplex within
-    `tolerance`; flows are linear in the shares and land in [0, 1].
+    `SHARE_TOLERANCE`; flows are linear in the shares and land in [0, 1].
     """
     if hasattr(shares, "shares"):  # accept an Assignment as-is
         shares = shares.shares
@@ -396,9 +395,9 @@ def flows_on_roads(
             )
         if not np.isfinite(vec).all():
             raise ValueError(f"share vector has a non-finite component in {vec.tolist()}")
-        if abs(vec.sum() - 1.0) > tolerance:
+        if abs(vec.sum() - 1.0) > SHARE_TOLERANCE:
             raise ValueError(f"share vector sums to {vec.sum()}, not 1")
-        if (vec < -tolerance).any():
+        if (vec < -SHARE_TOLERANCE).any():
             raise ValueError("share vector has a negative component")
         padded[p, : len(vec)] = np.clip(vec, 0.0, None)
         for h, j in zip(*(a.tolist() for a in inc.entries.nonzero())):  # by road, then route

@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import re
 import time
 import tracemalloc
 
@@ -978,6 +979,17 @@ def test_oracle_refuses_a_tolerance_before_scanning(tol, corridor_net, monkeypat
 
     monkeypatch.setattr(analysis, "_estimate_time_variation", variation)
     with pytest.raises(ValueError, match="tol must be nonnegative and finite"):
+        brute_force_equilibria(corridor_net, 10, tol=tol)
+
+
+@pytest.mark.parametrize("tol", [1.0, 5.0, 1e300])
+def test_oracle_refuses_a_tolerance_of_1_or_more_before_scanning(tol, corridor_net, monkeypatch):
+    # at such a tolerance every grid point whose relevant times are finite is a hit
+    def variation(net):
+        raise AssertionError("scanned")
+
+    monkeypatch.setattr(analysis, "_estimate_time_variation", variation)
+    with pytest.raises(ValueError, match=f"^tol must be below 1, got {re.escape(str(tol))}$"):
         brute_force_equilibria(corridor_net, 10, tol=tol)
 
 

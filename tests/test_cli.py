@@ -539,10 +539,30 @@ def test_uniqueness_tol_is_the_multistart_verification_tolerance(files, monkeypa
     assert seen == [1e-6, SolveParams().verify_tol]
 
 
-@pytest.mark.parametrize("tol, shown", [("1e-9", "2"), ("5", "5"), ("50", "50")])
+@pytest.mark.parametrize("tol, shown", [("1e-9", "2")])
 def test_oracle_tolerance_is_the_larger_of_tol_and_the_grid_bound(tol, shown, files, capsys):
     assert main(["oracle", files["braess_base"], "--grid", "10", "--tol", tol]) == 0
     assert f"tolerance: {shown}\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("tol", ["0.5", "0.9"])
+def test_oracle_tolerance_is_tol_where_tol_exceeds_the_grid_bound(tol, files, capsys):
+    # braess_base's grid bound is 20 / grid: 0.4 at grid 50
+    assert main(["oracle", files["braess_base"], "--grid", "50", "--tol", tol]) == 0
+    assert f"tolerance: {tol}\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["solve", "verify", "compare", "oracle", "uniqueness"])
+def test_a_tolerance_of_1_or_more_is_refused(command, files, tmp_path, capsys):
+    # at --tol 1 this corner passed as Nash, and every oracle grid point was a hit
+    net = files["braess_base"]
+    corner = _write(tmp_path, "corner.json", {"trucks": [1, 0], "cars": [1, 0]})
+    operands = {"verify": [net, corner], "compare": [net, files["braess_augmented"]]}.get(command, [net])
+    for value in ("1", "5", "1e300"):
+        with pytest.raises(SystemExit) as err:
+            main([command, *operands, f"--tol={value}"])
+        assert err.value.code == 2
+        assert "argument --tol: tol must be below 1:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -272,7 +272,7 @@ def test_batch_rows_equal_single_evaluations(data):
             assert np.array_equal(field[..., k], value)
 
 
-def loop_eps_nash(net: Network, theta: Assignment, eps: float, ladder: bool) -> PredicateVerdict:
+def loop_eps_nash(net: Network, theta: Assignment, eps: float) -> PredicateVerdict:
     """is_eps_nash as one evaluation per shift."""
     core = compile_network(net)
     eq = is_equilibrium(net, theta)
@@ -281,22 +281,21 @@ def loop_eps_nash(net: Network, theta: Assignment, eps: float, ladder: bool) -> 
     for p, pop in enumerate(net.populations):
         vec = list(theta.shares[p])
         for i, j in itertools.permutations(range(len(vec)), 2):
-            for e in ([eps, eps / 2, eps / 4] if ladder else [eps]):
-                if vec[i] < e - 1e-12:
-                    continue
-                shifted = list(vec)
-                shifted[i] = max(0.0, shifted[i] - e)
-                shifted[j] = shifted[j] + e
-                after = nested_times(core, theta, p, shifted)[p][j]
-                if math.isinf(after):
-                    continue
-                t = before[p][i]
-                gain = math.inf if math.isinf(t) else (t - after) / max(1.0, abs(t))
-                worst = max(worst, gain)
-                if gain > 1e-9:
-                    detail.append(
-                        f"{pop.name}: moving {e:g} from route {i} to route {j} gains {gain:.3e}"
-                    )
+            if vec[i] < eps - 1e-12:
+                continue
+            shifted = list(vec)
+            shifted[i] = max(0.0, shifted[i] - eps)
+            shifted[j] = shifted[j] + eps
+            after = nested_times(core, theta, p, shifted)[p][j]
+            if math.isinf(after):
+                continue
+            t = before[p][i]
+            gain = math.inf if math.isinf(t) else (t - after) / max(1.0, abs(t))
+            worst = max(worst, gain)
+            if gain > 1e-9:
+                detail.append(
+                    f"{pop.name}: moving {eps:g} from route {i} to route {j} gains {gain:.3e}"
+                )
     return PredicateVerdict(eq.holds and len(detail) == len(eq.detail), worst, tuple(detail))
 
 
@@ -307,12 +306,13 @@ def test_batched_eps_nash_equals_a_loop_over_the_shifts(data):
     theta = data.draw(assignments(net))
     eps = data.draw(st.sampled_from([0.5, 0.1, 1e-3]))
     ladder = data.draw(st.booleans())
-    expected, error = raised(loop_eps_nash, net, theta, eps, ladder)
-    if error is None:
-        assert is_eps_nash(net, theta, eps=eps, ladder=ladder) == expected
-    else:
-        with pytest.raises(EVALUATION_ERRORS):
-            is_eps_nash(net, theta, eps=eps, ladder=ladder)
+    for e in ([eps, eps / 2, eps / 4] if ladder else [eps]):
+        expected, error = raised(loop_eps_nash, net, theta, e)
+        if error is None:
+            assert is_eps_nash(net, theta, eps=e) == expected
+        else:
+            with pytest.raises(EVALUATION_ERRORS):
+                is_eps_nash(net, theta, eps=e)
 
 
 def predicate_report(net: Network, theta: Assignment, eps: float | None) -> EquilibriumReport:
@@ -348,7 +348,7 @@ def test_verify_equals_the_public_predicates(data):
     net = data.draw(networks())
     theta = data.draw(assignments(net))
     eps = data.draw(st.sampled_from([None, 0.5, 0.1, 1e-3, 0.0, -0.1]))
-    assert outcome(verify, net, theta, 1e-9, 1e-9, eps) == outcome(predicate_report, net, theta, eps)
+    assert outcome(verify, net, theta, 1e-9, eps) == outcome(predicate_report, net, theta, eps)
 
 
 def loop_segment_matrices(net: Network, first: Assignment, second: Assignment, nodes: int):

@@ -2,7 +2,7 @@
 
 `reference_eps_gains` is the batched `CompiledNetwork.eps_gains` that came
 first: one whole-network evaluation per shifted assignment, all on one batch
-axis.  The road-local version must return the same five arrays, or raise
+axis.  The road-local version must return the same four arrays, or raise
 the same error class where the reference raises.
 """
 
@@ -61,43 +61,42 @@ def whole_times(core, x: np.ndarray) -> np.ndarray:
     return total.reshape(x.shape)
 
 
-def reference_eps_gains(core, x, t, eps_values, slack):
+def reference_eps_gains(core, x, t, eps, slack):
     """Every feasible mass shift of one assignment, evaluated as one batch of
     shifted assignments, each over the whole network."""
-    eps = np.asarray(eps_values, dtype=float)
-    k = np.arange(core._shifts.shape[1] * eps.size)
-    p, i, j = shifts = core._shifts[:, k // eps.size]
-    e = eps[k % eps.size]
-    keep = x[p, i] >= e - slack
-    (p, i, j), e = shifts[:, keep], e[keep]
-    rows = np.arange(len(e))
-    batch = np.repeat(x[..., None], len(e), axis=-1)
-    batch[p, i, rows] = np.maximum(x[p, i] - e, 0.0)
-    batch[p, j, rows] = x[p, j] + e
+    p, i, j = shifts = core._shifts
+    keep = x[p, i] >= eps - slack
+    p, i, j = shifts[:, keep]
+    rows = np.arange(len(p))
+    batch = np.repeat(x[..., None], len(p), axis=-1)
+    batch[p, i, rows] = np.maximum(x[p, i] - eps, 0.0)
+    batch[p, j, rows] = x[p, j] + eps
     after = whole_times(core, batch)[p, j, rows]
     before = t[p, i]
-    saving = np.subtract(before, after, out=np.full(len(e), -np.inf), where=after < np.inf)
+    saving = np.subtract(before, after, out=np.full(len(p), -np.inf), where=after < np.inf)
     gain = saving / np.maximum(1.0, np.where(before < np.inf, before, 1.0))
-    return p, i, j, e, gain
+    return p, i, j, gain
 
 
 def assert_gains_equal_the_reference(net: Network, theta: Assignment, eps_values) -> bool:
-    """False, and nothing checked, where the assignment itself fails to evaluate."""
+    """Each eps of `eps_values` alone.  False, and nothing checked, where the
+    assignment itself fails to evaluate."""
     core = compile_network(net)
     x = core.pack(theta)
     t, error = raised(core.times, x)
     if error is not None:
         return False
-    expected, error = raised(reference_eps_gains, core, x, t, eps_values, INPUT_TOLERANCE)
-    if error is None:
-        got = core.eps_gains(x, t, eps_values, INPUT_TOLERANCE)
-        assert len(got) == len(expected) == 5
-        for a, b in zip(got, expected):
-            assert a.dtype == b.dtype and np.array_equal(a, b)
-    else:
-        with pytest.raises(EVALUATION_ERRORS) as info:
-            core.eps_gains(x, t, eps_values, INPUT_TOLERANCE)
-        assert info.type is error
+    for eps in eps_values:
+        expected, error = raised(reference_eps_gains, core, x, t, eps, INPUT_TOLERANCE)
+        if error is None:
+            got = core.eps_gains(x, t, eps, INPUT_TOLERANCE)
+            assert len(got) == len(expected) == 4
+            for a, b in zip(got, expected):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+        else:
+            with pytest.raises(EVALUATION_ERRORS) as info:
+                core.eps_gains(x, t, eps, INPUT_TOLERANCE)
+            assert info.type is error
     return True
 
 
@@ -242,7 +241,7 @@ def test_built_errors_equal_the_reference(name, tmp_path):
     net, eps, error = BUILT[name]
     shares = [[1 / len(pop.routes)] * len(pop.routes) for pop in net.populations]
     theta = Assignment.make(shares)
-    assert raised(reference_eps_gains, *_evaluated(net, theta), [eps], INPUT_TOLERANCE)[1] is error
+    assert raised(reference_eps_gains, *_evaluated(net, theta), eps, INPUT_TOLERANCE)[1] is error
     assert assert_gains_equal_the_reference(net, theta, [eps])
     # the CLI maps a negative cost to exit 4 and 0 * inf to exit 2, whichever else occurs
     save_network(net, tmp_path / "net.json")
@@ -266,7 +265,7 @@ def test_costs_that_can_raise_are_evaluated_only_at_feasible_shifts(cost):
     junctions = tuple(Junction(name) for name in "omnd")
     net = Network(junctions, roads, (PopulationSpec("a", "o", "d", routes, costs),))
     theta = Assignment.make([[0.225] * 4 + [0.05] * 2])
-    assert raised(reference_eps_gains, *_evaluated(net, theta), [0.1], INPUT_TOLERANCE)[1] is None
+    assert raised(reference_eps_gains, *_evaluated(net, theta), 0.1, INPUT_TOLERANCE)[1] is None
     assert assert_gains_equal_the_reference(net, theta, [0.1])
 
 

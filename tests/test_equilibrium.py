@@ -9,7 +9,7 @@ import pytest
 
 from wardrop import equilibrium
 from wardrop import fixtures as nets
-from wardrop.analysis import check_pair_orthogonality
+from wardrop.analysis import brute_force_equilibria, check_pair_orthogonality
 from wardrop.compiled import compile_network
 from wardrop.costs import Affine, CongestionRational, Constant, ExtReal
 from wardrop.equilibrium import (
@@ -226,22 +226,14 @@ class TestPredicates:
         assert is_eps_nash(braess5_net, theta, eps=0.1).holds
 
     def test_eps_ladder_strict_mode(self, delay_net, pathological_net):
-        assert is_eps_nash(delay_net, HALF, eps=0.1, ladder=True).holds
         split = Assignment.make([[0.5, 0.5]])
-        assert not is_eps_nash(pathological_net, split, eps=0.1, ladder=True).holds
+        for eps in (0.1, 0.05, 0.025):
+            assert is_eps_nash(delay_net, HALF, eps=eps).holds
+            assert not is_eps_nash(pathological_net, split, eps=eps).holds
 
     def test_default_eps_is_half_min_positive_share(self):
         theta = Assignment.make([[0.25, 0.75], [0.1, 0.9]])
         assert default_eps(theta) == pytest.approx(0.05)
-
-    def test_default_eps_takes_positive_shares_where_none_exceeds_the_share_tolerance(self, delay_net):
-        # No share of HALF exceeds 0.5: each population gives half its smallest positive share.
-        assert default_eps(HALF, 0.5) == 0.25
-        assert default_eps(Assignment.make([[0.5, 0.5], [0.2, 0.8]]), 0.5) == 0.25
-        assert default_eps(Assignment.make([[0.2, 0.8]]), 0.9) == 0.1
-        assert verify(delay_net, HALF, share_tol=0.5).eps_used == 0.25
-        verdict = is_eps_nash(delay_net, HALF, share_tol=0.5)
-        assert verdict == is_eps_nash(delay_net, HALF, eps=0.25, share_tol=0.5)
 
     def test_verify_report_nesting(self, pathological_net):
         report = verify(pathological_net, vertex_assignment(pathological_net, (0,)))
@@ -568,6 +560,25 @@ def test_simplex_grid_refuses_a_resolution_below_one(resolution):
         compositions(2, resolution)
 
 
+@pytest.mark.parametrize(
+    "query, name",
+    [
+        pytest.param(lambda net: brute_force_equilibria(net, True), "resolution", id="oracle-resolution-bool"),
+        pytest.param(lambda net: brute_force_equilibria(net, 2.5), "resolution", id="oracle-resolution-2.5"),
+        pytest.param(lambda net: brute_force_equilibria(net, 0), "resolution", id="oracle-resolution-0"),
+        *(pytest.param(lambda net, budget=budget: brute_force_equilibria(net, 3, budget=budget), "budget",
+                       id=f"oracle-budget-{budget}") for budget in (0, -3, 2.5, True)),
+        pytest.param(lambda net: compositions(0, 3), "n", id="compositions-n-0"),
+        pytest.param(lambda net: compositions(2, 2.5), "resolution", id="compositions-resolution-2.5"),
+        pytest.param(lambda net: check_conditional_optimality(net, HALF, resolution=2.5), "resolution",
+                     id="conditional-optimality-resolution-2.5"),
+    ],
+)
+def test_counts_are_refused_unless_ints_in_range(query, name, delay_net):
+    with pytest.raises(ValueError, match=f"^{name} must be an int of at least 1$"):
+        query(delay_net)
+
+
 @pytest.mark.parametrize("max_iters", [0, -1, True, 1.5, 100.0])
 def test_solve_params_refuse_a_bad_iteration_budget(max_iters):
     with pytest.raises(ValueError, match="max_iters"):
@@ -614,14 +625,12 @@ CORNER = Assignment.make([[1.0, 0.0], [1.0, 0.0]])  # not Nash on congestion_cor
         pytest.param(lambda net: is_nash(net, CORNER, tol=math.inf), "tol", id="is_nash-tol-inf"),
         pytest.param(lambda net: is_nash(net, CORNER, tol=0.0), "tol", id="is_nash-tol-0"),
         pytest.param(lambda net: verify(net, CORNER, tol=math.nan), "tol", id="verify-tol-nan"),
-        pytest.param(lambda net: is_nash(net, CORNER, share_tol=math.nan), "share_tol",
-                     id="is_nash-share_tol-nan"),
-        pytest.param(lambda net: is_equilibrium(net, CORNER, share_tol=2.0), "share_tol",
-                     id="is_equilibrium-share_tol-2"),
-        pytest.param(lambda net: is_equilibrium(net, CORNER, share_tol=1.0), "share_tol",
-                     id="is_equilibrium-share_tol-1"),
-        pytest.param(lambda net: is_eps_nash(net, CORNER, share_tol=-1e-9), "share_tol",
-                     id="is_eps_nash-share_tol-negative"),
+        pytest.param(lambda net: is_equilibrium(net, CORNER, tol=1.0), "tol must be below 1,",
+                     id="is_equilibrium-tol-1"),
+        pytest.param(lambda net: is_eps_nash(net, CORNER, tol=1.0), "tol must be below 1,",
+                     id="is_eps_nash-tol-1"),
+        pytest.param(lambda net: verify(net, CORNER, tol=1e300), "tol must be below 1,",
+                     id="verify-tol-1e300"),
         pytest.param(lambda net: is_eps_nash(net, CORNER, eps=math.inf), "eps must be positive",
                      id="is_eps_nash-eps-inf"),
         pytest.param(lambda net: verify(net, CORNER, eps=math.nan), "eps must be positive",
@@ -636,6 +645,13 @@ def test_predicates_refuse_tolerances_that_would_certify_anything(query, match, 
         query(corridor_net)
 
 
+def test_solve_params_refuse_a_verify_tolerance_of_1_but_keep_the_residual_tolerance_range():
+    for value in (1.0, 5.0):
+        with pytest.raises(ValueError, match=f"^verify_tol must be below 1, got {value}$"):
+            SolveParams(verify_tol=value)
+    assert SolveParams(residual_tol=1.0, verify_tol=0.5).residual_tol == 1.0
+
+
 @pytest.mark.parametrize("query", [is_equilibrium, is_nash, is_eps_nash, verify])
 def test_tolerances_are_checked_before_any_evaluation(query, corridor_net, monkeypatch):
     def evaluate(net, theta):
@@ -644,10 +660,6 @@ def test_tolerances_are_checked_before_any_evaluation(query, corridor_net, monke
     monkeypatch.setattr(equilibrium, "_evaluate", evaluate)
     with pytest.raises(ValueError, match="tol"):
         query(corridor_net, CORNER, tol=math.nan)
-
-
-def test_a_zero_share_tolerance_is_accepted(corridor_net):
-    assert not verify(corridor_net, CORNER, share_tol=0.0).is_nash
 
 
 def test_multistart_params_refuse_a_negative_bool_or_fractional_seed():
