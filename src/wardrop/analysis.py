@@ -23,7 +23,7 @@ from typing import Iterator
 import numpy as np
 
 from . import equilibrium
-from .compiled import _POW, CompiledNetwork, _column_total, _route_total, compile_network
+from .compiled import _POW, CompiledNetwork, _total, compile_network
 from .costs import InfiniteCostError
 from .equilibrium import (
     DEFAULT_TIME_TOLERANCE,
@@ -157,7 +157,7 @@ def _segments(
         tangent = np.where(moving, 1.0, np.zeros_like(points))
         slopes = core.program.slopes(points, tangent)
         infinite.append(np.isinf(slopes).any(axis=-1))
-        averages.append(np.cumsum(slopes * weights, axis=-1)[..., -1] + 0.0)
+        averages.append(_total(slopes * weights, -1))
     # Moving population 0 gives own[0] and cross[1]; moving 1 gives cross[0] and own[1].
     blocks = np.stack(averages)[[[0], [1], [1], [0]], core.cost_slots[[0, 1, 0, 1]]]
     return blocks, (infinite[0] | infinite[1])[core.cost_slots]
@@ -305,9 +305,11 @@ def check_hypothesis_coupling(net: Network, sampler: HSampler = HSampler()) -> U
       its capacity at the first or last quadrature node
       (`_certainly_infinite`) is skipped before its segment is evaluated.
     - The other pairs' segments are evaluated in batches, each reduced to
-      the report's maxima before the next.  Memory grows with the pair
-      count only through index arrays and the points' road flows, computed
-      once.
+      the report's maxima before the next.
+    The random pairs are drawn, flowed and evaluated `_sample_pairs` batch
+    by batch, so memory grows with the pair count only through the index
+    arrays of the vertex pairs.  A refused draw raises as `_draw_shares`
+    does, after the evaluation of the batches before its own.
     """
     if len(net.populations) != 2:
         raise PreconditionError("uniqueness analysis is defined for exactly 2 populations")
@@ -327,25 +329,26 @@ def check_hypothesis_coupling(net: Network, sampler: HSampler = HSampler()) -> U
     raising = core.program.raising_slots()
     linear = core.program.is_linear() and raising is None
     if linear:  # the barycenter with itself stands for every pair
-        points, first, second = core.pack(uniform_assignment(net))[..., None], *np.zeros((2, 1), dtype=int)
+        batches = [(core.pack(uniform_assignment(net))[..., None], *np.zeros((2, 1), dtype=int))]
     else:
-        points, first, second = _sample_pairs(net, core, sampler)
-    flows = core._flows(points.reshape(-1, points.shape[-1]))  # (P*N + 1, points)
+        batches = _sample_pairs(net, core, sampler)
     nodes = sampler.quadrature_nodes
-    if raising is None:
-        finite = ~_certainly_infinite(core, flows, first, second, gauss_legendre_unit(nodes)[0])
-        first, second = first[finite], second[finite]
-    chunk = max(1, SEGMENT_BATCH // (nodes * (len(flows) + core.program.slot_count)))
+    chunk = max(1, SEGMENT_BATCH // (nodes * (core._flow_gather.shape[1] + core.program.slot_count)))
     shared = (core.cost_slots != core.program.zero_slot).all(axis=0)
     worst = np.zeros(core.road_count, dtype=int)  # rank 0: not shared
     exceptional = evaluated = 0
-    for k in range(0, len(first), chunk):
-        pairs = slice(k, k + chunk)
-        blocks, infinite = _segments(core, flows[:, first[pairs]], flows[:, second[pairs]], nodes)
-        ranks = _block_ranks(*blocks[:, shared][..., ~infinite.any(axis=(0, 1))])  # (shared roads, finite pairs)
-        worst[shared] = np.maximum(worst[shared], ranks.max(axis=1, initial=0))
-        exceptional = max(exceptional, int(np.count_nonzero(ranks != _RANK[H_STRICT], axis=0).max(initial=0)))
-        evaluated += ranks.shape[1]
+    for points, first, second in batches:
+        flows = core._flows(points.reshape(-1, points.shape[-1]))  # (P*N + 1, points)
+        if raising is None:
+            finite = ~_certainly_infinite(core, flows, first, second, gauss_legendre_unit(nodes)[0])
+            first, second = first[finite], second[finite]
+        for k in range(0, len(first), chunk):
+            pairs = slice(k, k + chunk)
+            blocks, infinite = _segments(core, flows[:, first[pairs]], flows[:, second[pairs]], nodes)
+            ranks = _block_ranks(*blocks[:, shared][..., ~infinite.any(axis=(0, 1))])  # (shared roads, finite pairs)
+            worst[shared] = np.maximum(worst[shared], ranks.max(axis=1, initial=0))
+            exceptional = max(exceptional, int(np.count_nonzero(ranks != _RANK[H_STRICT], axis=0).max(initial=0)))
+            evaluated += ranks.shape[1]
     if linear:
         evaluated *= sample  # the one segment stands for every pair
     defpos_ok = bool(worst.max() < _RANK[H_VIOLATION])
@@ -377,6 +380,11 @@ UNIQUENESS_BUDGET = 1_000_000  # pairs `check_hypothesis_coupling` samples at mo
 # the peak well inside the 44 MiB peak RSS of the benchmark's `analysis`
 # workload.
 SEGMENT_BATCH = 1 << 13
+# Shares and road flows of the drawn points of one `_sample_pairs` batch:
+# `congestion_corridor` draws 780 pairs a batch, and its traced peak was
+# 0.61 MiB at 1,000 pairs, 0.71 MiB at 10,000 and 0.72 MiB at 50,000,
+# where drawing the whole sample at once peaked at 28.2 MiB at 50,000.
+DRAW_BATCH = 1 << 15
 
 
 def _certainly_infinite(
@@ -408,28 +416,41 @@ def _certainly_infinite(
     return flagged
 
 
-def _sample_pairs(net: Network, core: CompiledNetwork, sampler: HSampler) -> tuple[np.ndarray, ...]:
-    """(points, first, second): padded shares (P, W, T) of the V vertices of
-    the product of simplices in product order, the barycenter, then
-    2 * `sampler.pairs` random draws; and the index arrays into them of the
-    sampled pairs, every two vertices, the barycenter with each vertex, then
-    the draws two by two."""
+def _sample_pairs(
+    net: Network, core: CompiledNetwork, sampler: HSampler
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The sampled pairs in batches (points, first, second): padded shares
+    (P, W, T), and the index arrays into them of the batch's pairs.  The
+    first batch holds the V vertices of the product of simplices in product
+    order, the barycenter and the first draws, and pairs every two vertices,
+    the barycenter with each vertex, then the draws two by two; each later
+    batch holds the next draws, two by two.  The 2 * `sampler.pairs` random
+    draws come from one generator seeded with `sampler.seed`, in order, and
+    each batch draws as many pairs as fill `DRAW_BATCH` shares and road
+    flows, at least one."""
+    rng = np.random.default_rng(sampler.seed)
+    per_batch = max(1, DRAW_BATCH // (2 * (core.pop_count * core.width + core._flow_gather.shape[1])))
+    drawn = min(sampler.pairs, per_batch)
     vertices = math.prod(core.route_counts)
-    points = np.zeros((core.pop_count, core.width, vertices + 1 + 2 * sampler.pairs))
+    points = np.zeros((core.pop_count, core.width, vertices + 1 + 2 * drawn))
     corners = np.array(np.unravel_index(np.arange(vertices), core.route_counts))  # (P, V)
     points[np.arange(core.pop_count)[:, None], corners, np.arange(vertices)] = 1.0
     points[..., vertices] = core.pack(uniform_assignment(net))
-    points[..., vertices + 1 :] = _draw_shares(core, 2 * sampler.pairs, sampler.seed)
+    points[..., vertices + 1 :] = _draw_shares(core, 2 * drawn, rng)
     i, j = np.triu_indices(vertices, 1)  # in `itertools.combinations` order
     draws = np.arange(vertices + 1, points.shape[-1], 2)
     first = np.concatenate([i, np.full(vertices, vertices), draws])
     second = np.concatenate([j, np.arange(vertices), draws + 1])
-    return points, first, second
+    yield points, first, second
+    for k in range(drawn, sampler.pairs, per_batch):
+        draws = np.arange(0, 2 * min(per_batch, sampler.pairs - k), 2)
+        yield _draw_shares(core, 2 * len(draws), rng), draws, draws + 1
 
 
-def _draw_shares(core: CompiledNetwork, count: int, seed: int) -> np.ndarray:
-    """Padded shares (P, W, count) of `count` seeded draws, equal bit for bit
-    to drawing each one population by population as
+def _draw_shares(core: CompiledNetwork, count: int, seed: int | np.random.Generator) -> np.ndarray:
+    """Padded shares (P, W, count) of `count` draws from the generator `seed`
+    (or one seeded with it), equal bit for bit to drawing each one
+    population by population as
     `Assignment.make([rng.dirichlet(np.ones(n)) for n in core.route_counts],
     tolerance=1e-9)`, and raising where that raises.  For alpha 1,
     `dirichlet` normalizes standard gamma variates, drawn in that same order:
@@ -438,8 +459,9 @@ def _draw_shares(core: CompiledNetwork, count: int, seed: int) -> np.ndarray:
     as they are, and divides by it."""
     gammas = np.random.default_rng(seed).standard_gamma(1.0, (count, sum(core.route_counts))).T
     blocks = np.split(gammas, np.cumsum(core.route_counts)[:-1])
-    drawn = [block * (1 / _column_total(block)) for block in blocks]
-    totals = [_column_total(block) for block in drawn]
+    with np.errstate(divide="ignore", invalid="ignore"):  # variates summing to 0: nan shares, refused below
+        drawn = [block * (1 / _total(block)) for block in blocks]
+    totals = [_total(block) for block in drawn]
     refused = np.logical_or.reduce([~(abs(total - 1.0) <= 1e-9) for total in totals])  # also where not finite
     if refused.any():  # `make`'s error for the first draw it refuses
         Assignment.make([block[:, refused.argmax()] for block in drawn], tolerance=1e-9)
@@ -472,7 +494,7 @@ def _pair_residuals(x: np.ndarray, t: np.ndarray) -> tuple[tuple[float | None, .
     finite = (t < math.inf).all(axis=1)  # (P, K)
     t = np.where(finite[:, None], t, 0.0)
     i, j = np.triu_indices(x.shape[-1], 1)  # i < j, by i
-    residuals = _route_total((x[..., j] - x[..., i]) * (t[..., j] - t[..., i]))
+    residuals = _total((x[..., j] - x[..., i]) * (t[..., j] - t[..., i]), 1)
     return tuple(map(tuple, np.where(finite[:, i] & finite[:, j], residuals, None).T.tolist()))
 
 

@@ -10,7 +10,9 @@ in a zero the gathers pad with).  Trailing axes batch assignments, so each
 gather copies whole rows, and a batch entry equals its assignment evaluated
 alone, bit for bit.  Every sum runs left to right from 0, as the scalar
 reference in `tests/conftest.py` does: another order changes the last
-bits.
+bits.  One primitive, `_total`, does every sum: a numpy reduce, which numpy
+adds one row at a time where the axes after the summed one hold 2 elements
+or more in a C-ordered array; elsewhere it sums pairwise from 8 terms on.
 """
 
 from __future__ import annotations
@@ -49,22 +51,35 @@ def _buffer(scratch: dict | None, name: str, shape: tuple[int, ...]) -> np.ndarr
     return scratch[name][:size].reshape(shape)
 
 
-def _column_total(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Left-to-right sums from 0 down the first axis, into `out` if given."""
-    total = np.add(values[0], 0.0, out=out)
-    for k in range(1, len(values)):
-        total += values[k]
-    return total
+def _total(values: np.ndarray, axis: int = 0, out: np.ndarray | None = None, keepdims: bool = False) -> np.ndarray:
+    """Left-to-right sums from 0 along `axis`, into `out` if given: one
+    reduce, or one add of 0 to a single first-axis row.  Where numpy would
+    sum the reduce pairwise, it runs on a C-ordered copy with `axis` first,
+    or, for a lone sum, a cumulative sum stands in (+ 0.0: the sum's
+    leading 0)."""
+    depth = values.shape[axis]
+    if depth == 1 and axis == 0 and not keepdims:
+        return np.add(values[0], 0.0, out=out)
+    if depth >= 8 and not (values.flags.c_contiguous and values.strides[axis] > values.itemsize):
+        if values.size < 2 * depth:
+            return np.add(values.cumsum(axis).take([-1] if keepdims else -1, axis), 0.0, out=out)
+        axis %= values.ndim
+        first = values.transpose(axis, *range(axis), *range(axis + 1, values.ndim)).copy()
+        total = np.add.reduce(first, 0, None, out, False, 0.0)
+        return total.reshape(values.shape[:axis] + (1,) + values.shape[axis + 1 :]) if keepdims else total
+    return np.add.reduce(values, axis, None, out, keepdims, 0.0)
 
 
 def _gather(values: np.ndarray, table: np.ndarray, scratch: dict | None) -> np.ndarray:
     """values[table], in the one gather buffer of `scratch` if given: each
     gather is consumed before the next, so one buffer serves them all.
-    Without `scratch`, plain indexing: for one small evaluation numpy's own
-    allocation costs less than `take`.  The indices are in range, so clip
-    mode changes nothing; raise mode would copy through a temporary."""
+    Without `scratch`, plain indexing of one assignment's values, where
+    numpy's own allocation costs less than `take`, and `take` of a batch's,
+    where indexing pays for numpy's general fancy-index path.  The indices
+    are in range, so clip mode changes nothing; raise mode would copy
+    through a temporary."""
     if scratch is None:
-        return values[table]
+        return values[table] if values.ndim == 1 else values.take(table, 0)
     return values.take(table, 0, _buffer(scratch, "gather", table.shape + values.shape[1:]), "clip")
 
 
@@ -74,24 +89,13 @@ def _gather_sum(
     """Left-to-right sums from 0 of values[table[k, c]] over k, per c, in
     scratch[name] if given."""
     gathered = _gather(values, table, scratch)
-    return _column_total(gathered, _buffer(scratch, name, gathered.shape[1:]))
+    return _total(gathered, out=_buffer(scratch, name, gathered.shape[1:]))
 
 
-def _route_total(values: np.ndarray, keepdims: bool = False) -> np.ndarray:
-    """Sums over the routes (axis 1) of (P, W, ...): row by row for a batch,
-    else one reduce, which numpy adds one by one below 8 elements."""
-    if values.ndim > 2:
-        total = _column_total(values.swapaxes(0, 1))
-    elif values.shape[1] < 8:
-        return np.add.reduce(values, 1, None, None, keepdims, 0.0)
-    else:
-        total = np.cumsum(values, axis=1)[:, -1] + 0.0  # + 0.0: the sum's leading 0
-    return total[:, None] if keepdims else total
-
-
-def _per_row(coefficients: np.ndarray, batch: tuple[int, ...]) -> np.ndarray:
-    """Per-row coefficients, broadcast over the trailing batch axes."""
-    return coefficients.reshape(coefficients.shape + (1,) * len(batch)) if batch else coefficients
+def _per_row(batch: tuple[int, ...]) -> tuple:
+    """The index that views per-row coefficients broadcast over the
+    trailing `batch` axes: one per evaluation, a view per coefficient."""
+    return (...,) + (None,) * len(batch)
 
 
 def _padded(rows: Sequence[Iterable], pad: int | float, dtype: type = int) -> np.ndarray:
@@ -104,7 +108,7 @@ def _padded(rows: Sequence[Iterable], pad: int | float, dtype: type = int) -> np
 def share_mean(x: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Share-weighted mean times (P, ...) over the routes of positive share;
     the others contribute nothing, even at +inf."""
-    return _route_total(x * np.where(x > 0.0, t, 0.0))
+    return _total(x * np.where(x > 0.0, t, 0.0), 1)
 
 
 def flow_gather(routes: Sequence[Sequence[int]], rows: int, width: int) -> np.ndarray:
@@ -210,16 +214,17 @@ class CostProgram:
         slots, and the fold tables and guarded leaves only where it has
         folded slots: `at` leaves them unset in programs without."""
         batch = flows.shape[1:]
+        per_row = _per_row(batch)
         a, b, m = self._bounds
         linear = _gather(flows, self._lin_cols, scratch)
-        linear *= _per_row(self._lin_coeffs, batch)
+        linear *= self._lin_coeffs[per_row]
         shape = (self.slot_count,) + batch
         if self.slot_count == b:  # linear forms only: their totals are the slots
-            slots = total = _column_total(linear, _buffer(scratch, "slots", shape))
+            slots = total = _total(linear, out=_buffer(scratch, "slots", shape))
         else:
             slots = np.empty(shape) if scratch is None else _buffer(scratch, "slots", shape)
-            total = _column_total(linear, slots[:b])
-        total += _per_row(self._c0, batch)
+            total = _total(linear, out=slots[:b])
+        total += self._c0[per_row]
         if self._nonmono.size:
             signed = slots[self._nonmono]
             if (signed < 0.0).any():
@@ -228,8 +233,7 @@ class CostProgram:
                 )
         if b > a:
             load = slots[a:b]
-            cap = _per_row(self._cap, batch)
-            room = np.subtract(cap, load, out=_buffer(scratch, "room", load.shape))
+            room = np.subtract(self._cap[per_row], load, out=_buffer(scratch, "room", load.shape))
             if room.min(initial=np.inf) > 0.0:  # no road at capacity
                 np.divide(load, room, out=load)
             else:  # s >= capacity exactly where capacity - s <= 0
@@ -237,16 +241,16 @@ class CostProgram:
                 np.divide(load, room, out=load, where=~blown)
                 load[blown] = np.inf
         if m > b:
-            powers = _POW(flows[self._mono_cols], _per_row(self._mono_exps, batch)).astype(float)
-            slots[b:m] = _per_row(self._mono_coeff, batch) * powers[0]
+            powers = _POW(flows[self._mono_cols], self._mono_exps[per_row]).astype(float)
+            slots[b:m] = self._mono_coeff[per_row] * powers[0]
             for k in range(1, len(powers)):
                 slots[b:m] *= powers[k]
         if self.slot_count > m:
             if self._guarded.size and np.isinf(slots[self._guarded]).any():
                 raise ExtRealGuardError("0 * inf is not defined")
             folded = _gather(slots, self._fold_idx, scratch)
-            folded *= _per_row(self._fold_mult, batch)
-            _column_total(folded, slots[m:])
+            folded *= self._fold_mult[per_row]
+            _total(folded, out=slots[m:])
         return slots
 
     def is_linear(self) -> bool:
@@ -265,8 +269,8 @@ class CostProgram:
         as `slopes` sums it: its value and slope are +inf where s >= its
         capacity."""
         a, b, _ = self._bounds
-        coeffs = _per_row(self._lin_coeffs[:, a:b], flows.shape[1:])
-        return _column_total(flows[self._lin_cols[:, a:b]] * coeffs)
+        coeffs = self._lin_coeffs[:, a:b][_per_row(flows.shape[1:])]
+        return _total(flows[self._lin_cols[:, a:b]] * coeffs)
 
     def raising_slots(self) -> np.ndarray | None:
         """Per slot, whether evaluating it can raise: it is or folds a
@@ -342,12 +346,12 @@ class CostProgram:
         +inf.  Raises where `values` raises."""
         self.values(flows)  # for its errors: negative non-monotone values, 0 * inf
         batch = flows.shape[1:]
+        per_row = _per_row(batch)
         a, b, m = self._bounds
-        coeffs = _per_row(self._lin_coeffs, batch)
         slopes = np.empty((self.slot_count,) + batch)
-        slopes[:b] = _column_total(tangent[self._lin_cols] * coeffs)
+        slopes[:b] = _total(tangent[self._lin_cols] * self._lin_coeffs[per_row])
         if b > a:  # d(s / (c - s)) = ds * c / (c - s)^2
-            cap = _per_row(self._cap, batch)
+            cap = self._cap[per_row]
             room = cap - self.loads(flows)
             dload = slopes[a:b]
             with np.errstate(over="ignore"):  # where ds * c overflows, divide first
@@ -364,10 +368,10 @@ class CostProgram:
             dload[over] = split
         if m > b:  # sum over factors j of coeff * k_j f_j^(k_j - 1) * the others * tangent_j
             base = flows[self._mono_cols]
-            exps = _per_row(self._mono_exps, batch)
+            exps = self._mono_exps[per_row]
             powers = _POW(base, exps).astype(float)
             lowered = _POW(base, np.maximum(exps - 1, 0)).astype(float)  # padding: 0 * 0^0
-            coeff = _per_row(self._mono_coeff, batch)
+            coeff = self._mono_coeff[per_row]
             total = np.zeros((m - b,) + batch)
             for j in range(len(powers)):
                 term = coeff * exps[j] * lowered[j]
@@ -377,7 +381,7 @@ class CostProgram:
                 total += term * tangent[self._mono_cols[j]]
             slopes[b:m] = total
         if self.slot_count > m:
-            slopes[m:] = _column_total(slopes[self._fold_idx] * _per_row(self._fold_mult, batch))
+            slopes[m:] = _total(slopes[self._fold_idx] * self._fold_mult[per_row])
         return slopes
 
 
@@ -496,10 +500,10 @@ class CompiledNetwork:
         capping at 1e300 changes no finite result, since 1 + t == t there.
         """
         capped = np.minimum(t, 1e300)
-        phi = capped / (1.0 + capped) + _per_row(self._pad_phi, x.shape[2:])
-        mean = _route_total(x * phi, keepdims=True)
+        phi = capped / (1.0 + capped) + self._pad_phi[_per_row(x.shape[2:])]
+        mean = _total(x * phi, 1, keepdims=True)
         clipped = np.maximum(x - self.step * (phi - mean), 0.0)
-        total = _route_total(clipped, keepdims=True)
+        total = _total(clipped, 1, keepdims=True)
         if np.count_nonzero(total) < total.size:
             raise NormalizationError(
                 "normalization denominator vanished; step size invariant broken"
@@ -508,7 +512,7 @@ class CompiledNetwork:
 
     def spreads(self, x: np.ndarray, t: np.ndarray, share_tol: float) -> Spreads:
         """Routes whose share exceeds `share_tol` are relevant, others unused."""
-        valid = _per_row(self.valid, x.shape[2:])
+        valid = self.valid[_per_row(x.shape[2:])]
         relevant = (x > share_tol) & valid
         kept = np.where(relevant, t, 0.0)
         hi = kept.max(axis=1)  # times are >= 0
@@ -516,7 +520,7 @@ class CompiledNetwork:
         # lo == inf: every relevant time is infinite, so they agree
         spread = np.subtract(hi, lo, out=np.zeros(hi.shape), where=lo < np.inf)
         scale = np.where(hi < np.inf, np.maximum(1.0, hi), 1.0)
-        mean = _route_total(x * kept, keepdims=True)
+        mean = _total(x * kept, 1, keepdims=True)
         unused = valid ^ relevant
         unused &= t < np.inf
         shortfall = np.subtract(mean, t, out=np.full(t.shape, -np.inf), where=unused)
@@ -542,7 +546,7 @@ class CompiledNetwork:
         p, i, j = self._shifts.compress(x[p, i] >= eps - slack, 1)
         src, dst = p * self.width + i, p * self.width + j  # flat route indices
         raising = self.program.raising_slots()
-        after = _column_total(self._costs_after(x.ravel(), src, dst, eps, raising))
+        after = _total(self._costs_after(x.ravel(), src, dst, eps, raising))
         before = t[p, i]
         saving = np.subtract(before, after, out=np.full(len(src), -np.inf), where=after < np.inf)
         gain = saving / np.maximum(1.0, np.where(before < np.inf, before, 1.0))
@@ -615,7 +619,7 @@ class CompiledNetwork:
             shares -= (table == source[part]) * mass
             np.maximum(shares, 0.0, out=shares)
             shares += (table == target[part]) * mass
-            _column_total(shares, out[part])
+            _total(shares, out=out[part])
         return np.minimum(out, 1.0, out=out)
 
 

@@ -458,7 +458,7 @@ def _iterate(core: CompiledNetwork, runs: list[_Run], params: SolveParams) -> No
             if not left:
                 return
             active = [active[j] for j in left]
-            x = x[..., left[0]] if len(left) == 1 else x[..., left]
+            x = x[..., left[0]] if len(left) == 1 else x.take(left, -1)  # C-ordered, as `x[..., left]` is not
     for run in active:
         run.iterations = params.max_iters
         run.converged = run.best_residual < params.residual_tol

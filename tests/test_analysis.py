@@ -564,6 +564,101 @@ def test_coupling_memory_does_not_grow_with_the_vertex_pairs():
     assert peak < 2**20
 
 
+def coupling_peak(net: Network, sampler: HSampler) -> int:
+    tracemalloc.start()
+    try:
+        check_hypothesis_coupling(net, sampler)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_coupling_memory_does_not_grow_with_the_random_pairs(corridor_net):
+    check_hypothesis_coupling(corridor_net, HSampler(pairs=10))  # compiles, caches the quadrature rule
+    assert coupling_peak(corridor_net, HSampler(pairs=50_000)) < 2 * coupling_peak(corridor_net, HSampler(pairs=1_000))
+
+
+def draw_pairs_per_batch(monkeypatch, net: Network, pairs: int) -> None:
+    """Set `DRAW_BATCH` so that the sample of `net` draws `pairs` pairs a batch."""
+    core = compile_network(net)
+    monkeypatch.setattr(analysis, "DRAW_BATCH", pairs * 2 * (core.pop_count * core.width + core._flow_gather.shape[1]))
+
+
+@pytest.mark.parametrize("per_batch", [1, 7, 30])
+@pytest.mark.parametrize("name", ["corridor", "blocking-folded", "parallel-2-3"])
+def test_coupling_is_the_same_in_any_draw_batches(name, per_batch, monkeypatch):
+    net = PAST_CAPACITY[name]()
+    sampler = HSampler(pairs=30, seed=3)
+    expected = loop_coupling(net, sampler)
+    counts, draw = [], analysis._draw_shares
+
+    def spy(core, count, rng):
+        counts.append(count)
+        return draw(core, count, rng)
+
+    monkeypatch.setattr(analysis, "_draw_shares", spy)
+    draw_pairs_per_batch(monkeypatch, net, per_batch)
+    assert check_hypothesis_coupling(net, sampler) == expected
+    whole, rest = divmod(30, per_batch)
+    assert counts == [2 * per_batch] * whole + [2 * rest] * (rest > 0)
+
+
+@pytest.mark.parametrize("per_batch", [1, 4, 23, 100])
+def test_the_sample_batches_pair_one_whole_draw(per_batch, monkeypatch):
+    net = parallel_pair(2, 3)
+    core = compile_network(net)
+    sampler = HSampler(pairs=23, seed=5)
+    draws = analysis._draw_shares(core, 2 * sampler.pairs, sampler.seed)
+    vertices = [core.pack(vertex_assignment(net, combo)) for combo in itertools.product(range(2), range(3))]
+    barycenter = core.pack(uniform_assignment(net))
+    expected = [*itertools.combinations(vertices, 2), *((barycenter, v) for v in vertices)]
+    expected += [(draws[..., 2 * k], draws[..., 2 * k + 1]) for k in range(sampler.pairs)]
+    draw_pairs_per_batch(monkeypatch, net, per_batch)
+    pairs = [(points[..., i], points[..., j])
+             for points, first, second in analysis._sample_pairs(net, core, sampler)
+             for i, j in zip(first.tolist(), second.tolist())]
+    assert len(pairs) == len(expected)
+    for (a, b), (c, d) in zip(pairs, expected):
+        assert a.tobytes() == c.tobytes() and b.tobytes() == d.tobytes()
+
+
+class SpoiltGammas:
+    """Draws as `np.random.default_rng(seed)` does, except that population
+    p's variates of draw k are `value` for each (k, p) in `spoilt`: at 0 or
+    nan, a draw that `Assignment.make` refuses."""
+
+    def __init__(self, seed: int, counts: list[int], spoilt: list[tuple[int, int]], value: float):
+        self.rng, self.spoilt, self.drawn = np.random.Generator(np.random.PCG64(seed)), spoilt, 0
+        self.first, self.value = np.cumsum([0, *counts]).tolist(), value
+
+    def standard_gamma(self, shape, size):
+        variates = self.rng.standard_gamma(shape, size)
+        for k, p in self.spoilt:
+            if self.drawn <= k < self.drawn + size[0]:
+                variates[k - self.drawn, self.first[p] : self.first[p + 1]] = self.value
+        self.drawn += size[0]
+        return variates
+
+
+@pytest.mark.parametrize("value", [0.0, math.nan])
+@pytest.mark.parametrize("per_batch", [3, 100])
+def test_a_refused_draw_raises_the_error_of_make_for_the_first_one(per_batch, value, monkeypatch):
+    # Draw 17 spoils population B (3 routes), draw 30 population A (2 routes);
+    # variates summing to 0 give nan shares, as `dirichlet` does, and no warning.
+    net = parallel_pair(2, 3)
+
+    def rng(seed):
+        return seed if isinstance(seed, SpoiltGammas) else SpoiltGammas(seed, [2, 3], [(30, 0), (17, 1)], value)
+
+    with pytest.raises(ValueError) as expected:
+        Assignment.make([[0.5, 0.5], [math.nan] * 3], tolerance=1e-9)
+    draw_pairs_per_batch(monkeypatch, net, per_batch)
+    monkeypatch.setattr(np.random, "default_rng", rng)
+    with pytest.raises(ValueError) as raised:
+        check_hypothesis_coupling(net, HSampler(pairs=40))
+    assert str(raised.value) == str(expected.value) == "share vector has a non-finite component in [nan, nan, nan]"
+
+
 def test_a_sample_past_the_budget_is_refused_before_it_is_built():
     # 300 routes each: 90,000 vertices and about 4e9 vertex pairs.
     start = time.perf_counter()
