@@ -97,14 +97,9 @@ _quadrature = _checked(int, lambda v: 0 < v <= analysis.MAX_QUADRATURE_NODES,
                        f"quadrature must be positive and at most {analysis.MAX_QUADRATURE_NODES}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command's parser, built on first use and shared after."""
-    return _parsers()[0]
-
-
-@functools.cache
-def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The command's parser and each subcommand's, by name."""
     parser = argparse.ArgumentParser(
         prog="wardrop",
         description="Multi-population Nash equilibria on road networks.",
@@ -172,7 +167,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     p_routes.add_argument("--destination", required=True)
     common(p_routes, tol=False)
 
-    return parser, sub.choices
+    return parser
 
 
 def _emit(args, payload, text_lines: list[str]) -> None:
@@ -225,24 +220,8 @@ _REFUSALS = (
 )
 
 
-def _parse(argv: Sequence[str]) -> argparse.Namespace:
-    """The arguments as the command's parser reads them.  Where the first
-    names a subcommand, that subcommand's parser alone reads the rest, as
-    the command's parser would after a scan of its own; arguments left
-    over are refused in the command's name, as it refuses them."""
-    parser, commands = _parsers()
-    sub = commands.get(argv[0]) if argv else None
-    if sub is None:
-        return parser.parse_args(argv)
-    args, extras = sub.parse_known_args(argv[1:])
-    if extras:
-        parser.error(f"unrecognized arguments: {' '.join(extras)}")
-    args.command = argv[0]
-    return args
-
-
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _parse(sys.argv[1:] if argv is None else list(argv))
+    args = build_parser().parse_args(argv)
     try:
         return _dispatch(args)
     except _ValidationFailed as exc:

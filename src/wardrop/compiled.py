@@ -12,7 +12,8 @@ alone, bit for bit.  Every sum runs left to right from 0, as the scalar
 reference in `tests/conftest.py` does: another order changes the last
 bits.  One primitive, `_total`, does every sum: a numpy reduce, which numpy
 adds one row at a time where the axes after the summed one hold 2 elements
-or more in a C-ordered array; elsewhere it sums pairwise from 8 terms on.
+or more in a C-ordered array; elsewhere it sums pairwise from 8 terms on,
+so there a cumulative sum stands in.
 """
 
 from __future__ import annotations
@@ -53,20 +54,11 @@ def _buffer(scratch: dict | None, name: str, shape: tuple[int, ...]) -> np.ndarr
 
 def _total(values: np.ndarray, axis: int = 0, out: np.ndarray | None = None, keepdims: bool = False) -> np.ndarray:
     """Left-to-right sums from 0 along `axis`, into `out` if given: one
-    reduce, or one add of 0 to a single first-axis row.  Where numpy would
-    sum the reduce pairwise, it runs on a C-ordered copy with `axis` first,
-    or, for a lone sum, a cumulative sum stands in (+ 0.0: the sum's
+    reduce.  Where numpy would sum the reduce pairwise, a cumulative sum,
+    which runs left to right in any layout, stands in (+ 0.0: the sum's
     leading 0)."""
-    depth = values.shape[axis]
-    if depth == 1 and axis == 0 and not keepdims:
-        return np.add(values[0], 0.0, out=out)
-    if depth >= 8 and not (values.flags.c_contiguous and values.strides[axis] > values.itemsize):
-        if values.size < 2 * depth:
-            return np.add(values.cumsum(axis).take([-1] if keepdims else -1, axis), 0.0, out=out)
-        axis %= values.ndim
-        first = values.transpose(axis, *range(axis), *range(axis + 1, values.ndim)).copy()
-        total = np.add.reduce(first, 0, None, out, False, 0.0)
-        return total.reshape(values.shape[:axis] + (1,) + values.shape[axis + 1 :]) if keepdims else total
+    if values.shape[axis] >= 8 and not (values.flags.c_contiguous and values.strides[axis] > values.itemsize):
+        return np.add(values.cumsum(axis).take([-1] if keepdims else -1, axis), 0.0, out=out)
     return np.add.reduce(values, axis, None, out, keepdims, 0.0)
 
 
