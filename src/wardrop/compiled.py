@@ -388,6 +388,7 @@ class Spreads(NamedTuple):
 
 
 _WORKING_SET = 1 << 17  # array elements an evaluation may hold per intermediate
+INPUT_TOLERANCE = 1e-12  # slack on shares read as input: on their simplices, and holding eps
 
 
 class CompiledNetwork:
@@ -519,76 +520,72 @@ class CompiledNetwork:
         mean_scale = np.where(mean < np.inf, np.maximum(1.0, mean), 1.0)
         return Spreads(spread, scale, shortfall, mean_scale)
 
-    def eps_gains(self, x: np.ndarray, t: np.ndarray, eps: float, slack: float) -> tuple[np.ndarray, ...]:
+    def eps_gains(self, x: np.ndarray, t: np.ndarray, eps: float) -> tuple[np.ndarray, ...]:
         """Every feasible mass shift of one assignment, and what it gains.
 
         A shift moves `eps` from route i of population p (if x[p, i] >= eps
-        - slack) to its route j; shifts run over p, then the ordered pairs
-        (i, j).  Returns (p, i, j, gain): gain is the movers' relative time
-        saving (t_i before - t_j after) / max(1, t_i), +inf from an infinite
-        route, -inf (never a gain) into a route that turns infinite.
+        - INPUT_TOLERANCE) to its route j; shifts run over p, then the
+        ordered pairs (i, j).  Returns (p, i, j, gain): gain is the movers'
+        relative time saving (t_i before - t_j after) / max(1, t_i), +inf
+        from an infinite route, -inf (never a gain) into a route that turns
+        infinite.
 
-        A shift changes only p's flows on the roads of i and j, so j's time
-        after it sums p's costs on j's roads alone, each at the base flows
-        with p's flow on that road summed afresh.  Gains equal those of
-        evaluating each shifted assignment whole, bit for bit, and so do
-        errors, where the program can raise.
+        Shifts that fit one evaluation (`_chunk`) are evaluated as one
+        `times` batch of the shifted assignments, which checks every sign
+        before any 0 * inf.  More go road by road (`_costs_after`), with the
+        same gains bit for bit and the same errors.
         """
         p, i, j = self._shifts
-        p, i, j = self._shifts.compress(x[p, i] >= eps - slack, 1)
-        src, dst = p * self.width + i, p * self.width + j  # flat route indices
-        raising = self.program.raising_slots()
-        after = _total(self._costs_after(x.ravel(), src, dst, eps, raising))
+        p, i, j = self._shifts.compress(x[p, i] >= eps - INPUT_TOLERANCE, 1)
+        if len(p) <= self._chunk:
+            s = np.arange(len(p))
+            shifted = np.repeat(x[..., None], len(p), 2)
+            shifted[p, i, s] = np.maximum(x[p, i] - eps, 0.0)
+            shifted[p, j, s] += eps
+            after = self.times(shifted)[p, j, s]
+        else:
+            after = _total(self._costs_after(x.ravel(), p * self.width + i, p * self.width + j, eps))
         before = t[p, i]
-        saving = np.subtract(before, after, out=np.full(len(src), -np.inf), where=after < np.inf)
+        saving = np.subtract(before, after, out=np.full(len(p), -np.inf), where=after < np.inf)
         gain = saving / np.maximum(1.0, np.where(before < np.inf, before, 1.0))
         return p, i, j, gain
 
-    def _costs_after(
-        self, flat: np.ndarray, src: np.ndarray, dst: np.ndarray, eps: float, raising: np.ndarray | None
-    ) -> np.ndarray:
-        """p's cost on each road of each shift's route j (0 past j's roads),
-        at each shift's own flows: (route depth, shifts).
+    def _costs_after(self, flat: np.ndarray, src: np.ndarray, dst: np.ndarray, eps: float) -> np.ndarray:
+        """p's cost on each road of each shift's flat route j = dst (0 past
+        j's roads), after eps moves from flat route i = src: (route depth,
+        shifts).
 
-        Each is evaluated per shift, unless these points are at least twice
-        as many as the roads of all routes: then a cost on a road of j that
-        i does not use, whose flows depend on the road and j alone, is
-        evaluated once per road of every route (as eps moved onto the
-        route), except where it can raise.  So that errors are those of
-        evaluating each shifted assignment whole (signs first), every
-        population's cost that can raise on every road of i and j is
-        evaluated per shift too; `raising` marks them (`raising_slots`)."""
+        A shift changes only p's flows on the roads of i and j.  A cost on a
+        road of j that i does not use is evaluated once per road of every
+        route, as eps moved onto the route; the rest once per shift: on the
+        roads i and j share, and where it can raise.  So that errors are
+        those of evaluating each shifted assignment whole (signs first),
+        every population's cost that can raise on every road of i and j is
+        evaluated per shift too (`raising_slots`)."""
         padding = self.pop_count * self.road_count
-        into = self._route_rows.take(dst, 1)  # (route depth, shifts)
+        raising = self.program.raising_slots()
+        into, out = self._route_rows.take(dst, 1), self._route_rows.take(src, 1)  # (route depth, shifts)
         own = self._route_gather.take(dst, 1)
-        grid = self._route_gather.size
-        if into.size > 2 * grid:
-            # per shift: on the roads that i and j share
-            each = (into[:, None] == self._route_rows.take(src, 1)).any(1) & (into < padding)
-            routed = self._route_gather.ravel()  # by road position, then flat route
-            if raising is not None:
-                each |= raising[own]
-                routed = np.where(raising[routed], self.program.zero_slot, routed)
-            apart = each.ravel().nonzero()[0]
-            per_route = (self._route_rows.ravel(), routed, np.full(grid, -1), np.arange(grid) % len(flat))
-        else:
-            apart, grid, per_route = np.arange(into.size), 0, None
+        each = (into[:, None] == out).any(1) & (into < padding)
+        routed = self._route_gather.ravel()  # by road position, then flat route
+        if raising is not None:
+            each |= raising[own]
+            routed = np.where(raising[routed], self.program.zero_slot, routed)
+        apart = each.ravel().nonzero()[0]
         rows, slots, s = into.ravel()[apart], own.ravel()[apart], apart % len(src)  # s: each point's shift
         if raising is not None:
-            both = np.concatenate([into, self._route_rows.take(src, 1)])
+            both = np.concatenate([into, out])
             every = self.cost_slots[:, both % self.road_count]  # (population, road position, shift)
             hit = (raising[every] & (both < padding)).ravel().nonzero()[0]
             rows = np.concatenate([rows, both.ravel()[hit % both.size]])
             slots = np.concatenate([slots, every.ravel()[hit]])
             s = np.concatenate([s, hit % len(src)])
-        points = (rows, slots, src[s], dst[s])
-        if per_route is not None:
-            points = tuple(np.concatenate(pair) for pair in zip(per_route, points))
-        rows, slots, source, target = points
+        grid = routed.size
+        rows = np.concatenate([self._route_rows.ravel(), rows])
+        source = np.concatenate([np.full(grid, -1), src[s]])
+        target = np.concatenate([np.arange(grid) % len(flat), dst[s]])
         flows = self._patched_flows(flat, rows, source, target, eps)
-        values = self.program.at(slots, self._flows(flat), rows, flows)
-        if not grid:
-            return values[: into.size].reshape(into.shape)
+        values = self.program.at(np.concatenate([routed, slots]), self._flows(flat), rows, flows)
         costs = values[:grid].reshape(len(into), -1).take(dst, 1)
         np.put(costs, apart, values[grid : grid + len(apart)])
         return costs

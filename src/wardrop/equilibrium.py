@@ -32,6 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .compiled import (
+    INPUT_TOLERANCE,
     CompiledNetwork,
     DimensionMismatchError,
     NormalizationError,
@@ -41,7 +42,6 @@ from .compiled import (
 from .costs import ExtReal
 from .netcore import Network
 
-INPUT_TOLERANCE = 1e-12
 DEFAULT_TIME_TOLERANCE = 1e-9
 # Relative spreads, shortfalls and eps gains are at most 1 where the times
 # they compare are finite, so a time tolerance of 1 or more certifies them all.
@@ -289,8 +289,7 @@ def is_eps_nash(
 
     For every feasible shift of `eps` mass from route i to route j, the
     time of route j *after* the shift must be at least the time of route i
-    before it.  Each shift's gain is evaluated on the roads of its two
-    routes alone.
+    before it (`CompiledNetwork.eps_gains`).
     """
     _require_tolerance("tol", tol, below=TIME_TOLERANCE_BOUND)
     if eps is None:
@@ -298,7 +297,7 @@ def is_eps_nash(
     _require_tolerance("eps", eps)
     core, x, t = _evaluate(net, theta)
     spread, _, eq, _ = _verdicts(core, x, t, tol)
-    p, i, j, gain = core.eps_gains(x, t, eps, INPUT_TOLERANCE)
+    p, i, j, gain = core.eps_gains(x, t, eps)
     paying = gain > tol
     shifts = zip(*(a[paying].tolist() for a in (p, i, j, gain))) if paying.any() else ()
     detail = _spread_witnesses(core.names, spread, tol) + tuple(
@@ -319,7 +318,7 @@ def verify(
     spread, shortfall, eq, nash = _verdicts(core, x, t, tol)
     eps_used = default_eps(theta) if eps is None else eps
     _require_tolerance("eps", eps_used)
-    gain = core.eps_gains(x, t, eps_used, INPUT_TOLERANCE)[-1]
+    gain = core.eps_gains(x, t, eps_used)[-1]
     eps_residual = max(0.0, float(gain.max(initial=0.0)))
     return EquilibriumReport(
         is_equilibrium=bool(eq),

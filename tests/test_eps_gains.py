@@ -1,13 +1,15 @@
-"""The road-local eps-shift gains equal the whole-network batch, bit for bit.
+"""The eps-shift gains equal the whole-network batch, bit for bit.
 
-`reference_eps_gains` is the batched `CompiledNetwork.eps_gains` that came
-first: one whole-network evaluation per shifted assignment, all on one batch
-axis.  The road-local version must return the same four arrays, or raise
-the same error class where the reference raises.
+`reference_eps_gains` evaluates every shifted assignment over the whole
+network, all on one batch axis.  `CompiledNetwork.eps_gains` does the same
+through one `times` batch where the shifts fit one evaluation (`_chunk`),
+and road by road where they do not: both sides must return the same four
+arrays, or raise the same error class where the reference raises.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import json
@@ -61,12 +63,16 @@ def whole_times(core, x: np.ndarray) -> np.ndarray:
     return total.reshape(x.shape)
 
 
-def reference_eps_gains(core, x, t, eps, slack):
+def feasible(core, x, eps) -> np.ndarray:
+    """Which of `core._shifts` move eps from a route that holds it."""
+    p, i, _ = core._shifts
+    return x[p, i] >= eps - INPUT_TOLERANCE
+
+
+def reference_eps_gains(core, x, t, eps):
     """Every feasible mass shift of one assignment, evaluated as one batch of
     shifted assignments, each over the whole network."""
-    p, i, j = shifts = core._shifts
-    keep = x[p, i] >= eps - slack
-    p, i, j = shifts[:, keep]
+    p, i, j = core._shifts[:, feasible(core, x, eps)]
     rows = np.arange(len(p))
     batch = np.repeat(x[..., None], len(p), axis=-1)
     batch[p, i, rows] = np.maximum(x[p, i] - eps, 0.0)
@@ -78,25 +84,45 @@ def reference_eps_gains(core, x, t, eps, slack):
     return p, i, j, gain
 
 
+@contextlib.contextmanager
+def chunked(core, chunk: int):
+    """`core` evaluating at most `chunk` assignments at once, as built
+    after; yields the batch shapes of its `times` calls meanwhile."""
+    built, times, batches = core._chunk, core.times, []
+    core._chunk = chunk
+    core.times = lambda x: batches.append(x.shape[2:]) or times(x)
+    try:
+        yield batches
+    finally:
+        core._chunk = built
+        del core.times
+
+
 def assert_gains_equal_the_reference(net: Network, theta: Assignment, eps_values) -> bool:
-    """Each eps of `eps_values` alone.  False, and nothing checked, where the
-    assignment itself fails to evaluate."""
+    """Each eps of `eps_values` alone, on both sides of the size rule: with
+    every feasible shift in one `times` batch, and with one shift too many
+    for it, road by road.  False, and nothing checked, where the assignment
+    itself fails to evaluate."""
     core = compile_network(net)
     x = core.pack(theta)
     t, error = raised(core.times, x)
     if error is not None:
         return False
     for eps in eps_values:
-        expected, error = raised(reference_eps_gains, core, x, t, eps, INPUT_TOLERANCE)
-        if error is None:
-            got = core.eps_gains(x, t, eps, INPUT_TOLERANCE)
-            assert len(got) == len(expected) == 4
-            for a, b in zip(got, expected):
-                assert a.dtype == b.dtype and np.array_equal(a, b)
-        else:
-            with pytest.raises(EVALUATION_ERRORS) as info:
-                core.eps_gains(x, t, eps, INPUT_TOLERANCE)
-            assert info.type is error
+        expected, error = raised(reference_eps_gains, core, x, t, eps)
+        count = int(np.count_nonzero(feasible(core, x, eps)))
+        for chunk in (count, count - 1):
+            with chunked(core, chunk) as batches:
+                if error is None:
+                    got = core.eps_gains(x, t, eps)
+                    assert len(got) == len(expected) == 4
+                    for a, b in zip(got, expected):
+                        assert a.dtype == b.dtype and np.array_equal(a, b)
+                else:
+                    with pytest.raises(EVALUATION_ERRORS) as info:
+                        core.eps_gains(x, t, eps)
+                    assert info.type is error
+            assert batches == ([(count,)] if chunk == count else [])
     return True
 
 
@@ -187,8 +213,8 @@ def test_drawn_gains_equal_the_reference(data):
 @SETTINGS
 @given(st.data())
 def test_drawn_gains_of_costs_that_cannot_raise_equal_the_reference(data):
-    # no point is evaluated for its errors alone, and where the shifts are
-    # many, the roads of j that i does not use take the per-route values
+    # road by road, no point is evaluated for its errors alone, and the
+    # roads of j that i does not use take the per-route values
     net = data.draw(networks(raising=False))
     theta = data.draw(assignments(net))
     eps = data.draw(st.sampled_from([1.0, 0.5, 0.1, 1e-3]))
@@ -241,7 +267,7 @@ def test_built_errors_equal_the_reference(name, tmp_path):
     net, eps, error = BUILT[name]
     shares = [[1 / len(pop.routes)] * len(pop.routes) for pop in net.populations]
     theta = Assignment.make(shares)
-    assert raised(reference_eps_gains, *_evaluated(net, theta), eps, INPUT_TOLERANCE)[1] is error
+    assert raised(reference_eps_gains, *_evaluated(net, theta), eps)[1] is error
     assert assert_gains_equal_the_reference(net, theta, [eps])
     # the CLI maps a negative cost to exit 4 and 0 * inf to exit 2, whichever else occurs
     save_network(net, tmp_path / "net.json")
@@ -255,9 +281,9 @@ def test_costs_that_can_raise_are_evaluated_only_at_feasible_shifts(cost):
     # Routes r0-r3 start on road R, r4 and r5 on road S; each ends on a road
     # of its own.  At shares 0.225 on R's routes and 0.05 on S's, only R's
     # routes hold eps = 0.1, so no shift moves 0.1 onto road R from outside:
-    # R's flow would reach 1 and its cost raise, at no real shift.  Its 20
-    # shifts over 2 roads are enough to evaluate the other roads per route;
-    # S's cost could raise too (it never does), so it is evaluated per shift.
+    # R's flow would reach 1 and its cost raise, at no real shift.  Road by
+    # road, the other roads are evaluated per route; S's cost could raise
+    # too (it never does), so it is evaluated per shift.
     ends = [Road(f"b{k}", "m" if k < 4 else "n", "d") for k in range(6)]
     roads = (Road("R", "o", "m"), Road("S", "o", "n"), *ends)
     routes = tuple(RouteSpec(("R" if k < 4 else "S", end.id)) for k, end in enumerate(ends))
@@ -265,8 +291,50 @@ def test_costs_that_can_raise_are_evaluated_only_at_feasible_shifts(cost):
     junctions = tuple(Junction(name) for name in "omnd")
     net = Network(junctions, roads, (PopulationSpec("a", "o", "d", routes, costs),))
     theta = Assignment.make([[0.225] * 4 + [0.05] * 2])
-    assert raised(reference_eps_gains, *_evaluated(net, theta), 0.1, INPUT_TOLERANCE)[1] is None
+    assert raised(reference_eps_gains, *_evaluated(net, theta), 0.1)[1] is None
     assert assert_gains_equal_the_reference(net, theta, [0.1])
+
+
+def _raising_both_ways() -> Network:
+    """At shares (0.45, 0.1, 0.45) and eps 0.4, moving r0 to r1 fills r1's
+    zero-scaled load to its capacity (0 * inf), moving r2 to r0 turns r2's
+    cost negative, and moving r2 to r1 does both; at (0.6, 0.1, 0.3) only
+    r0 holds eps, and only r0 to r1 raises (0 * inf)."""
+    return _parallel([SINKS, _blowing(0.5), NonMonotoneAffine(-0.1, {"a": 1.0})])
+
+
+# network, then (shares, eps, the error of the reference or None) to check
+BOUNDARY = {
+    "congestion_corridor": (nets.congestion_corridor, [([[0.9, 0.1], [0.9, 0.1]], 0.1, None)]),
+    "layered (3,2,2)": (lambda: layered(3, 2, 2, seed=0), [(None, 0.02, None)]),
+    "nonmonotone_pair": (nets.nonmonotone_pair, [([[0.5, 0.5]], 0.1, None), ([[0.5, 0.5]], 0.5, None)]),
+    "raising-both-ways": (_raising_both_ways, [([[0.45, 0.1, 0.45]], 0.4, CostDomainError),
+                                               ([[0.6, 0.1, 0.3]], 0.4, ExtRealGuardError),
+                                               ([[0.45, 0.1, 0.45]], 0.1, None)]),
+}
+
+
+@pytest.mark.parametrize("name", BOUNDARY)
+def test_gains_equal_the_reference_at_the_most_shifts_one_batch_takes(name):
+    # `assert_gains_equal_the_reference` sets `_chunk` to the feasible shifts
+    # and to one fewer: one `times` batch, then road by road
+    build, cases = BOUNDARY[name]
+    net = build()
+    for shares, eps, error in cases:
+        theta = uniform_assignment(net) if shares is None else Assignment.make(shares)
+        core, x, t = _evaluated(net, theta)
+        assert np.count_nonzero(feasible(core, x, eps)) > 0
+        assert raised(reference_eps_gains, core, x, t, eps)[1] is error
+        assert assert_gains_equal_the_reference(net, theta, [eps])
+
+
+def test_populations_of_one_route_shift_nothing():
+    net = _parallel([SINKS], [Constant(1.0)])
+    theta = Assignment.make([[1.0], [1.0]])
+    core, x, t = _evaluated(net, theta)
+    assert all(a.size == 0 for a in core.eps_gains(x, t, 0.5))
+    assert assert_gains_equal_the_reference(net, theta, [0.5, 1.0])
+    assert verify(net, theta).eps_residual == 0.0
 
 
 def _evaluated(net: Network, theta: Assignment):

@@ -34,6 +34,7 @@ from wardrop.equilibrium import (
     route_times,
     solve_fixed_point,
     solve_multistart,
+    uniform_assignment,
     verify,
     vertex_assignment,
 )
@@ -302,8 +303,19 @@ class TestOneEvaluation:
         times = core.times
         monkeypatch.setattr(core, "times", lambda x: shapes.append(x.shape) or times(x))
         verify(net, Assignment.make([[0.9, 0.1], [0.9, 0.1]]))
-        # the assignment's route times, once; the eps shifts are evaluated
-        # road by road, with no batch of shifted assignments
+        # the assignment's route times, once; then its feasible eps shifts,
+        # which fit one evaluation, as one batch of shifted assignments
+        assert shapes[0] == (core.pop_count, core.width)
+        assert [shape[:2] for shape in shapes[1:]] == [(core.pop_count, core.width)]
+        assert 0 < shapes[1][2] <= core._chunk
+        # more shifts than one evaluation takes go road by road, with no batch
+        net = layered(5, 2, 2, seed=0)
+        core = compile_network(net)
+        shapes.clear()
+        times = core.times
+        monkeypatch.setattr(core, "times", lambda x: shapes.append(x.shape) or times(x))
+        verify(net, uniform_assignment(net))
+        assert len(core._shifts[0]) > core._chunk
         assert shapes == [(core.pop_count, core.width)]
 
     def test_internal_verdicts_format_no_witness(self, monkeypatch):
