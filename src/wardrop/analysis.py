@@ -533,26 +533,40 @@ def _estimate_time_variation(net: Network) -> float:
     unbounded costs make the true Lipschitz constant infinite near their
     blow-up set, and an exploding estimate would drown the oracle in
     false hits.
+
+    Each base point is drawn population by population as
+    `rng.dirichlet(np.ones(n))` would draw it: for alpha 1, `dirichlet`
+    multiplies n standard exponential variates by the reciprocal of their
+    left-to-right sum, so one `standard_exponential` call per base point,
+    normalized that way, gives the same shares from the same stream.  Each
+    population of two routes or more then moves a step of share from
+    route i to route j, (i, j) drawn by `rng.choice`; the point before and
+    after the step are columns 2k and 2k + 1 of one batch.
     """
     core = compile_network(net)
     rng = np.random.default_rng(0)
     step = 1e-3
-    pairs = []
+    counts = core.route_counts
+    bounds = np.cumsum([0] + counts).tolist()
+    movable = [p for p in range(core.pop_count) if counts[p] >= 2]
+    points = np.zeros((core.pop_count, core.width, 2 * 64 * len(movable)))
+    k = 0
     for _ in range(64):
-        base = [rng.dirichlet(np.ones(n)) for n in core.route_counts]
-        for p in range(core.pop_count):
-            if core.route_counts[p] < 2:
+        drawn = rng.standard_exponential(bounds[-1])
+        base = np.zeros((core.pop_count, core.width))
+        for p, (a, b) in enumerate(itertools.pairwise(bounds)):
+            base[p, : b - a] = drawn[a:b] * (1.0 / _total(drawn[a:b]))
+        for p in movable:
+            i, j = rng.choice(counts[p], size=2, replace=False)
+            if base[p, i] < step:
                 continue
-            moved = [b.copy() for b in base]
-            i, j = rng.choice(core.route_counts[p], size=2, replace=False)
-            if moved[p][i] < step:
-                continue
-            moved[p][i] -= step
-            moved[p][j] += step
-            pairs += [core.pack(base), core.pack(moved)]
+            points[..., k] = points[..., k + 1] = base
+            points[p, i, k + 1] -= step
+            points[p, j, k + 1] += step
+            k += 2
     ratios = [1.0]
-    if pairs:
-        times = core.times(np.stack(pairs, axis=-1))[core.valid]
+    if k:
+        times = core.times(points[..., :k])[core.valid]
         before, after = times[:, 0::2], times[:, 1::2]
         finite = (before < math.inf) & (after < math.inf)
         with np.errstate(over="ignore"):  # a ratio past the float range is +inf, the steepest
@@ -622,8 +636,11 @@ def _scan_product_grid(
     A point is a hit when every population's relevant times spread by at
     most tolerance * scale and no unused route undercuts the mean by more
     than tolerance * mean scale; its residual is the largest absolute spread
-    or shortfall.  Returns each hit's compositions side by side as one int
-    row, in scan order, which is lexicographic, and the hits' residuals."""
+    or shortfall.  Each batch is screened by the spread test first; only the
+    points that pass go on to the shortfall test (the two halves of
+    `CompiledNetwork.spreads`).  Returns each hit's compositions side by
+    side as one int row, in scan order, which is lexicographic, and the
+    hits' residuals."""
     core = compile_network(net)
     last = len(grids) - 1
     outer = np.array(list(itertools.product(*(range(len(g)) for g in grids[:last]))), dtype=int)
@@ -634,23 +651,27 @@ def _scan_product_grid(
     shares = np.zeros((core.pop_count, core.width, per_batch, inner))
     shares[last, : core.route_counts[last]] = (grids[last] / resolution).T[:, None, :]
     scratch: dict = {}
-    found, residuals = [], []  # per batch: the hits' indices into the grid product, their residuals
-    for start in range(0, len(outer), per_batch):
-        block = outer[start : start + per_batch]
-        for p in range(last):
-            rows = grids[p][block[:, p]] / resolution
-            shares[p, : core.route_counts[p], : len(block)] = rows.T[..., None]
-        x = shares[:, :, : len(block)].reshape(core.pop_count, core.width, -1)
-        s = core.spreads(x, core.times(x, scratch), 0.0)
-        points = x.shape[2]
-        shortfall = s.shortfall.reshape(-1, points)
-        with np.errstate(over="ignore"):  # a bound past the float range is +inf, met by all
-            ok = np.logical_and.reduce(s.spread <= tolerance * s.scale)
-            undercut = (s.shortfall <= tolerance * s.mean_scale).reshape(-1, points)
-        ok &= np.logical_and.reduce(undercut)
-        worst = np.maximum(s.spread.max(axis=0), shortfall.max(axis=0).clip(0.0))
-        found.append(start * inner + np.flatnonzero(ok))
-        residuals.append(worst[ok])
+    # per batch: the hits' indices into the grid product, their residuals (none before the first)
+    found, residuals = [np.zeros(0, dtype=int)], [np.zeros(0)]
+    with np.errstate(over="ignore"):  # a bound past the float range is +inf, met by all
+        for start in range(0, len(outer), per_batch):
+            block = outer[start : start + per_batch]
+            for p in range(last):
+                rows = grids[p][block[:, p]] / resolution
+                shares[p, : core.route_counts[p], : len(block)] = rows.T[..., None]
+            x = shares[:, :, : len(block)].reshape(core.pop_count, core.width, -1)
+            t = core.times(x, scratch)
+            spread, scale, relevant, kept = core.relevant_spreads(x, t, 0.0)
+            within = np.flatnonzero(np.logical_and.reduce(spread <= tolerance * scale))
+            if not within.size:
+                continue
+            if within.size < x.shape[2]:  # only the points within the spread bound go on
+                x, t, relevant, kept, spread = (a[..., within] for a in (x, t, relevant, kept, spread))
+            shortfall, mean_scale = core.shortfalls(x, t, relevant, kept)
+            ok = np.logical_and.reduce(shortfall <= tolerance * mean_scale, (0, 1))
+            worst = np.maximum(spread.max(axis=0), shortfall.max(axis=(0, 1)).clip(0.0))
+            found.append(start * inner + within[ok])
+            residuals.append(worst[ok])
     row, column = np.divmod(np.concatenate(found), inner)
     steps = [grids[p][outer[row, p]] for p in range(last)] + [grids[last][column]]
     return np.concatenate(steps, axis=1), np.concatenate(residuals)

@@ -299,8 +299,12 @@ def _dispatch(args) -> int:
             f"grid resolution: {result.resolution}",
             f"points scanned: {result.points_scanned}",
             f"tolerance: {_fmt(result.tolerance)}",
-            f"clusters: {len(result.equilibria)}",
         ]
+        if result.tolerance >= 1.0:  # a spread is at most its scale, a shortfall its mean scale
+            lines.append("note: at a tolerance of 1 or more every grid point with finite relevant "
+                         "times passes, so the clusters are no evidence of an equilibrium; "
+                         "a finer --grid lowers it")
+        lines.append(f"clusters: {len(result.equilibria)}")
         for theta, residual in result.equilibria:
             shares = "; ".join(
                 f"{name} [" + ", ".join(_fmt(x) for x in vec) + "]"

@@ -505,20 +505,32 @@ class CompiledNetwork:
 
     def spreads(self, x: np.ndarray, t: np.ndarray, share_tol: float) -> Spreads:
         """Routes whose share exceeds `share_tol` are relevant, others unused."""
-        valid = self.valid[_per_row(x.shape[2:])]
-        relevant = (x > share_tol) & valid
+        spread, scale, relevant, kept = self.relevant_spreads(x, t, share_tol)
+        return Spreads(spread, scale, *self.shortfalls(x, t, relevant, kept))
+
+    def relevant_spreads(self, x: np.ndarray, t: np.ndarray, share_tol: float) -> tuple[np.ndarray, ...]:
+        """The first half of `spreads`: its spread and scale, and the relevant
+        routes and their times (0 elsewhere) that `shortfalls` reads."""
+        relevant = (x > share_tol) & self.valid[_per_row(x.shape[2:])]
         kept = np.where(relevant, t, 0.0)
         hi = kept.max(axis=1)  # times are >= 0
         lo = np.minimum(np.where(relevant, t, np.inf).min(axis=1), hi)
         # lo == inf: every relevant time is infinite, so they agree
         spread = np.subtract(hi, lo, out=np.zeros(hi.shape), where=lo < np.inf)
         scale = np.where(hi < np.inf, np.maximum(1.0, hi), 1.0)
+        return spread, scale, relevant, kept
+
+    def shortfalls(
+        self, x: np.ndarray, t: np.ndarray, relevant: np.ndarray, kept: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The second half of `spreads`, from the first's `relevant` and
+        `kept`: its shortfall and mean scale."""
         mean = _total(x * kept, 1, keepdims=True)
-        unused = valid ^ relevant
+        unused = self.valid[_per_row(x.shape[2:])] ^ relevant
         unused &= t < np.inf
         shortfall = np.subtract(mean, t, out=np.full(t.shape, -np.inf), where=unused)
         mean_scale = np.where(mean < np.inf, np.maximum(1.0, mean), 1.0)
-        return Spreads(spread, scale, shortfall, mean_scale)
+        return shortfall, mean_scale
 
     def eps_gains(self, x: np.ndarray, t: np.ndarray, eps: float) -> tuple[np.ndarray, ...]:
         """Every feasible mass shift of one assignment, and what it gains.

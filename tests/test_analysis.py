@@ -39,8 +39,10 @@ from wardrop.costs import (
     Affine,
     CongestionRational,
     Constant,
+    CostDomainError,
     ExtRealGuardError,
     InfiniteCostError,
+    NonMonotoneAffine,
     Scale,
     Sum,
 )
@@ -65,6 +67,7 @@ from conftest import (
     parallel_network,
     random_cost_network,
 )
+from test_compiled import SETTINGS, networks
 
 
 def incidence_arrays(net: Network) -> list[np.ndarray]:
@@ -1162,3 +1165,265 @@ def test_sampler_refuses_a_negative_bool_or_fractional_seed():
         with pytest.raises(ValueError, match="seed"):
             HSampler(seed=seed)
     HSampler(seed=0)
+
+
+# -- the oracle before its screened scan and one-pass sample -------------------
+# `_estimate_time_variation` and `_scan_product_grid` as they were before the
+# variation sample drew each base point in one call and the scan tested
+# shortfalls only where the spreads pass; renamed, bodies unchanged.  The
+# oracle's two phases must give the same estimate and the same hits and
+# residuals, bit for bit, and so the same `OracleResult`.
+
+def reference_time_variation(net: Network) -> float:
+    """Route-time variation per unit share change, sampled at 64 seeded points.
+
+    A high percentile of the finite sampled ratios, not the maximum:
+    unbounded costs make the true Lipschitz constant infinite near their
+    blow-up set, and an exploding estimate would drown the oracle in
+    false hits.
+    """
+    core = compile_network(net)
+    rng = np.random.default_rng(0)
+    step = 1e-3
+    pairs = []
+    for _ in range(64):
+        base = [rng.dirichlet(np.ones(n)) for n in core.route_counts]
+        for p in range(core.pop_count):
+            if core.route_counts[p] < 2:
+                continue
+            moved = [b.copy() for b in base]
+            i, j = rng.choice(core.route_counts[p], size=2, replace=False)
+            if moved[p][i] < step:
+                continue
+            moved[p][i] -= step
+            moved[p][j] += step
+            pairs += [core.pack(base), core.pack(moved)]
+    ratios = [1.0]
+    if pairs:
+        times = core.times(np.stack(pairs, axis=-1))[core.valid]
+        before, after = times[:, 0::2], times[:, 1::2]
+        finite = (before < math.inf) & (after < math.inf)
+        with np.errstate(over="ignore"):  # a ratio past the float range is +inf, the steepest
+            ratios += (np.abs(after[finite] - before[finite]) / step).tolist()
+    ratios.sort()
+    return ratios[int(0.75 * (len(ratios) - 1))]
+
+
+def reference_scan(
+    net: Network, grids: list[np.ndarray], resolution: int, tolerance: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Nash scan of the product of the populations' composition grids, in
+    batches of whole last-population grids, in the grid product's order.
+    A point is a hit when every population's relevant times spread by at
+    most tolerance * scale and no unused route undercuts the mean by more
+    than tolerance * mean scale; its residual is the largest absolute spread
+    or shortfall.  Returns each hit's compositions side by side as one int
+    row, in scan order, which is lexicographic, and the hits' residuals."""
+    core = compile_network(net)
+    last = len(grids) - 1
+    outer = np.array(list(itertools.product(*(range(len(g)) for g in grids[:last]))), dtype=int)
+    inner = len(grids[last])
+    per_batch = max(1, core._chunk // inner)  # the working set `core.times` evaluates at once
+    # Every batch reuses one share array and the evaluation's buffers.  The
+    # last population's grid and the padding are the same in every batch.
+    shares = np.zeros((core.pop_count, core.width, per_batch, inner))
+    shares[last, : core.route_counts[last]] = (grids[last] / resolution).T[:, None, :]
+    scratch: dict = {}
+    found, residuals = [], []  # per batch: the hits' indices into the grid product, their residuals
+    for start in range(0, len(outer), per_batch):
+        block = outer[start : start + per_batch]
+        for p in range(last):
+            rows = grids[p][block[:, p]] / resolution
+            shares[p, : core.route_counts[p], : len(block)] = rows.T[..., None]
+        x = shares[:, :, : len(block)].reshape(core.pop_count, core.width, -1)
+        s = core.spreads(x, core.times(x, scratch), 0.0)
+        points = x.shape[2]
+        shortfall = s.shortfall.reshape(-1, points)
+        with np.errstate(over="ignore"):  # a bound past the float range is +inf, met by all
+            ok = np.logical_and.reduce(s.spread <= tolerance * s.scale)
+            undercut = (s.shortfall <= tolerance * s.mean_scale).reshape(-1, points)
+        ok &= np.logical_and.reduce(undercut)
+        worst = np.maximum(s.spread.max(axis=0), shortfall.max(axis=0).clip(0.0))
+        found.append(start * inner + np.flatnonzero(ok))
+        residuals.append(worst[ok])
+    row, column = np.divmod(np.concatenate(found), inner)
+    steps = [grids[p][outer[row, p]] for p in range(last)] + [grids[last][column]]
+    return np.concatenate(steps, axis=1), np.concatenate(residuals)
+
+
+def outcome(f, *args):
+    """f(*args), or the type and message of the evaluation error it raises."""
+    try:
+        return f(*args)
+    except (CostDomainError, ExtRealGuardError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_hits(found, expected) -> None:
+    if isinstance(expected[0], type):  # an error
+        assert found == expected
+        return
+    (steps, residuals), (expected_steps, expected_residuals) = found, expected
+    assert steps.dtype == expected_steps.dtype and np.array_equal(steps, expected_steps)
+    assert residuals.dtype == expected_residuals.dtype and np.array_equal(residuals, expected_residuals)
+
+
+def assert_oracle_unchanged(net: Network, resolution: int, tolerances=()) -> None:
+    """The estimate, the scan at the oracle's tolerance and at each of
+    `tolerances`, and the oracle's result equal the references', errors
+    included."""
+    variation = outcome(reference_time_variation, net)
+    assert outcome(analysis._estimate_time_variation, net) == variation
+    if isinstance(variation, tuple):
+        return
+    grids = [compositions(n, resolution) for n in compile_network(net).route_counts]
+    for tolerance in (variation / resolution, *tolerances):
+        assert_same_hits(
+            outcome(analysis._scan_product_grid, net, grids, resolution, tolerance),
+            outcome(reference_scan, net, grids, resolution, tolerance),
+        )
+    result = outcome(brute_force_equilibria, net, resolution)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(analysis, "_estimate_time_variation", reference_time_variation)
+        patch.setattr(analysis, "_scan_product_grid", reference_scan)
+        assert outcome(brute_force_equilibria, net, resolution) == result
+
+
+def grid_points(net: Network, resolution: int) -> int:
+    return math.prod(math.comb(resolution + n - 1, n - 1) for n in compile_network(net).route_counts)
+
+
+# Every shipped fixture at every grid of the benchmark's oracle runs that
+# fits the default budget.
+FIXTURE_ORACLE_RUNS = [
+    (name, grid)
+    for name in sorted(nets.BUILDERS)
+    for grid in (12, 24, 100, 200, 800)
+    if grid_points(nets.BUILDERS[name](), grid) <= analysis.DEFAULT_ORACLE_BUDGET
+]
+
+
+@pytest.mark.parametrize("name, grid", FIXTURE_ORACLE_RUNS)
+def test_the_oracle_equals_its_reference_on_the_fixtures(name, grid):
+    assert_oracle_unchanged(nets.BUILDERS[name](), grid)
+
+
+def solo_and_wide() -> Network:
+    """`solo` has one route, r1, whose cost blows up once `wide` puts half
+    its mass there; `wide`'s own cost on r1 blows up past 0.8 of its mass,
+    r2 costs less the more `wide` takes it, and r3 is affine."""
+    roads = tuple(Road(f"r{k}", "a", "b") for k in (1, 2, 3))
+    return Network(
+        junctions=(Junction("a"), Junction("b")),
+        roads=roads,
+        populations=(
+            PopulationSpec("solo", "a", "b", (RouteSpec(("r1",)),),
+                           {"r1": CongestionRational({"solo": 0.5, "wide": 1.0}, 1.0)}),
+            PopulationSpec("wide", "a", "b", tuple(RouteSpec((r.id,)) for r in roads), {
+                "r1": CongestionRational({"wide": 1.0, "solo": 0.2}, 1.0),
+                "r2": NonMonotoneAffine(1.0, {"wide": -0.5, "solo": 0.1}),
+                "r3": Affine(0.5, {"wide": 1.0}),
+            }),
+        ),
+    )
+
+
+@pytest.mark.parametrize("resolution", [10, 80, 400])
+def test_the_oracle_equals_its_reference_with_a_lone_route_blow_ups_and_a_falling_cost(resolution):
+    assert_oracle_unchanged(solo_and_wide(), resolution, tolerances=(0.0, 0.5, 1.0))
+
+
+@pytest.mark.parametrize("shape", [(2, 1, 2), (3, 2, 2), (2, 3, 3), (3, 3, 1), (3, 2, 3), (5, 2, 2)])
+def test_the_oracle_equals_its_reference_on_layered_networks(shape):
+    # 2 to 27 routes a population: from 8 on, numpy's own sum of a base point's
+    # shares would be pairwise, not left to right as `dirichlet` sums them
+    net = layered(*shape, seed=0)
+    resolution = max(r for r in (1, 2, 3, 4, 40) if grid_points(net, r) <= 2_500 or r == 1)
+    assert_oracle_unchanged(net, resolution)
+
+
+@SETTINGS
+@given(networks())
+def test_the_oracle_equals_its_reference_on_random_networks(net):
+    resolution = max(r for r in (1, 2, 3, 4, 6) if grid_points(net, r) <= 5_000 or r == 1)
+    assert_oracle_unchanged(net, resolution, tolerances=(0.0, 1.0))
+
+
+def seven_and_solo() -> Network:
+    """`seven` on seven parallel roads at constant costs 1 to 7, so W = 8,
+    and `solo` last on a road of its own: a batch is a run of `seven`'s grid
+    points, only its vertices pass the spread test at tolerance 0, and only
+    the vertex on r0 is a hit."""
+    roads = tuple(Road(f"r{k}", "a", "b") for k in range(8))
+    return Network(
+        junctions=(Junction("a"), Junction("b")),
+        roads=roads,
+        populations=(
+            PopulationSpec("seven", "a", "b", tuple(RouteSpec((f"r{k}",)) for k in range(7)),
+                           {f"r{k}": Constant(1.0 + k) for k in range(7)}),
+            PopulationSpec("solo", "a", "b", (RouteSpec(("r7",)),), {"r7": Constant(1.0)}),
+        ),
+    )
+
+
+def test_a_batch_of_one_survivor_at_w_8_equals_the_reference(monkeypatch):
+    net = seven_and_solo()
+    core = compile_network(net)
+    survivors, shortfalls = [], CompiledNetwork.shortfalls
+
+    def spy(self, x, *args):
+        survivors.append(x.shape[2])
+        return shortfalls(self, x, *args)
+
+    monkeypatch.setattr(CompiledNetwork, "shortfalls", spy)
+    grids = [compositions(7, 10), compositions(1, 10)]
+    steps, residuals = analysis._scan_product_grid(net, grids, 10, 0.0)
+    # 8,008 points in batches of _chunk; the last two batches hold one vertex each
+    assert core.width == 8 and survivors == [5, 1, 1]
+    assert steps.tolist() == [[10, 0, 0, 0, 0, 0, 0, 10]] and residuals.tolist() == [0.0]
+    assert_same_hits((steps, residuals), reference_scan(net, grids, 10, 0.0))
+    assert_oracle_unchanged(net, 10, tolerances=(0.0, 0.2, 1.0))
+
+
+def test_a_grid_of_hits_only_equals_the_reference():
+    net = seven_and_solo()
+    grids = [compositions(7, 6), compositions(1, 6)]
+    steps, residuals = analysis._scan_product_grid(net, grids, 6, 1.0)
+    assert len(steps) == len(grids[0]) == 924
+    assert_same_hits((steps, residuals), reference_scan(net, grids, 6, 1.0))
+
+
+def test_a_grid_without_hits_equals_the_reference():
+    # t(a) = share of a, t(b) = 1/3: the one Nash split, (1/3, 2/3), is off the grid
+    net = Network(
+        junctions=(Junction("a"), Junction("b")),
+        roads=(Road("ra", "a", "b"), Road("rb", "a", "b")),
+        populations=(PopulationSpec("only", "a", "b", (RouteSpec(("ra",)), RouteSpec(("rb",))),
+                                    {"ra": Affine(0.0, {"only": 1.0}), "rb": Constant(1 / 3)}),),
+    )
+    grids = [compositions(2, 100)]
+    steps, residuals = analysis._scan_product_grid(net, grids, 100, 0.0)
+    assert steps.shape == (0, 2) and residuals.shape == (0,)
+    assert_same_hits((steps, residuals), reference_scan(net, grids, 100, 0.0))
+
+
+def test_the_two_halves_of_spreads_on_survivors_equal_spreads_of_the_batch():
+    # Survivors are fancy-indexed out of a batch: one survivor is a (P, W, 1)
+    # slice, whose route sums at W = 8 go through `_total`'s cumulative sum.
+    core = compile_network(seven_and_solo())
+    rng = np.random.default_rng(5)
+    x = np.zeros((2, 8, 40))
+    x[0, :7] = rng.dirichlet(np.ones(7), 40).T * (rng.random((7, 40)) < 0.8)
+    x[0, :7, 0] = 1.0
+    x[0, :7] /= x[0, :7].sum(axis=0)
+    x[1, 0] = 1.0
+    t = core.times(x) * rng.random((2, 8, 40))
+    t[0, 3, 9] = t[0, 6, 2] = np.inf
+    whole = core.spreads(x, t, 0.0)
+    spread, scale, relevant, kept = core.relevant_spreads(x, t, 0.0)
+    for picked in [[k] for k in range(40)] + [[0, 9], list(range(40))]:
+        halves = [spread[..., picked], scale[..., picked], *core.shortfalls(
+            *(a[..., picked] for a in (x, t, relevant, kept))
+        )]
+        for field, value in zip(whole, halves):
+            assert np.array_equal(field[..., picked], value)

@@ -169,6 +169,35 @@ class TestOracle:
         assert main(["oracle", _write(tmp_path, "steep.json", obj), "--grid", "3"]) == 0
         assert "clusters: 1" in capsys.readouterr().out
 
+    def test_a_tolerance_of_1_or_more_is_noted_as_vacuous(self, files, capsys):
+        # nonmonotone_pair's equilibrium is (0.5, 0.5); at grid 3 the
+        # tolerance is 1 and the one cluster sits at (1/3, 2/3).
+        assert main(["oracle", files["nonmonotone_pair"], "--grid", "3"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[2:4] == [
+            "tolerance: 1",
+            "note: at a tolerance of 1 or more every grid point with finite relevant times passes, "
+            "so the clusters are no evidence of an equilibrium; a finer --grid lowers it",
+        ]
+        assert "[0.333333333, 0.666666667] (residual 0.333333333)" in lines[-1]
+
+    def test_braess_augmented_at_grid_20_is_noted(self, files, capsys):
+        # its sampled time variation is 20, so the tolerance is 20 / grid
+        assert main(["oracle", files["braess_augmented"], "--grid", "20"]) == 0
+        out = capsys.readouterr().out
+        assert "tolerance: 1\n" in out and out.count("\nnote: ") == 1
+
+    @pytest.mark.parametrize("name, grid", [("nonmonotone_pair", 200), ("braess_augmented", 24)])
+    def test_a_tolerance_below_1_has_no_note(self, name, grid, files, capsys):
+        assert main(["oracle", files[name], "--grid", str(grid)]) == 0
+        out = capsys.readouterr().out
+        assert "tolerance: 0." in out and "note:" not in out
+
+    def test_the_note_is_not_in_structured_output(self, files, capsys):
+        assert main(["oracle", files["nonmonotone_pair"], "--grid", "3", "--format", "structured"]) == 0
+        out = capsys.readouterr().out
+        assert '"tolerance": 1.0' in out and "note" not in out
+
     def test_budget_overflow_exits_five(self, files, capsys):
         assert main(["oracle", files["braess_augmented"], "--grid", "400"]) == 5
 
