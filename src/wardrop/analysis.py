@@ -23,7 +23,7 @@ from typing import Iterator
 import numpy as np
 
 from . import equilibrium
-from .compiled import _POW, CompiledNetwork, _total, compile_network
+from .compiled import _POW, COMPUTED_TOLERANCE, CompiledNetwork, _total, compile_network
 from .costs import InfiniteCostError
 from .equilibrium import (
     DEFAULT_TIME_TOLERANCE,
@@ -33,9 +33,9 @@ from .equilibrium import (
     PreconditionError,
     SolveParams,
     _require_int,
+    _require_monotone,
     _require_tolerance,
     compositions,
-    nonmonotone_cost,
     solve_fixed_point,
     uniform_assignment,
 )
@@ -117,7 +117,7 @@ def segment_matrices(
     if len(net.populations) != 2:
         raise PreconditionError("segment matrices are defined for exactly 2 populations")
     _require_int("quadrature_nodes", quadrature_nodes, 1, MAX_QUADRATURE_NODES)
-    _require_monotone(net)
+    _require_monotone(net, PreconditionError, "averaged sensitivities require increasing costs")
     core = compile_network(net)
     ends = (core._flows(core.pack(x).reshape(-1, 1)) for x in (first, second))
     blocks, infinite = _segments(core, *ends, quadrature_nodes)
@@ -131,15 +131,6 @@ def segment_matrices(
     return SegmentMatrices(
         own=(q0, q1), cross=(p0, p1), endpoints=(first, second), quadrature_nodes=quadrature_nodes
     )
-
-
-def _require_monotone(net: Network) -> None:
-    found = nonmonotone_cost(net)
-    if found is not None:
-        raise PreconditionError(
-            f"cost of road {found[1]!r} for population {found[0]!r} is not "
-            "monotone; averaged sensitivities require increasing costs"
-        )
 
 
 def _segments(
@@ -318,7 +309,7 @@ def check_hypothesis_coupling(net: Network, sampler: HSampler = HSampler()) -> U
         if not holds:
             offender = next(i for i in range(len(pop.routes)) if i not in witnesses)
             raise GammaConditionError(pop.name, offender)
-    _require_monotone(net)
+    _require_monotone(net, PreconditionError, "averaged sensitivities require increasing costs")
     vertices = math.prod(len(pop.routes) for pop in net.populations)
     sample = math.comb(vertices, 2) + vertices + sampler.pairs
     if sample > UNIQUENESS_BUDGET:
@@ -452,7 +443,7 @@ def _draw_shares(core: CompiledNetwork, count: int, seed: int | np.random.Genera
     (or one seeded with it), equal bit for bit to drawing each one
     population by population as
     `Assignment.make([rng.dirichlet(np.ones(n)) for n in core.route_counts],
-    tolerance=1e-9)`, and raising where that raises.  For alpha 1,
+    tolerance=COMPUTED_TOLERANCE)`, and raising where that raises.  For alpha 1,
     `dirichlet` normalizes standard gamma variates, drawn in that same order:
     it multiplies by the reciprocal of their left-to-right sum.  `make`
     checks that sum again, clamps at 0, which leaves nonnegative variates
@@ -462,9 +453,9 @@ def _draw_shares(core: CompiledNetwork, count: int, seed: int | np.random.Genera
     with np.errstate(divide="ignore", invalid="ignore"):  # variates summing to 0: nan shares, refused below
         drawn = [block * (1 / _total(block)) for block in blocks]
     totals = [_total(block) for block in drawn]
-    refused = np.logical_or.reduce([~(abs(total - 1.0) <= 1e-9) for total in totals])  # also where not finite
+    refused = np.logical_or.reduce([~(abs(t - 1.0) <= COMPUTED_TOLERANCE) for t in totals])  # also where not finite
     if refused.any():  # `make`'s error for the first draw it refuses
-        Assignment.make([block[:, refused.argmax()] for block in drawn], tolerance=1e-9)
+        Assignment.make([block[:, refused.argmax()] for block in drawn], tolerance=COMPUTED_TOLERANCE)
     shares = np.zeros((core.pop_count, core.width, count))
     for p, (block, total) in enumerate(zip(drawn, totals)):
         shares[p, : len(block)] = block / total
@@ -619,7 +610,7 @@ def brute_force_equilibria(
     return OracleResult(
         resolution=resolution,
         equilibria=tuple(
-            (Assignment.make(np.split(steps[k] / resolution, populations), tolerance=1e-9),
+            (Assignment.make(np.split(steps[k] / resolution, populations), tolerance=COMPUTED_TOLERANCE),
              float(residuals[k]))
             for k in heads.tolist()
         ),

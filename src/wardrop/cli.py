@@ -12,10 +12,16 @@ Exit codes are a total function of the outcome class:
 * 4 - non-monotone costs without --allow-nonmonotone, or with it, a
   non-monotone cost that evaluates negative
 * 5 - the oracle grid or the uniqueness sample exceeds its budget
+* 141 - standard output was closed before the report (or --help) was
+  written (128 + SIGPIPE, the status of a command a closed pipe stops);
+  nothing is printed
 
-Every exit of 2 or more that `main` returns prints exactly one `error:`
+Every exit from 2 to 5 that `main` returns prints exactly one `error:`
 line on stderr, a solve that ends in 3 after its report; a bad flag value
-exits 2 through argparse's usage message.
+exits 2 through argparse's usage message.  A document nested too deeply to
+read (a cost expression about a thousand levels deep), or a cost that reads
+but nests too deeply for a later walk of its tree, is malformed input: exit
+2.  The oracle scans at most `--budget` grid points, 2,000,000 by default.
 
 Structured output (--format structured) is deterministic JSON: identical
 inputs and seed give byte-identical bytes.  Text output rounds to 9
@@ -27,6 +33,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 from typing import Sequence
 
@@ -58,6 +65,7 @@ EXIT_INPUT = 2
 EXIT_SOLVER = 3
 EXIT_NONMONOTONE = 4
 EXIT_BUDGET = 5
+EXIT_PIPE = 141
 
 
 def _fmt(x) -> str:
@@ -180,7 +188,7 @@ def _emit(args, payload, text_lines: list[str]) -> None:
 
         Path(args.output).write_text(rendered + "\n", encoding="utf-8")
     else:
-        print(rendered)
+        print(rendered, flush=True)  # a closed reader raises here, before any error line
 
 
 def _load_net(path: str):
@@ -228,6 +236,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         for line in _finding_lines(exc.report):
             print(line)
         return EXIT_FAIL
+    except BrokenPipeError:  # the report's reader has gone: no refusal of the input
+        return EXIT_PIPE
+    except RecursionError:  # a cost that loads can still nest too deeply for a later walk of its tree
+        print("error: a cost expression is nested too deeply to process", file=sys.stderr)
+        return EXIT_INPUT
     except tuple(kind for kind, _ in _REFUSALS) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in _REFUSALS if isinstance(exc, kind))
@@ -372,8 +385,18 @@ def _solve_lines(net, result) -> list[str]:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+    except SystemExit as exc:  # argparse's usage message, or its help
+        code = exc.code
+    try:
+        sys.stdout.flush()  # validation findings and help are still buffered
+    except BrokenPipeError:
+        code = EXIT_PIPE
+    if code == EXIT_PIPE:  # the interpreter's last flush of the unread output would fail too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    entrypoint()

@@ -389,6 +389,7 @@ class Spreads(NamedTuple):
 
 _WORKING_SET = 1 << 17  # array elements an evaluation may hold per intermediate
 INPUT_TOLERANCE = 1e-12  # slack on shares read as input: on their simplices, and holding eps
+COMPUTED_TOLERANCE = 1e-9  # slack on computed shares (iterates, draws, grid points) on their simplices
 
 
 class CompiledNetwork:

@@ -32,6 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .compiled import (
+    COMPUTED_TOLERANCE,
     INPUT_TOLERANCE,
     CompiledNetwork,
     DimensionMismatchError,
@@ -62,6 +63,18 @@ class PreconditionError(ValueError):
     """An operation's stated precondition does not hold for the inputs."""
 
 
+def require_simplex(shares: list[float], tolerance: float) -> None:
+    """Refuse a share vector unless it is finite, sums to 1 (left to right
+    from 0) within `tolerance`, and has no component below -tolerance."""
+    if not all(map(math.isfinite, shares)):
+        raise ValueError(f"share vector has a non-finite component in {shares}")
+    total = functools.reduce(operator.add, shares, 0.0)  # not `sum`: from 3.12 it compensates
+    if abs(total - 1.0) > tolerance:
+        raise ValueError(f"share vector sums to {total}, not 1")
+    if min(shares) < -tolerance:
+        raise ValueError(f"share vector has negative component in {shares}")
+
+
 @dataclass(frozen=True)
 class Assignment:
     """One share vector per population; each lies exactly on its simplex."""
@@ -76,13 +89,7 @@ class Assignment:
             arr = [float(x) for x in vec]
             if not arr:
                 raise DimensionMismatchError("empty share vector")
-            if not all(map(math.isfinite, arr)):
-                raise ValueError(f"share vector has a non-finite component in {arr}")
-            total = functools.reduce(operator.add, arr, 0.0)  # not `sum`: from 3.12 it compensates
-            if abs(total - 1.0) > tolerance:
-                raise ValueError(f"share vector sums to {total}, not 1")
-            if min(arr) < -tolerance:
-                raise ValueError(f"share vector has negative component in {arr}")
+            require_simplex(arr, tolerance)
             clamped = [max(0.0, x) for x in arr]
             s = functools.reduce(operator.add, clamped, 0.0)
             cleaned.append(tuple([x / s for x in clamped]))
@@ -275,11 +282,8 @@ def is_nash(net: Network, theta: Assignment, tol: float = DEFAULT_TIME_TOLERANCE
 def default_eps(theta: Assignment) -> float:
     """Half the smallest relevant share over all populations: of the shares
     above `DEFAULT_SHARE_TOLERANCE`.  Each population has one, since its
-    shares sum to 1."""
-    smallest = 1.0
-    for vec in theta.shares:
-        smallest = min(smallest, 0.5 * min(x for x in vec if x > DEFAULT_SHARE_TOLERANCE))
-    return smallest
+    shares sum to 1; without populations, 1."""
+    return min((0.5 * min(x for x in vec if x > DEFAULT_SHARE_TOLERANCE) for vec in theta.shares), default=1.0)
 
 
 def is_eps_nash(
@@ -353,15 +357,13 @@ def fixed_point_map(net: Network, theta: Assignment) -> Assignment:
     to zero, and rescale to the simplex.  Infinite times enter only through
     the compression (as 1).
     """
-    core = compile_network(net)
-    x = core.pack(theta)
-    return Assignment.make(core.unpack(core.map_step(x, core.times(x))))
+    core, x, t = _evaluate(net, theta)
+    return Assignment.make(core.unpack(core.map_step(x, t)))
 
 
 def fixed_point_residual(net: Network, theta: Assignment) -> float:
-    core = compile_network(net)
-    x = core.pack(theta)
-    return float(np.abs(x - core.map_step(x, core.times(x))).max())
+    core, x, t = _evaluate(net, theta)
+    return float(np.abs(x - core.map_step(x, t)).max())
 
 
 def nonmonotone_cost(net: Network) -> tuple[str, str] | None:
@@ -374,13 +376,10 @@ def nonmonotone_cost(net: Network) -> tuple[str, str] | None:
     return None
 
 
-def _require_monotone(net: Network, allow_nonmonotone: bool) -> None:
-    found = None if allow_nonmonotone else nonmonotone_cost(net)
+def _require_monotone(net: Network, error: type[Exception], hint: str) -> None:
+    found = nonmonotone_cost(net)
     if found is not None:
-        raise NonMonotoneCostError(
-            f"cost of road {found[1]!r} for population {found[0]!r} is not "
-            "monotone; pass allow_nonmonotone to solve anyway"
-        )
+        raise error(f"cost of road {found[1]!r} for population {found[0]!r} is not monotone; {hint}")
 
 
 class _Run:
@@ -464,14 +463,15 @@ def _iterate(core: CompiledNetwork, runs: list[_Run], params: SolveParams) -> No
 
 
 def _solve(net: Network, starts: Sequence[Assignment], params: SolveParams) -> list[SolveResult]:
-    _require_monotone(net, params.allow_nonmonotone)
+    if not params.allow_nonmonotone:
+        _require_monotone(net, NonMonotoneCostError, "pass allow_nonmonotone to solve anyway")
     core = compile_network(net)
     runs = [_Run(core.pack(start), params.residual_tol) for start in starts]
     if runs:
         _iterate(core, runs, params)
     results = []
     for run in runs:
-        final = Assignment.make(core.unpack(run.best), tolerance=1e-9)
+        final = Assignment.make(core.unpack(run.best), tolerance=COMPUTED_TOLERANCE)
         results.append(SolveResult(
             assignment=final,
             iterations=run.iterations,
@@ -541,7 +541,7 @@ def _start_points(net: Network, params: MultistartParams) -> list[Assignment]:
     rng = np.random.default_rng(params.seed)
     for _ in range(params.random_starts):
         vecs = [rng.dirichlet(np.ones(len(pop.routes))) for pop in net.populations]
-        starts.append(Assignment.make([v / v.sum() for v in vecs], tolerance=1e-9))
+        starts.append(Assignment.make([v / v.sum() for v in vecs], tolerance=COMPUTED_TOLERANCE))
     return starts
 
 

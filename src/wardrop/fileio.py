@@ -59,6 +59,8 @@ def _load_json(path: str | Path) -> Any:
         ) from exc
     except ValueError as exc:  # a refused number or key, or text that is not UTF-8
         raise ParseError(f"{path}: {exc}") from None
+    except RecursionError:  # json recurses once per level of nesting
+        raise ParseError(f"{path}: nested too deeply to read") from None
 
 
 def _text(value: Any) -> str:
@@ -103,6 +105,8 @@ def network_from_obj(obj: Mapping) -> Network:
             )
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed network document: {exc}") from exc
+    except RecursionError:  # cost objects parse recursively
+        raise ParseError("malformed network document: nested too deeply to read") from None
     return Network(junctions=junctions, roads=roads, populations=tuple(populations))
 
 

@@ -344,29 +344,27 @@ def enumerate_routes(net: Network, origin: str, destination: str) -> list[RouteS
     for roads in outgoing.values():
         roads.sort(key=lambda r: r.id)
 
+    # Depth first with an explicit stack, so that a route may be longer than
+    # Python's recursion limit: path[k] leaves the junction whose untried roads
+    # are untried[k], and visited holds the junctions on the path.
     found: list[tuple[str, ...]] = []
-    path: list[str] = []
+    path: list[Road] = []
+    untried = [iter(outgoing.get(origin, []))]
     visited = {origin}
-
-    def walk(node: str) -> None:
-        if node == destination:
-            found.append(tuple(path))
-            return
-        for road in outgoing.get(node, []):
-            if road.head in visited:
-                continue
+    while untried:
+        road = next(untried[-1], None)
+        if road is None:
+            untried.pop()
+            if path:
+                visited.discard(path.pop().head)
+        elif road.head == destination:
+            found.append(tuple(r.id for r in path) + (road.id,))
+        elif road.head not in visited:
             visited.add(road.head)
-            path.append(road.id)
-            walk(road.head)
-            path.pop()
-            visited.discard(road.head)
-
-    walk(origin)
+            path.append(road)
+            untried.append(iter(outgoing.get(road.head, [])))
     found.sort()
     return [RouteSpec(p) for p in found]
-
-
-SHARE_TOLERANCE = 1e-9  # how far `flows_on_roads` lets a share vector stray from its simplex
 
 
 def flows_on_roads(incidences: Sequence[IncidenceMatrix], shares: Sequence[Sequence[float]]) -> np.ndarray:
@@ -375,8 +373,11 @@ def flows_on_roads(incidences: Sequence[IncidenceMatrix], shares: Sequence[Seque
     flows[h, p] is the mass of population p on road h, the left-to-right
     sum of the shares of p's routes through h, as the compiled network
     forms it.  Each share vector must lie on its simplex within
-    `SHARE_TOLERANCE`; flows are linear in the shares and land in [0, 1].
+    `COMPUTED_TOLERANCE` (`require_simplex`); flows, of shares clipped at 0, land in [0, 1].
     """
+    from .compiled import COMPUTED_TOLERANCE, _gather_sum, flow_gather
+    from .equilibrium import require_simplex
+
     if hasattr(shares, "shares"):  # accept an Assignment as-is
         shares = shares.shares
     if len(incidences) != len(shares):
@@ -386,23 +387,15 @@ def flows_on_roads(incidences: Sequence[IncidenceMatrix], shares: Sequence[Seque
     width = 1 + max([0] + [inc.entries.shape[1] for inc in incidences])
     roads = len(incidences[0].entries) if incidences else 0
     padded = np.zeros((len(shares), width))
-    columns = [[] for _ in range(len(shares) * roads + 1)]  # each flow row's flat routes, then padding
+    routes = [[] for _ in range(len(shares) * width)]  # each flat route's flow rows
     for p, (inc, theta) in enumerate(zip(incidences, shares)):
         vec = np.asarray(theta, dtype=float)
         if vec.shape != (inc.entries.shape[1],):
             raise ValueError(
                 f"share vector of shape {vec.shape} does not match {inc.entries.shape[1]} routes"
             )
-        if not np.isfinite(vec).all():
-            raise ValueError(f"share vector has a non-finite component in {vec.tolist()}")
-        if abs(vec.sum() - 1.0) > SHARE_TOLERANCE:
-            raise ValueError(f"share vector sums to {vec.sum()}, not 1")
-        if (vec < -SHARE_TOLERANCE).any():
-            raise ValueError("share vector has a negative component")
+        require_simplex(vec.tolist(), COMPUTED_TOLERANCE)
         padded[p, : len(vec)] = np.clip(vec, 0.0, None)
-        for h, j in zip(*(a.tolist() for a in inc.entries.nonzero())):  # by road, then route
-            columns[p * roads + h].append(p * width + j)
-    from .compiled import _gather_sum, _padded
-
-    flows = _gather_sum(padded.reshape(-1), _padded(columns, width - 1)[:, :-1])
+        routes[p * width : p * width + len(vec)] = [(p * roads + col.nonzero()[0]).tolist() for col in inc.entries.T]
+    flows = _gather_sum(padded.reshape(-1), flow_gather(routes, len(shares) * roads, width)[:, :-1])
     return flows.reshape(len(shares), -1).T

@@ -2,18 +2,23 @@
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from wardrop import analysis, equilibrium
+import wardrop
+from wardrop import analysis, equilibrium, fileio
 from wardrop import fixtures as nets
 from wardrop.analysis import HSampler, check_uniqueness
 from wardrop.cli import _fmt, build_parser, main
-from wardrop.costs import ExtReal
+from wardrop.costs import ExtReal, Sum
 from wardrop.equilibrium import MultistartParams, SolveParams
 from wardrop.fileio import dumps_structured, network_to_obj, save_network
 
@@ -456,6 +461,17 @@ class TestRoutes:
         assert "r2 -> r5 -> r4" in out
 
 
+    def test_a_route_through_1200_junctions(self, tmp_path, capsys):
+        junctions = [f"j{i}" for i in range(1200)]
+        roads = [{"id": f"r{i}", "tail": a, "head": b} for i, (a, b) in enumerate(zip(junctions, junctions[1:]))]
+        route = [road["id"] for road in roads]
+        population = {"name": "p", "origin": "j0", "destination": "j1199", "routes": [route],
+                      "costs": {rid: {"kind": "constant", "value": 1.0} for rid in route}}
+        path = _write(tmp_path, "chain.json", {"junctions": junctions, "roads": roads, "populations": [population]})
+        assert main(["routes", path, "--origin", "j0", "--destination", "j1199"]) == 0
+        assert capsys.readouterr().out == " -> ".join(route) + "\n"
+
+
 class TestStructuredOutput:
     def test_solve_structured_is_byte_identical(self, files, capsys):
         assert main(["solve", files["merge_base"], "--format", "structured"]) == 0
@@ -743,3 +759,65 @@ def test_quadrature_past_its_maximum_is_refused_before_a_rule_is_built(files, mo
     assert err.value.code == 2
     errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
     assert len(errors) == 1 and "--quadrature" in errors[0] and f"at most {top}" in errors[0]
+
+
+def _nested_cost(tmp_path, kind: str, depth: int) -> str:
+    """delay_spillover with upper's r1 cost wrapped `depth` times in a scale or a sum."""
+    obj = json.loads(dumps_structured(network_to_obj(nets.delay_spillover())))
+    leaf = json.dumps(obj["populations"][0]["costs"]["r1"])
+    obj["populations"][0]["costs"]["r1"] = "COST"
+    opening, closing = ('{"kind": "scale", "factor": 1.0, "expr": ', "}") if kind == "scale" else (
+        '{"kind": "sum", "terms": [', "]}")
+    path = tmp_path / "nested.json"
+    path.write_text(json.dumps(obj).replace('"COST"', opening * depth + leaf + closing * depth))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["validate", "solve"])
+@pytest.mark.parametrize("kind", ["scale", "sum"])
+def test_a_document_nested_too_deeply_to_read_exits_two(kind, command, tmp_path, capsys):
+    assert main([command, _nested_cost(tmp_path, kind, 20_000)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "nested too deeply to read" in err
+
+
+def test_a_cost_too_deep_for_a_later_walk_exits_two(monkeypatch, capsys):
+    """A cost that loads can still nest too deeply for a walk of its tree
+    after loading, here validation's."""
+    net = nets.delay_spillover()
+    upper = net.populations[0]
+    deep = upper.costs["r1"]
+    for _ in range(5000):
+        deep = Sum((deep,))
+    upper = dataclasses.replace(upper, costs={**upper.costs, "r1": deep})
+    net = dataclasses.replace(net, populations=(upper, *net.populations[1:]))
+    monkeypatch.setattr(fileio, "load_network", lambda path: net)
+    assert main(["solve", "network.json"]) == 2
+    assert capsys.readouterr().err == "error: a cost expression is nested too deeply to process\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(lambda f, t: ["validate", f["braess_base"]], id="validate"),
+        pytest.param(lambda f, t: ["oracle", f["braess_augmented"], "--grid", "20"], id="oracle"),
+        pytest.param(lambda f, t: ["solve", f["merge_linked"], "--max-iters", "3"], id="solve-not-converged"),
+        pytest.param(lambda f, t: ["solve", _routeless(t)], id="solve-findings"),
+        pytest.param(lambda f, t: ["solve", "--help"], id="help"),
+    ],
+)
+def test_a_closed_reader_exits_141_with_nothing_on_stderr(argv, files, tmp_path):
+    """Standard output is a pipe whose reading end is closed before the
+    command starts; it is block-buffered, as it is by default."""
+    src = str(Path(wardrop.__file__).resolve().parents[1])
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run([sys.executable, "-m", "wardrop", *argv(files, tmp_path)], stdout=write,
+                              stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (141, b"")

@@ -107,6 +107,16 @@ def test_malformed_document_raises_parse_error(tmp_path):
         load_network(path)
 
 
+def test_a_cost_nested_too_deeply_to_parse_is_a_parse_error():
+    obj = network_to_obj(nets.delay_spillover())
+    cost = obj["populations"][0]["costs"]["r1"]
+    for _ in range(5000):
+        cost = {"kind": "scale", "factor": 1.0, "expr": cost}
+    obj["populations"][0]["costs"]["r1"] = cost
+    with pytest.raises(ParseError, match="^malformed network document: nested too deeply to read$"):
+        network_from_obj(obj)
+
+
 def test_assignment_round_trip(tmp_path, delay_net):
     theta = Assignment.make([[0.25, 0.75], [0.5, 0.5]])
     obj = assignment_to_obj(theta, delay_net)

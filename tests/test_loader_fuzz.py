@@ -6,10 +6,13 @@ infinite literal, a duplicated entry or key, or truncated text), and runs
 `validate`, `solve --max-iters 50`, `verify`, `oracle --grid 3`, `compare
 --max-iters 50` (the intact fixture against the damaged network) and
 `routes` on the result; fewer examples, each with a damaged network, run
-`uniqueness --pairs 2 --starts 1`, which has no iteration cap.  Every run
-must return 0, 1 or the exit code of a refusal in `cli._REFUSALS`, never
-raise, and print exactly one `error:` line whenever it exits 2 or more, and
-none when it exits 0 or 1, except the one of a `uniqueness` refused with 1.
+`uniqueness --pairs 2 --starts 1`, which has no iteration cap.  Intact
+documents of extreme shape (costs or arrays nested up to thousands of
+levels deep, a chain of up to 1,500 junctions, up to 60 parallel routes)
+run `validate`, `routes` and `solve --max-iters 5`.  Every run must return
+0, 1 or the exit code of a refusal in `cli._REFUSALS`, never raise, and
+print exactly one `error:` line whenever it exits 2 or more, and none when
+it exits 0 or 1, except the one of a `uniqueness` refused with 1.
 """
 
 from __future__ import annotations
@@ -173,3 +176,57 @@ def test_damaged_documents_end_in_a_documented_exit(case):
 @given(cases(shares_too=False))
 def test_damaged_networks_end_uniqueness_in_a_documented_exit(case):
     check(case, lambda fixture, net, shares: [["uniqueness", net, "--pairs", "2", "--starts", "1"]])
+
+
+def _nested(kind: str, depth: int, leaf: str) -> str:
+    """`leaf` wrapped `depth` times in a scale or sum cost, or in arrays."""
+    opening, closing = {
+        "scale": ('{"kind": "scale", "factor": 1.0, "expr": ', "}"),
+        "sum": ('{"kind": "sum", "terms": [', "]}"),
+        "array": ("[", "]"),
+    }[kind]
+    return opening * depth + leaf + closing * depth
+
+
+@st.composite
+def shaped(draw):
+    """(fixture, network text, assignment text) of an intact network of
+    extreme shape, its origin "o" and its destination "d"; the assignment
+    is unused."""
+    shape = draw(st.sampled_from(["nested", "long", "wide"]))
+    if shape == "nested":  # one cost of braess_base, or one of its arrays, nested
+        fixture = next(f for f in FIXTURES if f.stem == "braess_base")
+        network = json.loads(fixture.read_text(encoding="utf-8"))
+        kind = draw(st.sampled_from(["scale", "sum", "array"]))
+        depth = draw(st.integers(1, 1200) | st.sampled_from([3000, 20_000]))
+        where = network["populations"][0]["costs"] if kind != "array" else network["populations"][0]["routes"]
+        key = draw(st.sampled_from(sorted(where) if kind != "array" else range(len(where))))
+        leaf = json.dumps(where[key])
+        where[key] = "@"
+        return fixture, json.dumps(network).replace('"@"', _nested(kind, depth, leaf)), "{}"
+    if shape == "long":  # one route along a chain of n junctions
+        n = draw(st.integers(2, 1500))
+        junctions = ["o", *(f"j{i}" for i in range(1, n - 1)), "d"]
+        roads = [{"id": f"r{i}", "tail": a, "head": b} for i, (a, b) in enumerate(zip(junctions, junctions[1:]))]
+        costs = {road["id"]: {"kind": "affine", "constant": 1.0, "coeffs": {"p": 1.0}} for road in roads}
+        routes = [[road["id"] for road in roads]]
+    else:  # m parallel roads, one route each
+        m = draw(st.integers(1, 60))
+        junctions = ["o", "d"]
+        roads = [{"id": f"r{i}", "tail": "o", "head": "d"} for i in range(m)]
+        costs = {road["id"]: {"kind": "affine", "constant": float(i), "coeffs": {"p": 1.0}}
+                 for i, road in enumerate(roads)}
+        routes = [[road["id"]] for road in roads]
+    population = {"name": "p", "origin": "o", "destination": "d", "routes": routes, "costs": costs}
+    return None, json.dumps({"junctions": junctions, "roads": roads, "populations": [population]}), "{}"
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(shaped())
+def test_deep_long_and_wide_documents_end_in_a_documented_exit(case):
+    check(case, lambda fixture, net, shares: [
+        ["validate", net],
+        ["routes", net, "--origin", "o", "--destination", "d"],
+        ["solve", net, "--max-iters", "5"],
+    ])
