@@ -23,7 +23,7 @@ from typing import Iterator
 import numpy as np
 
 from . import equilibrium
-from .compiled import _POW, COMPUTED_TOLERANCE, CompiledNetwork, _total, compile_network
+from .compiled import _POW, COMPUTED_TOLERANCE, CompiledNetwork, _buffer, _total, compile_network
 from .costs import InfiniteCostError
 from .equilibrium import (
     DEFAULT_TIME_TOLERANCE,
@@ -584,7 +584,9 @@ def brute_force_equilibria(
     coarse grid can reach 1.  Adjacent hits (no share more than two grid
     steps apart) merge into one cluster represented by the hit with the
     smallest residual.  Raises `OracleBudgetError` when the grid would
-    exceed `budget` points, a positive int.
+    exceed `budget` points, a positive int.  `points_scanned` is the grid's
+    size: every point is decided, evaluated by the scan or skipped by its
+    bound pass (`_scan_product_grid`), which never changes the hits.
     """
     _require_int("resolution", resolution, 1)
     _require_int("budget", budget, 1)
@@ -631,7 +633,17 @@ def _scan_product_grid(
     points that pass go on to the shortfall test (the two halves of
     `CompiledNetwork.spreads`).  Returns each hit's compositions side by
     side as one int row, in scan order, which is lexicographic, and the
-    hits' residuals."""
+    hits' residuals.
+
+    Where no cost can raise and the grid is more than one batch
+    (`core._chunk` points) with at least BOUND_RUN points in the last
+    population's grid, a bound pass first marks the runs of points that
+    `_hit_free_points` proves hit-free, and each batch evaluates only its
+    other points (one `take`).  Costs that cannot raise have no
+    non-monotone term and no 0 scale factor, so they are monotone, which
+    makes the bounds sound; and a skipped point cannot hide an error.  On
+    fewer points the pass cannot pay for its corners.  Hits, residuals and
+    their order are those of evaluating every point, bit for bit."""
     core = compile_network(net)
     last = len(grids) - 1
     outer = np.array(list(itertools.product(*(range(len(g)) for g in grids[:last]))), dtype=int)
@@ -645,12 +657,24 @@ def _scan_product_grid(
     # per batch: the hits' indices into the grid product, their residuals (none before the first)
     found, residuals = [np.zeros(0, dtype=int)], [np.zeros(0)]
     with np.errstate(over="ignore"):  # a bound past the float range is +inf, met by all
+        dead = None
+        if core.program.raising_slots() is None and len(outer) * inner > core._chunk and inner >= BOUND_RUN:
+            dead = _hit_free_points(core, grids, outer, resolution, tolerance, scratch)
         for start in range(0, len(outer), per_batch):
             block = outer[start : start + per_batch]
+            columns = None  # the batch's points still to decide: all of them
+            if dead is not None:
+                alive = ~dead[start : start + per_batch]
+                if not alive.any():
+                    continue
+                if not alive.all():
+                    columns = np.flatnonzero(alive)
             for p in range(last):
                 rows = grids[p][block[:, p]] / resolution
                 shares[p, : core.route_counts[p], : len(block)] = rows.T[..., None]
             x = shares[:, :, : len(block)].reshape(core.pop_count, core.width, -1)
+            if columns is not None:
+                x = x.take(columns, 2, _buffer(scratch, "alive", x.shape[:2] + columns.shape), "clip")
             t = core.times(x, scratch)
             spread, scale, relevant, kept = core.relevant_spreads(x, t, 0.0)
             within = np.flatnonzero(np.logical_and.reduce(spread <= tolerance * scale))
@@ -661,11 +685,73 @@ def _scan_product_grid(
             shortfall, mean_scale = core.shortfalls(x, t, relevant, kept)
             ok = np.logical_and.reduce(shortfall <= tolerance * mean_scale, (0, 1))
             worst = np.maximum(spread.max(axis=0), shortfall.max(axis=(0, 1)).clip(0.0))
-            found.append(start * inner + within[ok])
+            hits = within[ok] if columns is None else columns[within[ok]]
+            found.append(start * inner + hits)
             residuals.append(worst[ok])
     row, column = np.divmod(np.concatenate(found), inner)
     steps = [grids[p][outer[row, p]] for p in range(last)] + [grids[last][column]]
     return np.concatenate(steps, axis=1), np.concatenate(residuals)
+
+
+BOUND_RUN = 32  # consecutive last-population grid points that one bound box covers
+# Relative widening of the corner bounds: libm pow is not monotone to the
+# last bit, and every other step of `times` is a monotone rounded operation.
+BOUND_MARGIN = 1e-12
+
+
+def _hit_free_points(
+    core: CompiledNetwork,
+    grids: list[np.ndarray],
+    outer: np.ndarray,
+    resolution: int,
+    tolerance: float,
+    scratch: dict,
+) -> np.ndarray:
+    """Whether each point of the grid product is proven to be no hit of
+    `_scan_product_grid`, (len(outer), last population's grid points): it
+    lies in a run of BOUND_RUN consecutive points of the last population's
+    grid, after its outer row, that holds no hit.
+
+    The run's box spans the per-coordinate min and max of its shares, the
+    outer row's shares fixed.  Costs that cannot raise are monotone, so
+    route times over the box lie between L and U, their values at its low
+    and high corners widened by BOUND_MARGIN.  Per population, the routes of
+    positive low share are relevant at every point of the box (`always`),
+    those of positive high share at some (`possible`).  A run is hit-free
+    when in some population the spread's bound, the largest `always` L
+    minus the smallest `always` U, exceeds tolerance times the scale's:
+    - (a) where the largest L is finite, the scale's bound is max(1, the
+      largest `possible` U), since the scale is max(1, the largest relevant
+      time) where that is finite and 1 where it is not;
+    - (b) where it is +inf, that route's time is +inf at every point, so
+      the scale is 1, and an `always` U below +inf makes the spread +inf.
+    Both sides are rounded as the scan rounds them, and rounding is
+    monotone, so a run found hit-free has no point within the spread bound.
+    Corners go to `core.times` in batches of `core._chunk`."""
+    last = len(grids) - 1
+    inner = grids[last] / resolution
+    starts = np.arange(0, len(inner), BOUND_RUN)
+    corners = np.stack([np.minimum.reduceat(inner, starts), np.maximum.reduceat(inner, starts)])  # (2, runs, n)
+    per_chunk = max(1, core._chunk // (2 * len(starts)))  # outer rows a batch of corners serves
+    # (P, W, low or high corner, outer row, run); the last population's corners and the padding stay
+    x = np.zeros((core.pop_count, core.width, 2, min(per_chunk, len(outer)), len(starts)))
+    x[last, : core.route_counts[last]] = corners.transpose(2, 0, 1)[:, :, None]
+    dead = np.zeros((len(outer), len(starts)), dtype=bool)
+    for start in range(0, len(outer), per_chunk):
+        block = outer[start : start + per_chunk]
+        for p in range(last):
+            rows = grids[p][block[:, p]] / resolution
+            x[p, : core.route_counts[p], :, : len(block)] = rows.T[:, None, :, None]
+        box = x[:, :, :, : len(block)]
+        t = core.times(box.reshape(core.pop_count, core.width, -1), scratch).reshape(box.shape)
+        always, possible = box[:, :, 0] > 0.0, box[:, :, 1] > 0.0
+        low, high = t[:, :, 0] * (1.0 - BOUND_MARGIN), t[:, :, 1] * (1.0 + BOUND_MARGIN)
+        top = np.where(always, low, -np.inf).max(axis=1)  # (P, rows, runs)
+        bottom = np.where(always, high, np.inf).min(axis=1)
+        scale = np.where(top < np.inf, np.maximum(1.0, np.where(possible, high, 0.0).max(axis=1)), 1.0)
+        with np.errstate(invalid="ignore"):  # inf - inf and 0 * inf are nan: not hit-free
+            dead[start : start + len(block)] = np.logical_or.reduce(top - bottom > tolerance * scale)
+    return np.repeat(dead, np.diff(np.append(starts, len(inner))), axis=1)
 
 
 CLUSTER_BLOCK = 1 << 12  # candidate pairs whose gaps one block of the sweep holds
@@ -675,23 +761,26 @@ def _cluster_hits(steps: np.ndarray, residuals: np.ndarray) -> np.ndarray:
     """Indices, ascending, of the hits that represent the components under
     "no coordinate more than two grid steps apart": each component's hit
     with the smallest (residual, index).  Rows of `steps` are sorted."""
-    label = _components(len(steps), *_neighbour_pairs(steps))
+    label = _neighbour_labels(steps)
     order = np.lexsort((residuals, label))  # stable: ties stay in row order
     return np.sort(order[np.flatnonzero(np.diff(label[order], prepend=-1))])
 
 
-def _neighbour_pairs(steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(i, j) arrays, i < j, of the rows of the integer grid coordinates
-    `steps` whose largest coordinate gap is at most 2.  Rows are sorted, so
-    column 0 never decreases and the candidates j of row i form the window
-    i < j < end[i].  Gaps are computed one coordinate at a time, in blocks
-    of about CLUSTER_BLOCK candidates (one whole row at least)."""
+def _neighbour_labels(steps: np.ndarray) -> np.ndarray:
+    """Each row's smallest connected row, for the graph joining the rows of
+    the integer grid coordinates `steps` whose largest coordinate gap is at
+    most 2.  Rows are sorted, so column 0 never decreases and the
+    candidates j of row i form the window i < j < end[i].  Candidates go in
+    blocks of about CLUSTER_BLOCK (one whole row at least): a block's pairs
+    already in one component are dropped, the others' gaps are computed one
+    coordinate at a time, and its near pairs join the running labels before
+    the next block, so memory grows with the rows, not with the pairs."""
     count = len(steps)
     lead = steps[:, 0]
     widths = np.searchsorted(lead, lead + 2, side="right") - np.arange(1, count + 1)
     offsets = np.concatenate(([0], np.cumsum(widths)))
     columns = np.ascontiguousarray(steps.T)
-    found = [(np.zeros(0, dtype=int), np.zeros(0, dtype=int))]  # no pairs without rows
+    label = np.arange(count)
     start = 0
     while start < count:
         stop = np.searchsorted(offsets, offsets[start] + CLUSTER_BLOCK, side="right") - 1
@@ -700,33 +789,44 @@ def _neighbour_pairs(steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         i = np.repeat(np.arange(start, stop), counts)
         row_start = np.repeat(offsets[start:stop] - offsets[start], counts)
         j = i + 1 + np.arange(len(i)) - row_start  # i + 1 up to the window's end
+        span = _roots(label, np.arange(start, stop + widths[stop - 1]))  # the last row's window ends last
+        a, b = span[i - start], span[j - start]
+        apart = np.flatnonzero(a != b)
+        i, j = i[apart], j[apart]
         gap = np.abs(columns[0, i] - columns[0, j])
         for column in columns[1:]:
             np.maximum(gap, np.abs(column[i] - column[j]), out=gap)
-        near = gap <= 2
-        found.append((i[near], j[near]))
+        near = apart[gap <= 2]
+        _join(label, a[near], b[near])
         start = stop
-    return np.concatenate([i for i, _ in found]), np.concatenate([j for _, j in found])
+    return _roots(label, np.arange(count))
 
 
-def _components(count: int, first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """Each node's smallest connected node, for the graph with edges
-    (first[e], second[e]).  Every round hooks each root that an edge joins
-    to a smaller root onto the smallest such root, then compresses every
-    path to its root.  Labels only fall, and a round leaves fewer roots
-    while any edge joins two, so the last root of a component is its
-    smallest node."""
-    label = np.arange(count)
+def _roots(label: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """The root of each node, the node its label chain ends at (its own
+    label), and each node's label pointed at it."""
+    found = label[nodes]
     while True:
-        a, b = label[first], label[second]
-        if np.array_equal(a, b):
-            return label
-        np.minimum.at(label, np.maximum(a, b), np.minimum(a, b))
-        while True:
-            jumped = label[label]
-            if np.array_equal(jumped, label):
-                break
-            label = jumped
+        up = label[found]
+        if np.array_equal(up, found):
+            break
+        found = up
+    label[nodes] = found
+    return found
+
+
+def _join(label: np.ndarray, first: np.ndarray, second: np.ndarray) -> None:
+    """Merge the components of the roots first[e] and second[e], for each
+    edge e.  Every round hooks each larger root of an edge onto the
+    smallest root an edge joins it to, then finds the edges' roots again.
+    Labels only fall and stay within their component, and a round leaves
+    fewer roots while any edge joins two, so the root of a component is its
+    smallest node."""
+    while first.size:
+        np.minimum.at(label, np.maximum(first, second), np.minimum(first, second))
+        first, second = _roots(label, first), _roots(label, second)
+        apart = first != second
+        first, second = first[apart], second[apart]
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ time lives in the equilibrium layer.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass, field
 from collections.abc import Iterable, Iterator, Mapping
 
@@ -494,7 +495,7 @@ def json_number(value: object, what: str) -> int | float:
     """`value` if it is a JSON number: an int or a float, never a bool, and
     never a string of digits; `what` names it in the error."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"{what} must be a number, got {value!r}")
+        raise TypeError(f"{what} must be a number, got {reprlib.repr(value)}")
     return value
 
 
@@ -505,7 +506,7 @@ def _float(value: object, what: str) -> float:
 def _by_name(value: object, what: str, convert=_float) -> dict:
     """A JSON object of numbers, each `convert`ed; a list of pairs is none."""
     if not isinstance(value, dict):
-        raise TypeError(f"{what} must be an object, got {value!r}")
+        raise TypeError(f"{what} must be an object, got {reprlib.repr(value)}")
     if convert is _float and set(map(type, value.values())) <= {float}:
         return value  # the cost copies it
     return {name: convert(v, what) for name, v in value.items()}
@@ -539,5 +540,5 @@ def _parse_cost(obj: Mapping) -> CostExpr:
         if kind == "scale":
             return Scale(_float(obj["factor"], "factor"), _parse_cost(obj["expr"]))
     except (KeyError, TypeError, OverflowError) as exc:
-        raise ValueError(f"malformed {kind!r} cost object: {exc}") from exc
-    raise ValueError(f"unknown cost kind {kind!r}")
+        raise ValueError(f"malformed {reprlib.repr(kind)} cost object: {exc}") from exc
+    raise ValueError(f"unknown cost kind {reprlib.repr(kind)}")

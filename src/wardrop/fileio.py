@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
 from collections import Counter
 from collections.abc import Mapping, Sequence
 from dataclasses import fields, is_dataclass
@@ -66,19 +67,19 @@ def _load_json(path: str | Path) -> Any:
 def _text(value: Any) -> str:
     """`value` if it is a string: an id or a name is never converted to one."""
     if not isinstance(value, str):
-        raise TypeError(f"expected a string, got {value!r}")
+        raise TypeError(f"expected a string, got {reprlib.repr(value)}")
     return value
 
 
 def _texts(value: Any) -> tuple[str, ...]:
     if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise TypeError(f"expected an array of strings, got {value!r}")
+        raise TypeError(f"expected an array of strings, got {reprlib.repr(value)}")
     return tuple(value)
 
 
 def _array(value: Any) -> list:
     if not isinstance(value, list):
-        raise TypeError(f"expected an array, got {value!r}")
+        raise TypeError(f"expected an array, got {reprlib.repr(value)}")
     return value
 
 
@@ -93,7 +94,7 @@ def network_from_obj(obj: Mapping) -> Network:
             routes = tuple([RouteSpec(_texts(route)) for route in _array(pop["routes"])])
             costs = pop.get("costs", {})
             if not isinstance(costs, dict):
-                raise TypeError(f"expected costs keyed by road id, got {costs!r}")
+                raise TypeError(f"expected costs keyed by road id, got {reprlib.repr(costs)}")
             populations.append(
                 PopulationSpec(
                     name=_text(pop["name"]),
@@ -151,7 +152,7 @@ def assignment_from_obj(obj: Mapping, net: Network) -> Assignment:
         vec = obj[name]
         if not isinstance(vec, Sequence) or len(vec) != len(pop.routes):
             raise ParseError(
-                f"population {name!r} expects {len(pop.routes)} shares, got {vec!r}"
+                f"population {name!r} expects {len(pop.routes)} shares, got {reprlib.repr(vec)}"
             )
         vectors.append(vec)
     try:

@@ -5,9 +5,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import os
 import re
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,9 +44,12 @@ from wardrop.costs import (
     CongestionRational,
     Constant,
     CostDomainError,
+    CostExpr,
     ExtRealGuardError,
     InfiniteCostError,
+    MonomialTerm,
     NonMonotoneAffine,
+    Polynomial,
     Scale,
     Sum,
 )
@@ -1427,3 +1434,133 @@ def test_the_two_halves_of_spreads_on_survivors_equal_spreads_of_the_batch():
         )]
         for field, value in zip(whole, halves):
             assert np.array_equal(field[..., picked], value)
+
+
+# -- the scan's bound pass ------------------------------------------------------
+
+@pytest.fixture
+def times_points(monkeypatch) -> list[int]:
+    """The points of every `CompiledNetwork.times` evaluation, in call order;
+    a batch that `times` cuts into chunks counts once, by its chunks."""
+    seen, times = [], CompiledNetwork.times
+
+    def spy(self, x, scratch=None):
+        if x.ndim < 3 or x.shape[2] <= self._chunk:
+            seen.append(x.shape[2] if x.ndim == 3 else 1)
+        return times(self, x, scratch)
+
+    monkeypatch.setattr(CompiledNetwork, "times", spy)
+    return seen
+
+
+def blow_up_and_folds(fold: CostExpr | None = None) -> Network:
+    """`vans` on two parallel roads and `cars` on those and a third: a
+    congestion load that blows up, monomials, and folded sums and scales of
+    them; `fold`, if given, joins cars' cost on r3 as a last term."""
+    roads = tuple(Road(f"r{k}", "a", "b") for k in (1, 2, 3))
+    r3 = (Affine(0.2, {"cars": 1.0}), Scale(3.0, Polynomial((MonomialTerm(1.0, {"cars": 3}),))))
+    return Network(
+        junctions=(Junction("a"), Junction("b")),
+        roads=roads,
+        populations=(
+            PopulationSpec("vans", "a", "b", (RouteSpec(("r1",)), RouteSpec(("r2",))), {
+                "r1": Scale(2.0, CongestionRational({"cars": 0.5, "vans": 1.0}, 1.0)),
+                "r2": Affine(0.3, {"vans": 2.0}),
+            }),
+            PopulationSpec("cars", "a", "b", tuple(RouteSpec((r.id,)) for r in roads), {
+                "r1": CongestionRational({"cars": 1.0, "vans": 1.0}, 1.2),
+                "r2": Polynomial((MonomialTerm(2.0, {"cars": 2, "vans": 1}), MonomialTerm(0.5, {"cars": 1}))),
+                "r3": Sum(r3 + ((fold,) if fold else ())),
+            }),
+        ),
+    )
+
+
+def scanned_points(times_points: list[int], scan, net: Network, resolution: int, tolerance: float):
+    """(outcome of `scan` on net's grid, the points its evaluations took)."""
+    grids = [compositions(n, resolution) for n in compile_network(net).route_counts]
+    times_points.clear()
+    found = outcome(scan, net, grids, resolution, tolerance)
+    return found, sum(times_points)
+
+
+@pytest.mark.parametrize("build, resolution", [
+    pytest.param(nets.congestion_corridor, 800, id="congestion_corridor"),
+    pytest.param(blow_up_and_folds, 60, id="blow-up-and-folds"),
+])
+def test_the_bound_pass_skips_points_and_keeps_every_hit(build, resolution, times_points):
+    net = build()
+    for tolerance in (analysis._estimate_time_variation(net) / resolution, 0.0, 0.5):
+        found, evaluated = scanned_points(times_points, analysis._scan_product_grid, net, resolution, tolerance)
+        expected, everything = scanned_points(times_points, reference_scan, net, resolution, tolerance)
+        assert everything == grid_points(net, resolution)
+        assert evaluated < everything
+        assert_same_hits(found, expected)
+
+
+def zero_scaled_fold(capacity: float) -> Network:
+    """`blow_up_and_folds` with a congestion load scaled by 0 in a fold:
+    0 * inf raises where cars put `capacity` on r3."""
+    return blow_up_and_folds(Scale(0.0, CongestionRational({"cars": 1.0}, capacity)))
+
+
+@pytest.mark.parametrize("build, resolution, error", [
+    pytest.param(solo_and_wide, 400, None, id="non-monotone"),
+    pytest.param(functools.partial(zero_scaled_fold, 2.0), 60, None, id="zero-scaled-fold"),
+    pytest.param(functools.partial(zero_scaled_fold, 0.9), 60, ExtRealGuardError, id="zero-scaled-fold-raises"),
+])
+def test_a_scan_that_can_raise_evaluates_every_point(build, resolution, error, times_points):
+    # A skipped point could hide an error the full scan raises.
+    net = build()
+    assert compile_network(net).program.raising_slots() is not None
+    for tolerance in (0.0, 0.5):
+        found, evaluated = scanned_points(times_points, analysis._scan_product_grid, net, resolution, tolerance)
+        expected, everything = scanned_points(times_points, reference_scan, net, resolution, tolerance)
+        assert evaluated == everything
+        assert_same_hits(found, expected)
+        if error is None:
+            assert everything == grid_points(net, resolution)
+        else:
+            assert found[0] is error and everything < grid_points(net, resolution)
+
+
+@settings(SETTINGS, max_examples=60)
+@given(networks(raising=False))
+def test_the_bound_pass_keeps_every_hit_on_random_monotone_networks(net):
+    core = compile_network(net)
+    last = core.route_counts[-1]
+    resolution = 1
+    while resolution < 2_000 and (grid_points(net, resolution) <= core._chunk or math.comb(resolution + last - 1, last - 1) < 32):
+        resolution += 1
+    if grid_points(net, resolution) > 20_000:
+        return  # too fine a grid for a property test
+    grids = [compositions(n, resolution) for n in core.route_counts]
+    for tolerance in (0.0, 0.05, analysis._estimate_time_variation(net) / resolution):
+        assert_same_hits(
+            outcome(analysis._scan_product_grid, net, grids, resolution, tolerance),
+            outcome(reference_scan, net, grids, resolution, tolerance),
+        )
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads the process's VmSize")
+def test_clusters_take_memory_linear_in_the_hits():
+    """layered (3, 3, 1) at grid 3: 3,654 points, nearly all hits, whose
+    pairs of neighbours once took about 330 MiB at once."""
+    bench = str(Path(__file__).resolve().parents[1] / "bench")
+    child = f"""
+import resource, sys
+sys.path.insert(0, {bench!r})
+from layered import layered
+from wardrop.analysis import brute_force_equilibria
+net = layered(3, 3, 1, seed=0)
+for line in open("/proc/self/status"):
+    if line.startswith("VmSize:"):
+        cap = int(line.split()[1]) * 1024 + (128 << 20)
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+result = brute_force_equilibria(net, 3)
+print(result.points_scanned, len(result.equilibria))
+"""
+    src = str(Path(analysis.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, env=env, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "3654 1\n", "")

@@ -782,6 +782,39 @@ def test_a_document_nested_too_deeply_to_read_exits_two(kind, command, tmp_path,
     assert "nested too deeply to read" in err
 
 
+def _long_value(tmp_path, place: str, value: str) -> list[str]:
+    """The argv of a command whose input holds the JSON text `value` where
+    `place` expects something else."""
+    obj = json.loads(dumps_structured(network_to_obj(nets.delay_spillover())))
+    upper = obj["populations"][0]
+    if place == "route":
+        upper["routes"][0] = "LONG"
+    elif place == "costs":
+        upper["costs"] = "LONG"
+    elif place == "cost value":
+        upper["costs"]["r1"] = {"kind": "constant", "value": "LONG"}
+    network = tmp_path / "network.json"
+    network.write_text(json.dumps(obj).replace('"LONG"', value))
+    if place != "shares":
+        return ["validate", str(network)]
+    shares = tmp_path / "shares.json"
+    shares.write_text('{"upper": %s, "lower": [0.5, 0.5]}' % value)
+    return ["verify", str(network), str(shares)]
+
+
+@pytest.mark.parametrize("value", [
+    pytest.param("[" * 400 + '"r1"' + "]" * 400, id="400-deep"),
+    pytest.param(json.dumps([["r1"]] * 1000), id="1000-wide"),
+])
+@pytest.mark.parametrize("place", ["route", "costs", "cost value", "shares"])
+def test_a_long_value_is_echoed_in_one_short_error_line(place, value, tmp_path, capsys):
+    # 1,000 levels of arrays are refused before any value is checked
+    assert main(_long_value(tmp_path, place, value)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err) <= 201
+    assert "nested too deeply" not in err
+
+
 def test_a_cost_too_deep_for_a_later_walk_exits_two(monkeypatch, capsys):
     """A cost that loads can still nest too deeply for a walk of its tree
     after loading, here validation's."""
