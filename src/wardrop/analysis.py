@@ -636,14 +636,20 @@ def _scan_product_grid(
     hits' residuals.
 
     Where no cost can raise and the grid is more than one batch
-    (`core._chunk` points) with at least BOUND_RUN points in the last
+    (`core._chunk` points) with more than BOUND_RUN points in the last
     population's grid, a bound pass first marks the runs of points that
     `_hit_free_points` proves hit-free, and each batch evaluates only its
     other points (one `take`).  Costs that cannot raise have no
     non-monotone term and no 0 scale factor, so they are monotone, which
-    makes the bounds sound; and a skipped point cannot hide an error.  On
-    fewer points the pass cannot pay for its corners.  Hits, residuals and
-    their order are those of evaluating every point, bit for bit."""
+    makes the bounds sound; and a skipped point cannot hide an error.  The
+    two size conditions keep the pass where it can pay: a grid of one batch
+    is one `times` call, which the corners' call and the `take` would add
+    to, and a last-population grid of at most BOUND_RUN points is one run,
+    whose box spans that population's whole grid (every low share 0, so
+    none of its routes is always relevant; with one route, two corners per
+    point).  Timed without them, the pass cost more than it saved on every
+    such grid tried.  Hits, residuals and their order are those of
+    evaluating every point, bit for bit."""
     core = compile_network(net)
     last = len(grids) - 1
     outer = np.array(list(itertools.product(*(range(len(g)) for g in grids[:last]))), dtype=int)
@@ -658,7 +664,7 @@ def _scan_product_grid(
     found, residuals = [np.zeros(0, dtype=int)], [np.zeros(0)]
     with np.errstate(over="ignore"):  # a bound past the float range is +inf, met by all
         dead = None
-        if core.program.raising_slots() is None and len(outer) * inner > core._chunk and inner >= BOUND_RUN:
+        if core.program.raising_slots() is None and len(outer) * inner > core._chunk and inner > BOUND_RUN:
             dead = _hit_free_points(core, grids, outer, resolution, tolerance, scratch)
         for start in range(0, len(outer), per_batch):
             block = outer[start : start + per_batch]

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wardrop import analysis, equilibrium
@@ -1438,8 +1438,7 @@ def test_the_two_halves_of_spreads_on_survivors_equal_spreads_of_the_batch():
 
 # -- the scan's bound pass ------------------------------------------------------
 
-@pytest.fixture
-def times_points(monkeypatch) -> list[int]:
+def spy_on_times(monkeypatch) -> list[int]:
     """The points of every `CompiledNetwork.times` evaluation, in call order;
     a batch that `times` cuts into chunks counts once, by its chunks."""
     seen, times = [], CompiledNetwork.times
@@ -1451,6 +1450,11 @@ def times_points(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(CompiledNetwork, "times", spy)
     return seen
+
+
+@pytest.fixture
+def times_points(monkeypatch) -> list[int]:
+    return spy_on_times(monkeypatch)
 
 
 def blow_up_and_folds(fold: CostExpr | None = None) -> Network:
@@ -1524,22 +1528,67 @@ def test_a_scan_that_can_raise_evaluates_every_point(build, resolution, error, t
             assert found[0] is error and everything < grid_points(net, resolution)
 
 
-@settings(SETTINGS, max_examples=60)
-@given(networks(raising=False))
-def test_the_bound_pass_keeps_every_hit_on_random_monotone_networks(net):
-    core = compile_network(net)
-    last = core.route_counts[-1]
-    resolution = 1
-    while resolution < 2_000 and (grid_points(net, resolution) <= core._chunk or math.comb(resolution + last - 1, last - 1) < 32):
-        resolution += 1
-    if grid_points(net, resolution) > 20_000:
-        return  # too fine a grid for a property test
-    grids = [compositions(n, resolution) for n in core.route_counts]
-    for tolerance in (0.0, 0.05, analysis._estimate_time_variation(net) / resolution):
-        assert_same_hits(
-            outcome(analysis._scan_product_grid, net, grids, resolution, tolerance),
-            outcome(reference_scan, net, grids, resolution, tolerance),
-        )
+@pytest.mark.parametrize("build, resolutions", [
+    pytest.param(nets.congestion_corridor, range(36, 46), id="one-batch"),  # 1,369-2,116 points, _chunk 1,680
+    pytest.param(nets.merge_linked, range(28, 36), id="one-run"),  # 29-36 last-population points
+])
+def test_the_bound_pass_runs_past_one_batch_and_one_run(build, resolutions, monkeypatch):
+    # Below either size the pass was measured to cost more than it saves.
+    net = build()
+    core, bound, calls = compile_network(net), analysis._hit_free_points, []
+    monkeypatch.setattr(analysis, "_hit_free_points", lambda *args: calls.append(1) or bound(*args))
+    ran = []
+    for resolution in resolutions:
+        grids = [compositions(n, resolution) for n in core.route_counts]
+        calls.clear()
+        found = analysis._scan_product_grid(net, grids, resolution, 0.05)
+        size, inner = grid_points(net, resolution), len(grids[-1])
+        assert len(calls) == (size > core._chunk and inner > analysis.BOUND_RUN)
+        ran.append(len(calls))
+        assert_same_hits(found, reference_scan(net, grids, resolution, 0.05))
+    assert 0 < sum(ran) < len(ran)  # both sides of the size condition
+
+
+def test_the_bound_pass_keeps_every_hit_on_random_monotone_networks():
+    """Random monotone networks at the coarsest grid the pass runs on: one
+    of more than one batch, with more than BOUND_RUN points in the last
+    population's grid.  Every scan runs the pass and evaluates the corners
+    and the points it leaves; enough of them evaluate fewer points than
+    the grid that the draws are known to skip some."""
+    fewer = []  # per scan: whether it evaluated fewer points than the grid
+
+    @settings(SETTINGS, max_examples=60)
+    @given(networks(raising=False))
+    def check(net):
+        core = compile_network(net)
+        last = core.route_counts[-1]
+        assume(last > 1)  # one route: one point per last-population grid, never a run
+        assert core.program.raising_slots() is None
+        resolution = 1
+        while math.comb(resolution + last - 1, last - 1) <= analysis.BOUND_RUN or grid_points(net, resolution) <= core._chunk:
+            resolution += 1
+        size = grid_points(net, resolution)
+        assume(size <= 20_000)  # too fine a grid for a property test
+        inner = len(compositions(last, resolution))
+        runs = size // inner * -(-inner // analysis.BOUND_RUN)
+        grids = [compositions(n, resolution) for n in core.route_counts]
+        with pytest.MonkeyPatch.context() as patch:
+            seen, bound = spy_on_times(patch), analysis._hit_free_points
+            dead = []
+            patch.setattr(analysis, "_hit_free_points", lambda *args: dead.append(bound(*args)) or dead[-1])
+            for tolerance in (0.0, 0.05, analysis._estimate_time_variation(net) / resolution):
+                seen.clear()
+                dead.clear()
+                found = outcome(analysis._scan_product_grid, net, grids, resolution, tolerance)
+                assert len(dead) == 1 and dead[0].size == size
+                # the corners of every run, then every point not proven hit-free
+                assert sum(seen) == 2 * runs + size - dead[0].sum()
+                fewer.append(sum(seen) < size)
+                assert_same_hits(found, outcome(reference_scan, net, grids, resolution, tolerance))
+
+    check()
+    # seen: 180 scans (60 networks, 3 tolerances), 124 of them evaluating fewer points
+    assert len(fewer) >= 150 and sum(fewer) >= 60, (len(fewer), sum(fewer))
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads the process's VmSize")
