@@ -11,7 +11,8 @@ Exit codes are a total function of the outcome class:
 * 3 - solver did not converge or its result failed verification
 * 4 - non-monotone costs without --allow-nonmonotone, or with it, a
   non-monotone cost that evaluates negative
-* 5 - the oracle grid or the uniqueness sample exceeds its budget
+* 5 - the oracle grid or the uniqueness sample exceeds its budget or the
+  memory available
 * 141 - standard output was closed before the report (or --help) was
   written (128 + SIGPIPE, the status of a command a closed pipe stops);
   nothing is printed
@@ -19,9 +20,9 @@ Exit codes are a total function of the outcome class:
 Every exit from 2 to 5 that `main` returns prints exactly one `error:`
 line on stderr, a solve that ends in 3 after its report; a bad flag value
 exits 2 through argparse's usage message.  A document nested too deeply to
-read (a cost expression about a thousand levels deep), or a cost that reads
-but nests too deeply for a later walk of its tree, is malformed input: exit
-2.  The oracle scans at most `--budget` grid points, 2,000,000 by default.
+read (a cost expression about 1,000 `scale` or 500 `sum` levels deep) is
+malformed input: exit 2.  The oracle scans at most `--budget` grid points,
+2,000,000 by default.
 
 Structured output (--format structured) is deterministic JSON: identical
 inputs and seed give byte-identical bytes.  Text output rounds to 9
@@ -223,6 +224,7 @@ _REFUSALS = (
     (NonMonotoneCostError, EXIT_NONMONOTONE),
     (CostDomainError, EXIT_NONMONOTONE),
     (OracleBudgetError, EXIT_BUDGET),
+    (MemoryError, EXIT_BUDGET),
     (GammaConditionError, EXIT_FAIL),
     (CompareError, EXIT_SOLVER),
 )
@@ -238,11 +240,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_FAIL
     except BrokenPipeError:  # the report's reader has gone: no refusal of the input
         return EXIT_PIPE
-    except RecursionError:  # a cost that loads can still nest too deeply for a later walk of its tree
-        print("error: a cost expression is nested too deeply to process", file=sys.stderr)
-        return EXIT_INPUT
     except tuple(kind for kind, _ in _REFUSALS) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)  # a bare MemoryError has no text
         return next(code for kind, code in _REFUSALS if isinstance(exc, kind))
 
 

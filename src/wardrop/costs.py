@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import reprlib
 from dataclasses import dataclass, field
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Mapping
 
 import numpy as np
 
@@ -99,22 +99,57 @@ def _finite(value: float, what: str) -> None:
 
 @dataclass(frozen=True, slots=True)
 class CostExpr:
-    """Base class of the cost-expression forms; use the concrete subclasses."""
+    """Base class of the cost-expression forms; use the concrete subclasses.
+    A form is its own one term, monotone and convex unless it says otherwise."""
 
     def populations(self) -> frozenset[str]:
         raise NotImplementedError
 
     def _terms(self) -> Iterable[tuple[float, "CostExpr | MonomialTerm"]]:
-        """(multiplier, leaf) pairs; `Sum`, `Polynomial` and `Scale` are the
-        left-to-right sum of multiplier * leaf value over their terms."""
+        """(multiplier, leaf) pairs: the cost is the left-to-right sum of
+        multiplier * leaf value over them."""
         return ((1.0, self),)
 
     def structurally_monotone(self) -> bool:
         return True
 
     def structurally_convex(self) -> bool | None:
-        """True/False when decidable from the AST, None when sampling decides."""
-        raise NotImplementedError
+        """True when decidable from the AST, None when sampling decides."""
+        return True
+
+
+@dataclass(frozen=True, slots=True)
+class _Composite(CostExpr):
+    """`Sum`, `Scale` and `Polynomial`: forms that only list their parts.
+    Every question about one reads its flattening."""
+
+    def populations(self) -> frozenset[str]:
+        return frozenset(n for _, leaf in self._terms() for n in leaf.populations())
+
+    def _terms(self) -> list[tuple[float, "CostExpr | MonomialTerm"]]:
+        """The leaves in order, each with the product of the factors above it,
+        innermost first (a * (b * (c * 1.0))), walked on a stack of its own."""
+        terms, stack = [], [(self, None)]  # (node, its factors as linked pairs, the innermost first)
+        while stack:
+            node, factors = stack.pop()
+            if isinstance(node, (Sum, Polynomial)):
+                for t in reversed(node.terms):
+                    stack.append((t, factors))
+            elif isinstance(node, Scale):
+                stack.append((node.inner, (node.factor, factors)))
+            else:
+                multiplier = 1.0
+                while factors is not None:
+                    multiplier, factors = factors[0] * multiplier, factors[1]
+                terms.append((multiplier, node))
+        return terms
+
+    def structurally_monotone(self) -> bool:
+        return all(leaf.structurally_monotone() for _, leaf in self._terms())
+
+    def structurally_convex(self) -> bool | None:
+        # A nonnegative combination of convex leaves is convex.
+        return True if all(leaf.structurally_convex() for _, leaf in self._terms()) else None
 
 
 @dataclass(frozen=True, slots=True)
@@ -128,9 +163,6 @@ class Constant(CostExpr):
 
     def populations(self) -> frozenset[str]:
         return frozenset()
-
-    def structurally_convex(self) -> bool:
-        return True
 
 
 @dataclass(frozen=True, slots=True)
@@ -156,9 +188,6 @@ class Affine(CostExpr):
     def populations(self) -> frozenset[str]:
         return frozenset(self.coeffs)
 
-    def structurally_convex(self) -> bool:
-        return True
-
 
 @dataclass(frozen=True, slots=True)
 class MonomialTerm:
@@ -178,26 +207,24 @@ class MonomialTerm:
             self, "exponents", {n: int(k) for n, k in self.exponents.items() if k != 0}
         )
 
+    def populations(self) -> frozenset[str]:
+        return frozenset(self.exponents)
+
+    def structurally_monotone(self) -> bool:
+        return True
+
+    def structurally_convex(self) -> bool | None:
+        # A power of one flow is convex; a cross-population monomial (e.g.
+        # x*y) generally is not, so sampling decides.
+        return True if len(self.exponents) <= 1 else None
+
 
 @dataclass(frozen=True, slots=True)
-class Polynomial(CostExpr):
+class Polynomial(_Composite):
     terms: tuple[MonomialTerm, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "terms", tuple(self.terms))
-
-    def populations(self) -> frozenset[str]:
-        return frozenset(n for t in self.terms for n in t.exponents)
-
-    def _terms(self) -> Iterator[tuple[float, MonomialTerm]]:
-        return ((1.0, t) for t in self.terms)
-
-    def structurally_convex(self) -> bool | None:
-        # A sum of single-population powers is convex; cross-population
-        # monomials (e.g. x*y) are generally not, so sampling decides.
-        if all(len(t.exponents) <= 1 for t in self.terms):
-            return True
-        return None
 
 
 @dataclass(frozen=True, slots=True)
@@ -220,39 +247,17 @@ class CongestionRational(CostExpr):
     def populations(self) -> frozenset[str]:
         return frozenset(self.weights)
 
-    def structurally_convex(self) -> bool:
-        # Convex increasing function of a nonnegative linear form.
-        return True
-
 
 @dataclass(frozen=True, slots=True)
-class Sum(CostExpr):
+class Sum(_Composite):
     terms: tuple[CostExpr, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "terms", tuple(self.terms))
 
-    def populations(self) -> frozenset[str]:
-        return frozenset(n for t in self.terms for n in t.populations())
-
-    def _terms(self) -> Iterator[tuple[float, CostExpr | MonomialTerm]]:
-        for t in self.terms:
-            yield from t._terms()
-
-    def structurally_monotone(self) -> bool:
-        return all(t.structurally_monotone() for t in self.terms)
-
-    def structurally_convex(self) -> bool | None:
-        parts = [t.structurally_convex() for t in self.terms]
-        if all(p is True for p in parts):
-            return True
-        if any(p is False for p in parts):
-            return False
-        return None
-
 
 @dataclass(frozen=True, slots=True)
-class Scale(CostExpr):
+class Scale(_Composite):
     factor: float
     inner: CostExpr
 
@@ -260,19 +265,6 @@ class Scale(CostExpr):
         _finite(self.factor, "scale factor")
         if self.factor < 0:
             raise ValueError("scale factor must be nonnegative")
-
-    def populations(self) -> frozenset[str]:
-        return self.inner.populations()
-
-    def _terms(self) -> Iterator[tuple[float, CostExpr | MonomialTerm]]:
-        for factor, leaf in self.inner._terms():
-            yield self.factor * factor, leaf
-
-    def structurally_monotone(self) -> bool:
-        return self.inner.structurally_monotone()
-
-    def structurally_convex(self) -> bool | None:
-        return self.inner.structurally_convex()
 
 
 @dataclass(frozen=True, slots=True)
@@ -300,9 +292,6 @@ class NonMonotoneAffine(CostExpr):
 
     def structurally_monotone(self) -> bool:
         return all(c >= 0 for c in self.coeffs.values())
-
-    def structurally_convex(self) -> bool:
-        return True
 
 
 def eval_cost(expr: CostExpr, flows: Mapping[str, float]) -> ExtReal:

@@ -206,6 +206,43 @@ class TestOracle:
     def test_budget_overflow_exits_five(self, files, capsys):
         assert main(["oracle", files["braess_augmented"], "--grid", "400"]) == 5
 
+    @pytest.mark.parametrize("error, line", [
+        (MemoryError(), "error: out of memory\n"),
+        (MemoryError("Unable to allocate 9.1 GiB"), "error: Unable to allocate 9.1 GiB\n"),
+    ], ids=["bare", "with-text"])
+    def test_running_out_of_memory_exits_five(self, error, line, files, capsys, monkeypatch):
+        def scan(*_, **__):
+            raise error
+
+        monkeypatch.setattr(analysis, "brute_force_equilibria", scan)
+        assert main(["oracle", files["braess_augmented"]]) == 5
+        assert capsys.readouterr() == ("", line)
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads the process's VmSize")
+    def test_a_grid_within_budget_past_the_memory_exits_five(self, tmp_path):
+        """layered (6, 1, 1) at grid 40: 1,221,759 points, within the
+        budget, whose compositions do not fit in 128 MiB more than the
+        process holds once loaded."""
+        bench = str(Path(__file__).resolve().parents[1] / "bench")
+        path = str(tmp_path / "layered.json")
+        child = f"""
+import resource, sys
+sys.path.insert(0, {bench!r})
+from layered import layered
+from wardrop import cli, fileio
+fileio.save_network(layered(6, 1, 1, 0), {path!r})
+for line in open("/proc/self/status"):
+    if line.startswith("VmSize:"):
+        cap = int(line.split()[1]) * 1024 + (128 << 20)
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+sys.exit(cli.main(["oracle", {path!r}, "--grid", "40"]))
+"""
+        src = str(Path(wardrop.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 5, done.stderr
+        assert done.stdout == "" and done.stderr.count("\n") == 1 and done.stderr.startswith("error: ")
+
 
 class TestUniqueness:
     def test_delay_satisfied(self, files, capsys):
@@ -815,9 +852,9 @@ def test_a_long_value_is_echoed_in_one_short_error_line(place, value, tmp_path, 
     assert "nested too deeply" not in err
 
 
-def test_a_cost_too_deep_for_a_later_walk_exits_two(monkeypatch, capsys):
-    """A cost that loads can still nest too deeply for a walk of its tree
-    after loading, here validation's."""
+def test_a_cost_of_any_depth_that_loads_is_solved(monkeypatch, capsys):
+    """Past any recursion limit: every walk of a cost's tree after loading
+    keeps its own stack."""
     net = nets.delay_spillover()
     upper = net.populations[0]
     deep = upper.costs["r1"]
@@ -826,8 +863,28 @@ def test_a_cost_too_deep_for_a_later_walk_exits_two(monkeypatch, capsys):
     upper = dataclasses.replace(upper, costs={**upper.costs, "r1": deep})
     net = dataclasses.replace(net, populations=(upper, *net.populations[1:]))
     monkeypatch.setattr(fileio, "load_network", lambda path: net)
-    assert main(["solve", "network.json"]) == 2
-    assert capsys.readouterr().err == "error: a cost expression is nested too deeply to process\n"
+    assert main(["solve", "network.json"]) == 0
+    assert "status: verified-nash" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("kind", ["sum", "scale"])
+def test_validate_and_solve_agree_on_every_depth(kind, tmp_path, capsys):
+    """One cost of delay_spillover nested 100 to 1,000 levels deep: deep
+    ones meet the recursion limit at load, and both commands refuse them
+    alike; no depth that loads is refused later."""
+    doc = json.loads((Path(__file__).resolve().parents[1] / "fixtures" / "delay_spillover.json").read_text())
+    costs = doc["populations"][0]["costs"]
+    leaf, costs["r1"] = json.dumps(costs["r1"]), "@"
+    opening, closing = {"sum": ('{"kind": "sum", "terms": [', "]}"),
+                        "scale": ('{"kind": "scale", "factor": 1.0, "expr": ', "}")}[kind]
+    path = tmp_path / "nested.json"
+    verdicts = {}
+    for depth in range(100, 1001, 10):
+        path.write_text(json.dumps(doc).replace('"@"', opening * depth + leaf + closing * depth))
+        verdicts[depth] = (main(["validate", str(path)]), main(["solve", str(path)]))
+    capsys.readouterr()
+    assert all(v == s for v, s in verdicts.values()), verdicts
+    assert {v for v, _ in verdicts.values()} == {0, 2}  # the range spans the load limit
 
 
 @pytest.mark.parametrize(

@@ -379,3 +379,102 @@ def test_compiled_matches_ast_evaluation():
             assert math.isinf(vec_value)
         else:
             assert vec_value == pytest.approx(exact, rel=1e-12, abs=1e-12)
+
+
+def _recursive_terms(expr):
+    """`_terms` as `Sum`, `Scale` and `Polynomial` each once wrote it, a
+    recursion of its own: the reference of the flattening."""
+    if isinstance(expr, Sum):
+        for t in expr.terms:
+            yield from _recursive_terms(t)
+    elif isinstance(expr, Scale):
+        for factor, leaf in _recursive_terms(expr.inner):
+            yield expr.factor * factor, leaf
+    elif isinstance(expr, Polynomial):
+        yield from ((1.0, t) for t in expr.terms)
+    else:
+        yield 1.0, expr
+
+
+def _recursive_answers(expr):
+    """(populations, structurally_monotone, structurally_convex) as the
+    forms' own recursive methods once answered them."""
+    if isinstance(expr, Sum):
+        parts = [_recursive_answers(t) for t in expr.terms]
+        convex = [c for _, _, c in parts]
+        return (
+            frozenset(n for p, _, _ in parts for n in p),
+            all(m for _, m, _ in parts),
+            True if all(c is True for c in convex) else False if any(c is False for c in convex) else None,
+        )
+    if isinstance(expr, Scale):
+        return _recursive_answers(expr.inner)
+    if isinstance(expr, Polynomial):
+        return (frozenset(n for t in expr.terms for n in t.exponents), True,
+                True if all(len(t.exponents) <= 1 for t in expr.terms) else None)
+    if isinstance(expr, NonMonotoneAffine):
+        return frozenset(expr.coeffs), all(c >= 0 for c in expr.coeffs.values()), True
+    if isinstance(expr, CongestionRational):
+        return frozenset(expr.weights), True, True
+    return frozenset(getattr(expr, "coeffs", ())), True, True  # Affine or Constant
+
+
+def _flattening(pairs) -> list:
+    """(multiplier bits, leaf identity) of each (multiplier, leaf) pair."""
+    return [(factor.hex(), id(leaf)) for factor, leaf in pairs]
+
+
+def _wrapped(rng, expr, layers: int):
+    """`expr` under `layers` random `Scale` and `Sum` layers; a `Sum` layer
+    may add a signed affine sibling, so some trees are not monotone."""
+    names = ["first", "second"]
+    for _ in range(layers):
+        if rng.random() < 0.5:
+            expr = Scale(float(rng.choice([0.0, 0.1, 0.2, 0.3, 0.7, 1.1, 3.0])), expr)
+        else:
+            others = [random_monotone_expr(rng, names, depth=1) for _ in range(rng.integers(0, 3))]
+            if rng.random() < 0.3:
+                others.append(NonMonotoneAffine(2.0, {"first": float(rng.uniform(-1, 1))}))
+            at = int(rng.integers(len(others) + 1))
+            expr = Sum((*others[:at], expr, *others[at:]))
+    return expr
+
+
+def _outermost_first(expr, product=1.0):
+    """The flattening with each product formed from the root down: (a * b) * c."""
+    if isinstance(expr, Sum):
+        return [pair for t in expr.terms for pair in _outermost_first(t, product)]
+    if isinstance(expr, Scale):
+        return _outermost_first(expr.inner, product * expr.factor)
+    return [(product * 1.0, leaf) for leaf in (expr.terms if isinstance(expr, Polynomial) else (expr,))]
+
+
+def test_the_flattening_equals_the_recursive_walks():
+    """Multipliers bit for bit and leaves by identity, in order, and the
+    three answers of the old recursive methods, on random trees."""
+    rng = np.random.default_rng(11)
+    regrouped = 0  # trees whose multipliers differ from the outermost-first products
+    for _ in range(300):
+        expr = _wrapped(rng, random_monotone_expr(rng, ["first", "second"]), int(rng.integers(0, 6)))
+        assert _flattening(expr._terms()) == _flattening(_recursive_terms(expr))
+        assert (expr.populations(), expr.structurally_monotone(), expr.structurally_convex()) \
+            == _recursive_answers(expr)
+        regrouped += _flattening(expr._terms()) != _flattening(_outermost_first(expr))
+    assert regrouped >= 10, regrouped
+
+
+@pytest.mark.parametrize("composite", ["sum", "scale", "both"])
+def test_a_chain_of_five_thousand_composites_flattens(composite):
+    """Past any recursion limit: each question about the chain is answered,
+    and its one leaf's multiplier is the innermost-first product."""
+    poly = Polynomial((MonomialTerm(2.0, {"a": 1, "b": 1}), MonomialTerm(1.0, {"a": 3})))
+    expr, multiplier = poly, 1.0
+    factors = np.random.default_rng(5).uniform(0.9, 1.1, 5000)
+    for k, factor in enumerate(factors.tolist()):
+        if composite == "sum" or (composite == "both" and k % 2):
+            expr = Sum((expr,))
+        else:
+            expr, multiplier = Scale(factor, expr), factor * multiplier
+    assert _flattening(expr._terms()) == _flattening([(multiplier, t) for t in poly.terms])
+    assert (expr.populations(), expr.structurally_monotone(), expr.structurally_convex()) \
+        == (frozenset("ab"), True, None)

@@ -9,7 +9,8 @@ infinite literal, a duplicated entry or key, or truncated text), and runs
 `uniqueness --pairs 2 --starts 1`, which has no iteration cap.  Intact
 documents of extreme shape (costs or arrays nested up to thousands of
 levels deep, a chain of up to 1,500 junctions, up to 60 parallel routes)
-run `validate`, `routes` and `solve --max-iters 5`.  Every run must return
+run `validate`, `routes` and `solve --max-iters 5`, and `solve` refuses
+none of them as input that `validate` accepts.  Every run must return
 0, 1 or the exit code of a refusal in `cli._REFUSALS`, never raise, and
 print exactly one `error:` line whenever it exits 2 or more, and none when
 it exits 0 or 1, except the one of a `uniqueness` refused with 1.
@@ -131,10 +132,12 @@ def run(argv: list[str]) -> tuple[int, str]:
     return code, out.getvalue() + err.getvalue()
 
 
-def check(case, commands) -> None:
+def check(case, commands) -> list[tuple[int, str]]:
     """Run each command of `commands(fixture, network path, shares path)` on
-    the case's documents, and check its exit and its error lines."""
+    the case's documents, check its exit and its error lines, and return
+    each one's (exit, printed text)."""
     fixture, network, shares = case
+    ends = []
     with tempfile.TemporaryDirectory() as tmp:
         net_path, shares_path = Path(tmp, "network.json"), Path(tmp, "shares.json")
         net_path.write_text(network, encoding="utf-8")
@@ -149,6 +152,8 @@ def check(case, commands) -> None:
                 assert len(errors) <= 1, (argv[0], code, printed)
             else:
                 assert len(errors) == (1 if code >= 2 else 0), (argv[0], code, printed)
+            ends.append((code, printed))
+    return ends
 
 
 def _ends(fixture: str) -> list[str]:
@@ -225,8 +230,10 @@ def shaped(draw):
           suppress_health_check=[HealthCheck.too_slow])
 @given(shaped())
 def test_deep_long_and_wide_documents_end_in_a_documented_exit(case):
-    check(case, lambda fixture, net, shares: [
+    (validated, _), _, (solved, printed) = check(case, lambda fixture, net, shares: [
         ["validate", net],
         ["routes", net, "--origin", "o", "--destination", "d"],
         ["solve", net, "--max-iters", "5"],
     ])
+    if validated == cli.EXIT_OK:  # every command accepts what loads, at any depth
+        assert solved != cli.EXIT_INPUT, printed
